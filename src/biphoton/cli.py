@@ -3,8 +3,11 @@
 Subcommands: design, jsa compute, hom, tomo simulate|reconstruct,
 spectro simulate, efficiency. Global flags: --config, --out, --seed,
 --json, --dispersion-file. Exit codes: 0 success, 1 computation error,
-2 usage error. Every output file embeds the config digest and runs are
-byte-identical for identical (config, seed).
+2 usage error. Every output file embeds the config digest. Reruns with
+identical (config, seed) write byte-identical CSVs. The JSON reports are
+byte-identical at a fixed BLAS thread count; with another thread count the
+Schmidt coefficients in schmidt_report.json and the visibility in
+hom_report.json can move in their last digits.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import yaml
 from . import interference, jsa as jsa_mod, polarization, spectrometer
 from .config import RunConfig, config_digest, default_config, load_config
 from .efficiency import CountSummary, LossBudget, klyshko, predict_heralding
-from .errors import BiphotonError, InputError
+from .errors import BiphotonError, DegenerateInputError, InputError
 from .jsa import FilterSpec
 from .phasematch import gvm_angle, gvm_degenerate_wavelength, solve_poling_period
 
@@ -36,8 +39,15 @@ def _write_csv(path: Path, rows, header: str, comments: list[str]) -> None:
     lines = [f"# {c}" for c in comments]
     lines.append(header)
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(map(_fmt, row)))
     path.write_text("\n".join(lines) + "\n")
+
+
+def _read_input(path) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -129,20 +139,12 @@ def cmd_jsa(args, config: RunConfig) -> int:
     header = ",".join(
         part for k in range(n) for part in (f"re_idler{k}", f"im_idler{k}")
     )
-    rows = (
-        [v for k in range(n) for v in (float(f[j, k].real), float(f[j, k].imag))]
-        for j in range(n)
-    )
+    # the float64 view of a complex row interleaves re/im per idler index
+    rows = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64).tolist()
     _write_csv(out / "jsa_amplitudes.csv", rows, header, comments)
 
-    intensity = amplitude.intensity
     header_i = ",".join(f"idler{k}" for k in range(n))
-    _write_csv(
-        out / "jsa_intensity.csv",
-        ([float(v) for v in row] for row in intensity),
-        header_i,
-        comments,
-    )
+    _write_csv(out / "jsa_intensity.csv", amplitude.intensity.tolist(), header_i, comments)
 
     report = {
         "config_digest": config_digest(config),
@@ -241,17 +243,24 @@ def cmd_tomo_simulate(args, config: RunConfig) -> int:
 
 def read_tomography_records(path: str | Path) -> list[polarization.TomographyRecord]:
     records = []
-    for line in Path(path).read_text().splitlines():
+    for line in _read_input(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("setting_a"):
             continue
-        setting_a, setting_b, counts, integration = line.split(",")
+        try:
+            setting_a, setting_b, counts, integration = line.split(",")
+            counts, integration = int(counts), float(integration)
+        except ValueError as exc:
+            raise InputError(
+                f"bad tomography row {line!r}: expected setting_a,setting_b,"
+                "integer counts,integration_s"
+            ) from exc
         records.append(
             polarization.TomographyRecord(
                 setting_a=setting_a.strip(),
                 setting_b=setting_b.strip(),
-                counts=int(counts),
-                integration_time_s=float(integration),
+                counts=counts,
+                integration_time_s=integration,
             )
         )
     return records
@@ -299,7 +308,7 @@ def cmd_spectro(args, config: RunConfig) -> int:
     # first row and first column carry bin centers in ns, body is counts
     header = ",".join([""] + [_fmt(float(c)) for c in histogram.bin_centers_idler_ns])
     rows = (
-        [float(center)] + [int(v) for v in row]
+        [float(center)] + row.tolist()
         for center, row in zip(histogram.bin_centers_signal_ns, histogram.counts)
     )
     _write_csv(
@@ -322,11 +331,14 @@ def cmd_spectro(args, config: RunConfig) -> int:
 
 
 def _read_counts_csv(path: str | Path) -> CountSummary:
-    for line in Path(path).read_text().splitlines():
+    for line in _read_input(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("singles_signal"):
             continue
-        parts = [float(x) for x in line.split(",")]
+        try:
+            parts = [float(x) for x in line.split(",")]
+        except ValueError as exc:
+            raise InputError(f"counts CSV row is not numeric: {line!r}") from exc
         if len(parts) < 3:
             raise InputError(f"counts CSV row needs at least 3 columns, got {line!r}")
         integration = parts[3] if len(parts) > 3 else 1.0
@@ -343,12 +355,17 @@ def cmd_efficiency(args, config: RunConfig) -> int:
     report: dict = {"config_digest": config_digest(config)}
     if args.counts is not None:
         counts = _read_counts_csv(args.counts)
-        eta_signal, eta_idler = klyshko(counts)
+        try:
+            eta_signal, eta_idler = klyshko(counts)
+        except ZeroDivisionError as exc:
+            raise DegenerateInputError(str(exc)) from exc
         report["klyshko_signal"] = eta_signal
         report["klyshko_idler"] = eta_idler
     if args.budget is not None:
-        raw = yaml.safe_load(Path(args.budget).read_text()) or {}
-        budget = LossBudget(**raw)
+        try:
+            budget = LossBudget(**(yaml.safe_load(_read_input(args.budget)) or {}))
+        except (TypeError, yaml.YAMLError) as exc:
+            raise InputError(f"bad loss budget {args.budget}: {exc}") from exc
         report["predicted_heralding"] = predict_heralding(budget)
     if args.counts is None and args.budget is None:
         raise InputError("efficiency requires --counts and/or --budget")

@@ -19,6 +19,10 @@ class NoSolutionError(BiphotonError):
     """A solver found no root in its search window."""
 
 
+class ConvergenceError(BiphotonError):
+    """An iterative solver stopped without meeting its tolerance."""
+
+
 class DegenerateInputError(BiphotonError):
     """The input makes the requested quantity ill posed."""
 

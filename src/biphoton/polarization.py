@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import InputError, RankDeficiencyError, StateError
+from .errors import ConvergenceError, InputError, RankDeficiencyError, StateError
 
 _HERMITICITY_TOL = 1e-10
 _TRACE_TOL = 1e-9
@@ -215,7 +214,10 @@ def reconstruct_mle(records) -> TwoQubitState:
 
     Raises:
         RankDeficiencyError: the settings are not informationally complete.
+        ConvergenceError: L-BFGS-B reports failure.
     """
+    from scipy.optimize import minimize  # imported here so the CLI starts without scipy
+
     records = list(records)
     _check_informationally_complete(records)
     projectors = np.array([projector(r.setting_a, r.setting_b) for r in records])
@@ -258,6 +260,10 @@ def reconstruct_mle(records) -> TwoQubitState:
         method="L-BFGS-B",
         options={"maxiter": 100_000, "gtol": 1e-8, "ftol": 1e-14},
     )
+    if not result.success:
+        raise ConvergenceError(
+            f"MLE did not converge after {result.nit} iterations: {result.message}"
+        )
     return TwoQubitState(rho=_rho_from_params(result.x))
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import InputError
 from .jsa import JointAmplitude
@@ -192,6 +191,8 @@ def chi2_independence(counts: np.ndarray, min_expected: float = 5.0):
     Sparse tails are coarsened before testing so the asymptotic χ²
     distribution applies. Returns (statistic, dof, p_value).
     """
+    from scipy import stats  # imported here so the CLI starts without scipy
+
     merged = _merge_small(np.asarray(counts), min_expected)
     statistic, p_value, dof, _ = stats.chi2_contingency(merged)
     return float(statistic), int(dof), float(p_value)

@@ -1,5 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -228,3 +233,114 @@ class TestCliContracts:
         first_row = lines[1].split(",")
         assert float(first_row[0]) == pytest.approx(0.064, abs=1e-9)
         assert len(header_cells) == len(first_row)
+
+
+def _python(*args):
+    """Run a fresh interpreter that imports this checkout's biphoton."""
+    src = str(Path(bp.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def _budget_unknown_key(tmp_path):
+    path = tmp_path / "budget.yaml"
+    path.write_text("detector_efficiency: 0.85\nlaser_magic: 0.5\n")
+    return ["efficiency", "--budget", path]
+
+
+def _budget_not_yaml(tmp_path):
+    path = tmp_path / "budget.yaml"
+    path.write_text("detector_efficiency: [0.85\n")
+    return ["efficiency", "--budget", path]
+
+
+def _counts_not_numeric(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("38000.0,n/a,24300.0\n")
+    return ["efficiency", "--counts", path]
+
+
+def _counts_zero_singles(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("singles_signal,singles_idler,coincidences,integration_s\n0.0,0.0,0.0,1.0\n")
+    return ["efficiency", "--counts", path]
+
+
+def _tomography_fractional_count(tmp_path):
+    path = tmp_path / "records.csv"
+    path.write_text("setting_a,setting_b,counts,integration_s\nH,H,12.5,1.0\n")
+    return ["tomo", "reconstruct", "--in", path]
+
+
+def _tomography_missing_file(tmp_path):
+    return ["tomo", "reconstruct", "--in", tmp_path / "missing.csv"]
+
+
+@pytest.mark.parametrize(
+    "make_args, error",
+    [
+        (_budget_unknown_key, "InputError"),
+        (_budget_not_yaml, "InputError"),
+        (_counts_not_numeric, "InputError"),
+        (_counts_zero_singles, "DegenerateInputError"),
+        (_tomography_fractional_count, "InputError"),
+        (_tomography_missing_file, "InputError"),
+    ],
+    ids=[
+        "budget-unknown-key", "budget-not-yaml", "counts-not-numeric",
+        "counts-zero-singles", "tomo-fractional-count", "tomo-missing-in",
+    ],
+)
+def test_bad_input_exits_one_with_json_record(tmp_path, make_args, error):
+    proc = _python("-m", "biphoton.cli", "--out", tmp_path / "out", *make_args(tmp_path))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == error
+    assert record["message"]
+
+
+def test_cli_starts_without_scipy(tmp_path):
+    code = (
+        "import json, sys\n"
+        "import biphoton.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps(loaded()))\n"
+        "assert biphoton.cli.main(['--out', sys.argv[1], 'design']) == 0\n"
+        "print(json.dumps(loaded()))\n"
+    )
+    proc = _python("-c", code, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    after_import, after_design = json.loads(lines[0]), json.loads(lines[-1])
+    assert after_import == []
+    assert after_design == []
+
+
+def test_jsa_csv_tokens_are_float_reprs(tmp_path, capsys, default_config):
+    small = config_to_dict(default_config)
+    small["grid"]["points_per_axis"] = 64
+    cfg_path = tmp_path / "small.yaml"
+    cfg_path.write_text(yaml.safe_dump(small))
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 0
+    capsys.readouterr()
+    cfg = bp.load_config(cfg_path)
+    f = bp.compute_jsa(cfg.pump, cfg.crystal, cfg.grid).amplitudes
+    n = f.shape[0]
+    expected = {
+        "jsa_amplitudes.csv": [
+            [repr(float(part)) for k in range(n) for part in (f[j, k].real, f[j, k].imag)]
+            for j in range(n)
+        ],
+        "jsa_intensity.csv": [[repr(float(v)) for v in row] for row in np.abs(f) ** 2],
+    }
+    for name, rows in expected.items():
+        lines = [l for l in (tmp_path / name).read_text().splitlines() if not l.startswith("#")]
+        assert {len(l.split(",")) for l in lines} == {len(rows[0])}
+        assert len(rows[0]) in (n, 2 * n)
+        assert [l.split(",") for l in lines[1:]] == rows

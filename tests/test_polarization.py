@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton as bp
-from biphoton.errors import InputError, RankDeficiencyError, StateError
+from biphoton.errors import ConvergenceError, InputError, RankDeficiencyError, StateError
 from biphoton.polarization import SINGLET, projector
 
 
@@ -252,4 +252,16 @@ class TestReconstructMle:
             for a, b in bp.full_settings()
         ]
         with pytest.raises(InputError):
+            bp.reconstruct_mle(records)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        import scipy.optimize
+        from types import SimpleNamespace
+
+        def failing_minimize(fun, x0, **kwargs):
+            return SimpleNamespace(x=x0, success=False, nit=7, message="ABNORMAL_TERMINATION")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", failing_minimize)
+        records = expected_records(werner(0.04), mean_counts=10**4)
+        with pytest.raises(ConvergenceError, match="7 iterations: ABNORMAL_TERMINATION"):
             bp.reconstruct_mle(records)
