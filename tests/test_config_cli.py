@@ -244,57 +244,32 @@ def _python(*args):
                           text=True, timeout=120)
 
 
-def _budget_unknown_key(tmp_path):
-    path = tmp_path / "budget.yaml"
-    path.write_text("detector_efficiency: 0.85\nlaser_magic: 0.5\n")
-    return ["efficiency", "--budget", path]
-
-
-def _budget_not_yaml(tmp_path):
-    path = tmp_path / "budget.yaml"
-    path.write_text("detector_efficiency: [0.85\n")
-    return ["efficiency", "--budget", path]
-
-
-def _counts_not_numeric(tmp_path):
-    path = tmp_path / "counts.csv"
-    path.write_text("38000.0,n/a,24300.0\n")
-    return ["efficiency", "--counts", path]
-
-
-def _counts_zero_singles(tmp_path):
-    path = tmp_path / "counts.csv"
-    path.write_text("singles_signal,singles_idler,coincidences,integration_s\n0.0,0.0,0.0,1.0\n")
-    return ["efficiency", "--counts", path]
-
-
-def _tomography_fractional_count(tmp_path):
-    path = tmp_path / "records.csv"
-    path.write_text("setting_a,setting_b,counts,integration_s\nH,H,12.5,1.0\n")
-    return ["tomo", "reconstruct", "--in", path]
-
-
-def _tomography_missing_file(tmp_path):
-    return ["tomo", "reconstruct", "--in", tmp_path / "missing.csv"]
+BUDGET = ["efficiency", "--budget"]
+COUNTS = ["efficiency", "--counts"]
+RECORDS = ["tomo", "reconstruct", "--in"]
 
 
 @pytest.mark.parametrize(
-    "make_args, error",
+    "command, content, error",
     [
-        (_budget_unknown_key, "InputError"),
-        (_budget_not_yaml, "InputError"),
-        (_counts_not_numeric, "InputError"),
-        (_counts_zero_singles, "DegenerateInputError"),
-        (_tomography_fractional_count, "InputError"),
-        (_tomography_missing_file, "InputError"),
+        (BUDGET, "detector_efficiency: 0.85\nlaser_magic: 0.5\n", "InputError"),
+        (BUDGET, "detector_efficiency: [0.85\n", "InputError"),
+        (COUNTS, "38000.0,n/a,24300.0\n", "InputError"),
+        (COUNTS, "singles_signal,singles_idler,coincidences\n0.0,0.0,0.0\n",
+         "DegenerateInputError"),
+        (RECORDS, "setting_a,setting_b,counts,integration_s\nH,H,12.5,1.0\n", "InputError"),
+        (RECORDS, None, "InputError"),  # the file does not exist
     ],
     ids=[
         "budget-unknown-key", "budget-not-yaml", "counts-not-numeric",
         "counts-zero-singles", "tomo-fractional-count", "tomo-missing-in",
     ],
 )
-def test_bad_input_exits_one_with_json_record(tmp_path, make_args, error):
-    proc = _python("-m", "biphoton.cli", "--out", tmp_path / "out", *make_args(tmp_path))
+def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    proc = _python("-m", "biphoton.cli", "--out", tmp_path / "out", *command, path)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
