@@ -33,6 +33,7 @@ from .jsa import (
     SchmidtSpectrum,
     apply_filter,
     compute_jsa,
+    gram_purity,
     marginal_spectrum,
     optimize_pump_bandwidth,
     phasematching_function,

@@ -214,19 +214,35 @@ def _check_grid_in_range(crystal: CrystalSpec, grid: FrequencyGrid) -> None:
     axes.pump.check_range(angular_frequency_to_nm(np.array([w_sum_max, w_sum_min])))
 
 
+def _crystal_factor(crystal: CrystalSpec, grid: FrequencyGrid) -> np.ndarray:
+    """Pump-independent φ on the grid, after the dispersion range check.
+
+    The signal and idler axes are broadcast against each other, so k_s and
+    k_i are evaluated on N points each and only k_p on the N² sum grid.
+    """
+    _check_grid_in_range(crystal, grid)
+    return phasematching_function(
+        grid.signal_omegas[:, None], grid.idler_omegas[None, :], crystal
+    )
+
+
+def _joint(pump: PumpSpec, phi: np.ndarray, grid: FrequencyGrid) -> JointAmplitude:
+    """Normalized N·α·φ for a crystal factor from ``_crystal_factor``."""
+    alpha = pump_envelope(grid.signal_omegas[:, None], grid.idler_omegas[None, :], pump)
+    f = alpha * phi
+    norm = np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
+    if norm == 0.0:
+        raise DegenerateInputError("joint amplitude vanishes on the whole grid")
+    return JointAmplitude(grid=grid, amplitudes=f / norm)
+
+
 def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, grid: FrequencyGrid) -> JointAmplitude:
     """Normalized joint amplitude f = N·α·φ on the grid.
 
     The grid is validated against the dispersion ranges before any matrix
     work; accumulation order is fixed so repeated runs are bit-identical.
     """
-    _check_grid_in_range(crystal, grid)
-    ws, wi = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
-    f = pump_envelope(ws, wi, pump) * phasematching_function(ws, wi, crystal)
-    norm = np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
-    if norm == 0.0:
-        raise DegenerateInputError("joint amplitude vanishes on the whole grid")
-    return JointAmplitude(grid=grid, amplitudes=f / norm)
+    return _joint(pump, _crystal_factor(crystal, grid), grid)
 
 
 def apply_filter(
@@ -253,8 +269,8 @@ def apply_filter(
     survival_s = survival_i = None
     if signal_filter is not None:
         amp_s = np.sqrt(signal_filter.transmission(jsa.grid.signal_wavelengths_nm))
-        survival_s = float(np.sum(np.abs(f * amp_s[:, None]) ** 2) / base)
         f = f * amp_s[:, None]
+        survival_s = float(np.sum(np.abs(f) ** 2) / base)
     if idler_filter is not None:
         amp_i = np.sqrt(idler_filter.transmission(jsa.grid.idler_wavelengths_nm))
         survival_i = float(np.sum(np.abs(jsa.amplitudes * amp_i[None, :]) ** 2) / base)
@@ -284,6 +300,20 @@ def schmidt_decompose(jsa: JointAmplitude) -> SchmidtSpectrum:
     singular = np.linalg.svd(jsa.amplitudes, compute_uv=False)
     weights = singular**2
     return SchmidtSpectrum(coefficients=weights / weights.sum())
+
+
+def gram_purity(jsa: JointAmplitude) -> float:
+    """Schmidt purity Σλ_k² as ‖FF†‖²_F / ‖F‖⁴_F, without an SVD.
+
+    Equal to ``schmidt_decompose(jsa).purity`` up to rounding; the Schmidt
+    coefficients themselves still need the SVD.
+    """
+    f = jsa.amplitudes
+    weight = np.sum(np.abs(f) ** 2)
+    if weight == 0.0:
+        raise DegenerateInputError("all-zero joint amplitude has no Schmidt spectrum")
+    gram = f @ f.conj().T
+    return float(np.sum(np.abs(gram) ** 2) / weight**2)
 
 
 @dataclass(frozen=True)
@@ -366,11 +396,14 @@ def optimize_pump_bandwidth(
 
     Returns (best intensity FWHM in nm, purity there). A five-point
     coarse scan must place the maximum strictly inside the window,
-    otherwise a SearchError carrying the scan trace is raised.
+    otherwise a SearchError carrying the scan trace is raised. The crystal
+    factor φ is computed once; each width then costs one pump envelope and
+    one ``gram_purity``.
     """
     lo, hi = search_window_nm
     if not 0.0 < lo < hi:
         raise InputError("search window must be a positive, increasing interval")
+    phi = _crystal_factor(crystal, grid)
 
     def purity_at(fwhm_nm: float) -> float:
         pump = PumpSpec(
@@ -378,7 +411,7 @@ def optimize_pump_bandwidth(
             intensity_fwhm_bandwidth_nm=fwhm_nm,
             repetition_rate_mhz=repetition_rate_mhz,
         )
-        return schmidt_decompose(compute_jsa(pump, crystal, grid)).purity
+        return gram_purity(_joint(pump, phi, grid))
 
     scan_points = np.linspace(lo, hi, 5)
     trace = [(float(x), purity_at(float(x))) for x in scan_points]
@@ -414,7 +447,7 @@ def separable_gaussian_jsa(
     With matched widths the cross term cancels and the amplitude is
     factorable by construction (purity → 1).
     """
-    ws, wi = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
+    ws, wi = grid.signal_omegas[:, None], grid.idler_omegas[None, :]
     center_sum = nm_to_angular_frequency(grid.center_signal_nm) + nm_to_angular_frequency(
         grid.center_idler_nm
     )

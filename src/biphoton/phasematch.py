@@ -111,8 +111,19 @@ def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i):
     Accepts scalars or arrays in rad/fs; dispersion range errors
     propagate. In the Λ → ∞ limit the result reduces to the unpoled
     mismatch.
+
+    Raises:
+        InputError: the unpoled mismatch is positive at some points and
+            negative at others, so no single grating order compensates it
+            and a per-point order would jump ΔK by 4π/Λ.
     """
     dk0 = unpoled_mismatch(crystal.axes, omega_s, omega_i, crystal.temperature_c)
+    lo, hi = np.min(dk0), np.max(dk0)
+    if lo < 0.0 < hi:
+        raise InputError(
+            f"unpoled mismatch changes sign within one call ({lo:.3e} to {hi:.3e} "
+            "rad/um); the compensating grating order is ambiguous"
+        )
     grating = 2.0 * np.pi / crystal.expanded_poling_period_um
     return dk0 - np.where(np.asarray(dk0) >= 0.0, 1.0, -1.0) * grating
 

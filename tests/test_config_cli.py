@@ -7,6 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import biphoton as bp
 from biphoton.cli import main, read_tomography_records
@@ -319,3 +321,26 @@ def test_jsa_csv_tokens_are_float_reprs(tmp_path, capsys, default_config):
         assert {len(l.split(",")) for l in lines} == {len(rows[0])}
         assert len(rows[0]) in (n, 2 * n)
         assert [l.split(",") for l in lines[1:]] == rows
+
+
+#: characters of well-formed counts, budget and tomography files, so that
+#: generated text also reaches the parsers behind the first row
+INPUT_ALPHABET = "0123456789.,:-+e \n#HVDARLnaifty_[]{}'\"detcor_efficiency"
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    command=st.sampled_from([COUNTS, BUDGET, RECORDS]),
+    content=st.text(max_size=200) | st.text(alphabet=INPUT_ALPHABET, max_size=200),
+)
+def test_malformed_input_files_exit_cleanly(tmp_path_factory, command, content):
+    # any text in an input file ends in exit 0 or 1, or argparse's SystemExit(2)
+    work = tmp_path_factory.mktemp("fuzz")
+    path = work / "input"
+    path.write_text(content, encoding="utf-8")
+    try:
+        code = main(["--out", str(work / "out"), *command, str(path)])
+    except SystemExit as exc:
+        assert exc.code == 2
+    else:
+        assert code in (0, 1)

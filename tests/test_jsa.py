@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 import biphoton as bp
 from biphoton.errors import DegenerateInputError, EmptyResultError, InputError, SearchError
-from biphoton.jsa import pump_sigma, separable_gaussian_jsa
+from biphoton import jsa as jsa_mod
+from biphoton.jsa import gram_purity, pump_sigma, separable_gaussian_jsa
 from biphoton.units import nm_to_angular_frequency
 
 PUMP = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=5.35)
@@ -122,6 +123,37 @@ class TestComputeJsa:
         grid = bp.FrequencyGrid(points_per_axis=64)
         jsa = bp.compute_jsa(PUMP, crystal, grid)
         assert np.max(np.abs(jsa.amplitudes - jsa.amplitudes.T)) < 1e-12
+
+    @pytest.mark.parametrize("temperature", [20.0, 27.0])
+    def test_axes_broadcast_equals_meshgrid(self, default_config, small_grid, temperature):
+        # 27 C runs the thermal index and poling-expansion path
+        c = default_config.crystal
+        crystal = bp.CrystalSpec(axes=c.axes, length_mm=c.length_mm,
+                                 poling_period_um=c.poling_period_um, temperature_c=temperature)
+        grid = small_grid
+        ws, wi = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
+        f = bp.pump_envelope(ws, wi, default_config.pump) * bp.phasematching_function(
+            ws, wi, crystal
+        )
+        expected = f / np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
+        jsa = bp.compute_jsa(default_config.pump, crystal, grid)
+        assert np.array_equal(jsa.amplitudes, expected)
+
+
+class TestGramPurity:
+    def test_matches_schmidt_purity(self, paper_jsa, filtered_jsa):
+        grid = bp.FrequencyGrid(points_per_axis=128, half_span_nm=40.0)
+        separable = separable_gaussian_jsa(grid, sum_sigma=0.01, diff_sigma=0.01)
+        for jsa in (paper_jsa, filtered_jsa, separable):
+            assert abs(gram_purity(jsa) - bp.schmidt_decompose(jsa).purity) < 1e-12
+        assert gram_purity(separable) > 0.99
+
+    def test_all_zero_rejected(self, small_grid):
+        zero = bp.JointAmplitude(
+            grid=small_grid, amplitudes=np.zeros((64, 64), complex), normalized=False
+        )
+        with pytest.raises(DegenerateInputError):
+            gram_purity(zero)
 
 
 class TestApplyFilter:
@@ -291,6 +323,27 @@ class TestOptimizePumpBandwidth:
 
         assert best_long < best_short
         assert coarse_argmax(long_crystal) < coarse_argmax(default_config.crystal)
+
+    def test_crystal_factor_computed_once(self, default_config, monkeypatch):
+        grid = bp.FrequencyGrid(points_per_axis=128)
+        calls = []
+        original = jsa_mod.phasematching_function
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(jsa_mod, "phasematching_function", counted)
+        best, purity = bp.optimize_pump_bandwidth(
+            default_config.crystal, 785.0, (2.0, 12.0), grid
+        )
+        assert len(calls) == 1
+        monkeypatch.undo()
+        pump = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=best)
+        svd_purity = bp.schmidt_decompose(
+            bp.compute_jsa(pump, default_config.crystal, grid)
+        ).purity
+        assert abs(purity - svd_purity) < 1e-12
 
     def test_window_without_interior_maximum(self, default_config):
         grid = bp.FrequencyGrid(points_per_axis=128)

@@ -121,6 +121,30 @@ class TestPhaseMismatch:
         )
         assert m20 == m21
 
+    def test_mismatch_changing_sign_is_rejected(self):
+        # dk0 runs from about -2.6e-3 to +2.5e-3 rad/um over these signals; a
+        # per-point grating order would jump dK by 4*pi/period near 1570 nm
+        axes = bp.CrystalAxes(
+            pump=bp.constant_index_set("p", 1.8),
+            signal=bp.constant_index_set("s", 1.9),
+            idler=bp.constant_index_set("i", 1.7),
+        )
+        crystal = bp.CrystalSpec(axes=axes, length_mm=2.0, poling_period_um=46.0)
+        signals = nm_to_angular_frequency(np.array([1560.0, 1569.9, 1570.1, 1580.0]))
+        idler = nm_to_angular_frequency(1570.0)
+        with pytest.raises(InputError, match=r"changes sign.*-2\.565e-03 to 2\.533e-03"):
+            bp.phase_mismatch(crystal, signals, idler)
+        # one-signed subsets and single points keep the compensating order
+        grating = 2 * np.pi / 46.0
+        for subset, sign in ((signals[:2], -1.0), (signals[2:], 1.0)):
+            dk0 = unpoled_mismatch(axes, subset, idler, 20.0)
+            assert np.all(np.sign(dk0) == sign)
+            assert np.array_equal(bp.phase_mismatch(crystal, subset, idler), dk0 - sign * grating)
+            for omega in subset:
+                assert bp.phase_mismatch(crystal, omega, idler) == (
+                    unpoled_mismatch(axes, omega, idler, 20.0) - sign * grating
+                )
+
 
 class TestGvmAngle:
     def test_forty_five_degrees_at_gvm_point(self, ktp):
