@@ -12,35 +12,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AxisMismatchError, DegenerateInputError, InputError, StateError
+from ._contracts import built_valid, check_density_matrix
+from .errors import AxisMismatchError, DegenerateInputError, InputError
 from .jsa import FilterSpec, JointAmplitude
-
-_HERMITICITY_TOL = 1e-10
-_TRACE_TOL = 1e-9
-_EIGENVALUE_FLOOR = -1e-10
 
 
 @dataclass
 class SpectralState:
-    """Single-photon spectral density matrix on a shared frequency axis."""
+    """Single-photon spectral density matrix on a shared frequency axis.
+
+    The constructor checks shape, Hermiticity, unit trace and positivity
+    (an O(N³) eigendecomposition); ``heralded_spectral_state`` builds its
+    states valid by construction and skips that check.
+    """
 
     omegas: np.ndarray
     density: np.ndarray
 
     def __post_init__(self):
-        n = len(self.omegas)
-        if self.density.shape != (n, n):
-            raise StateError(
-                f"density shape {self.density.shape} does not match axis length {n}"
-            )
-        if np.max(np.abs(self.density - self.density.conj().T)) > _HERMITICITY_TOL:
-            raise StateError("density matrix is not Hermitian")
-        trace = complex(np.trace(self.density))
-        if abs(trace - 1.0) > _TRACE_TOL:
-            raise StateError(f"density matrix trace is {trace!r}, expected 1")
-        smallest = float(np.linalg.eigvalsh(self.density)[0])
-        if smallest < _EIGENVALUE_FLOOR:
-            raise StateError(f"density matrix has negative eigenvalue {smallest:.3e}")
+        check_density_matrix(self.density, len(self.omegas))
 
     @property
     def purity(self) -> float:
@@ -72,7 +62,8 @@ def heralded_spectral_state(
 
     ρ(ω, ω') = Σ_h f(ω, ω_h) f*(ω', ω_h) Δω_h with any herald filter
     applied to the traced arm first; Tr(ρ²) equals the Schmidt purity of
-    the correspondingly filtered joint amplitude.
+    the correspondingly filtered joint amplitude. The returned state is
+    not revalidated: ρ is valid by construction.
     """
     if not jsa.normalized:
         raise InputError("heralded_spectral_state requires a normalized joint amplitude")
@@ -95,7 +86,8 @@ def heralded_spectral_state(
     trace = float(np.real(np.trace(rho)))
     if trace <= 0.0:
         raise DegenerateInputError("herald filter removed all spectral weight")
-    return SpectralState(omegas=omegas, density=rho / trace)
+    # FF†Δω over its real trace is Hermitian, PSD and unit-trace by construction.
+    return built_valid(SpectralState, omegas=omegas, density=rho / trace)
 
 
 def _check_shared_axis(a: SpectralState, b: SpectralState) -> None:
@@ -117,11 +109,19 @@ def hom_curve(a: SpectralState, b: SpectralState, delays_fs) -> HomCurve:
     """Coincidence probability P(τ) = ½[1 − Re Tr(ρ_a D ρ_b D†)].
 
     D(τ) = diag(e^{iωτ}); the baseline is ½ for delays far beyond the
-    coherence time (and below the discrete-grid revival 2π/Δω), and the
-    τ = 0 value is ½(1 − visibility).
+    coherence time, and the τ = 0 value is ½(1 − visibility). On a grid
+    with spacing Δω, P(τ) repeats with period 2π/Δω, so a delay with
+    |τ| > π/Δω raises InputError instead of returning a false revival dip.
     """
     _check_shared_axis(a, b)
     delays = np.asarray(delays_fs, dtype=float)
+    if len(a.omegas) > 1:
+        limit = np.pi / abs(a.omegas[1] - a.omegas[0])
+        if np.any(np.abs(delays) > limit):
+            raise InputError(
+                f"|delay| must not exceed pi/d_omega = {limit:.1f} fs on this grid; "
+                f"P(tau) repeats every {2.0 * limit:.1f} fs"
+            )
     overlap_matrix = a.density * b.density.T
     probabilities = np.empty(len(delays))
     for idx, tau in enumerate(delays):

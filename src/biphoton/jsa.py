@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._contracts import built_valid
 from .errors import DegenerateInputError, EmptyResultError, InputError, SearchError
 from .phasematch import CrystalSpec, PumpSpec, phase_mismatch
 from .units import (
@@ -102,7 +103,10 @@ class JointAmplitude:
     """Discretised joint spectral amplitude f(ωs, ωi).
 
     ``amplitudes[j, k]`` is f at signal index j, idler index k. When
-    ``normalized`` is set, Σ|f|²·Δωs·Δωi = 1 within 1e-9.
+    ``normalized`` is set, Σ|f|²·Δωs·Δωi = 1 within 1e-9; the constructor
+    checks that, while ``compute_jsa``, ``apply_filter`` and
+    ``separable_gaussian_jsa`` divide by the norm they have just summed and
+    skip the second pass.
     """
 
     grid: FrequencyGrid
@@ -233,7 +237,8 @@ def _joint(pump: PumpSpec, phi: np.ndarray, grid: FrequencyGrid) -> JointAmplitu
     norm = np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
     if norm == 0.0:
         raise DegenerateInputError("joint amplitude vanishes on the whole grid")
-    return JointAmplitude(grid=grid, amplitudes=f / norm)
+    # Divided by the norm just summed, so unit norm without a second pass.
+    return built_valid(JointAmplitude, grid=grid, amplitudes=f / norm)
 
 
 def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, grid: FrequencyGrid) -> JointAmplitude:
@@ -280,7 +285,9 @@ def apply_filter(
     if total <= 0.0:
         raise EmptyResultError("filter pass-band does not overlap the grid")
     norm = np.sqrt(total) if jsa.normalized else np.sqrt(kept * jsa.grid.cell_area)
-    return JointAmplitude(
+    # Unit norm: the input's own (checked) norm, or the one just summed.
+    return built_valid(
+        JointAmplitude,
         grid=jsa.grid,
         amplitudes=f / norm,
         survival=FilterSurvival(signal=survival_s, idler=survival_i, total=total),
@@ -459,4 +466,5 @@ def separable_gaussian_jsa(
         - ((ws - wi - center_diff) ** 2) / diff_sigma**2
     ).astype(complex)
     norm = np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
-    return JointAmplitude(grid=grid, amplitudes=f / norm)
+    # Divided by the norm just summed, so unit norm without a second pass.
+    return built_valid(JointAmplitude, grid=grid, amplitudes=f / norm)

@@ -16,11 +16,8 @@ from itertools import product
 
 import numpy as np
 
+from ._contracts import check_density_matrix
 from .errors import ConvergenceError, InputError, RankDeficiencyError, StateError
-
-_HERMITICITY_TOL = 1e-10
-_TRACE_TOL = 1e-9
-_EIGENVALUE_FLOOR = -1e-9
 
 PROJECTOR_LABELS = ("H", "V", "D", "A", "R", "L")
 
@@ -49,16 +46,7 @@ class TwoQubitState:
 
     def __post_init__(self):
         rho = np.asarray(self.rho, dtype=complex)
-        if rho.shape != (4, 4):
-            raise StateError(f"density matrix must be 4x4, got {rho.shape}")
-        if np.max(np.abs(rho - rho.conj().T)) > _HERMITICITY_TOL:
-            raise StateError("density matrix is not Hermitian")
-        trace = complex(np.trace(rho))
-        if abs(trace - 1.0) > _TRACE_TOL:
-            raise StateError(f"density matrix trace is {trace!r}, expected 1")
-        smallest = float(np.linalg.eigvalsh(rho)[0])
-        if smallest < _EIGENVALUE_FLOOR:
-            raise StateError(f"density matrix has negative eigenvalue {smallest:.3e}")
+        check_density_matrix(rho, 4)
         self.rho = rho
 
 

@@ -246,9 +246,15 @@ def _python(*args):
                           text=True, timeout=120)
 
 
-BUDGET = ["efficiency", "--budget"]
-COUNTS = ["efficiency", "--counts"]
-RECORDS = ["tomo", "reconstruct", "--in"]
+IN = object()  # stands for the input file written from the case's content
+BUDGET = ["efficiency", "--budget", IN]
+COUNTS = ["efficiency", "--counts", IN]
+RECORDS = ["tomo", "reconstruct", "--in", IN]
+HOM_PAST_REVIVAL = ["hom", "--delays=0:40000:5000"]  # 2*pi/d_omega is 34961 fs
+
+
+def _with_input(command, path):
+    return [path if arg is IN else arg for arg in command]
 
 
 @pytest.mark.parametrize(
@@ -261,17 +267,19 @@ RECORDS = ["tomo", "reconstruct", "--in"]
          "DegenerateInputError"),
         (RECORDS, "setting_a,setting_b,counts,integration_s\nH,H,12.5,1.0\n", "InputError"),
         (RECORDS, None, "InputError"),  # the file does not exist
+        (HOM_PAST_REVIVAL, None, "InputError"),
     ],
     ids=[
         "budget-unknown-key", "budget-not-yaml", "counts-not-numeric",
         "counts-zero-singles", "tomo-fractional-count", "tomo-missing-in",
+        "hom-delay-past-revival",
     ],
 )
 def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error):
     path = tmp_path / "input"
     if content is not None:
         path.write_text(content)
-    proc = _python("-m", "biphoton.cli", "--out", tmp_path / "out", *command, path)
+    proc = _python("-m", "biphoton.cli", "--out", tmp_path / "out", *_with_input(command, path))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -339,7 +347,7 @@ def test_malformed_input_files_exit_cleanly(tmp_path_factory, command, content):
     path = work / "input"
     path.write_text(content, encoding="utf-8")
     try:
-        code = main(["--out", str(work / "out"), *command, str(path)])
+        code = main(["--out", str(work / "out"), *_with_input(command, str(path))])
     except SystemExit as exc:
         assert exc.code == 2
     else:

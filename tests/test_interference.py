@@ -60,6 +60,30 @@ class TestHeraldedSpectralState:
         with pytest.raises(InputError):
             bp.heralded_spectral_state(paper_jsa, "both")
 
+    @pytest.mark.parametrize(
+        "source, arm, herald",
+        [("paper_jsa", "signal", False), ("paper_jsa", "idler", False),
+         ("filtered_jsa", "signal", False), ("paper_jsa", "signal", True)],
+        ids=["default-signal", "default-idler", "filtered-8nm", "herald-filter-8nm"],
+    )
+    def test_state_valid_without_eigvalsh(self, request, monkeypatch, eight_nm_filter,
+                                          source, arm, herald):
+        jsa = request.getfixturevalue(source)
+        herald_filter = eight_nm_filter if herald else None
+        eigvalsh = np.linalg.eigvalsh
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a: calls.append(a) or eigvalsh(*a))
+        state = bp.heralded_spectral_state(jsa, arm, herald_filter=herald_filter)
+        assert calls == []
+        rho = state.density
+        assert eigvalsh(rho)[0] >= -1e-10
+        assert np.max(np.abs(rho - rho.conj().T)) <= 1e-12
+        assert abs(np.trace(rho) - 1.0) <= 1e-12
+        heralded = bp.apply_filter(jsa, None, herald_filter) if herald else jsa
+        assert bp.hom_visibility(state, state) == pytest.approx(
+            bp.gram_purity(heralded), abs=1e-12
+        )
+
 
 class TestHomVisibility:
     def test_identical_pure_states(self):
@@ -165,6 +189,16 @@ class TestHomCurve:
         conjugate = 2 * np.log(2) / np.pi / delta_nu_per_fs
         assert conjugate * 0.5 < width < conjugate * 2.5
 
+    def test_delays_beyond_half_revival_rejected(self, paper_jsa):
+        state = bp.heralded_spectral_state(paper_jsa, "signal")
+        limit = np.pi / (state.omegas[1] - state.omegas[0])  # 2*limit is the revival period
+        assert 17000.0 < limit < 18000.0
+        bp.hom_curve(state, state, np.arange(-2000.0, 2001.0, 50.0))  # the CLI default
+        bp.hom_curve(state, state, [-limit, limit])
+        for delay in (35000.0, -1.001 * limit):
+            with pytest.raises(InputError, match=f"{limit:.1f} fs"):
+                bp.hom_curve(state, state, [0.0, delay])
+
     def test_curve_lengths_validated(self):
         with pytest.raises(InputError):
             bp.HomCurve(
@@ -196,21 +230,38 @@ class TestMultipairBound:
         assert prediction.total == pytest.approx(0.9996 * 0.997, abs=1e-12)
 
 
-class TestSpectralStateValidation:
-    def test_rejects_non_hermitian(self):
-        omegas = np.linspace(1.0, 1.1, 4)
+DENSITY_CLASSES = {
+    "SpectralState": lambda rho: bp.SpectralState(omegas=np.linspace(1.0, 1.1, 4), density=rho),
+    "TwoQubitState": lambda rho: bp.TwoQubitState(rho=rho),
+}
+
+
+@pytest.mark.parametrize("make", list(DENSITY_CLASSES.values()), ids=list(DENSITY_CLASSES))
+class TestDensityMatrixValidation:
+    """Both state classes share one validator with one set of tolerances."""
+
+    def test_accepts_valid(self, make):
+        make(random_density_matrix(np.random.default_rng(5), 4))
+
+    def test_rejects_wrong_shape(self, make):
+        with pytest.raises(StateError):
+            make(np.eye(3, dtype=complex) / 3)
+
+    def test_rejects_non_hermitian(self, make):
         rho = np.eye(4, dtype=complex) / 4
         rho[0, 1] = 0.3
         with pytest.raises(StateError):
-            bp.SpectralState(omegas=omegas, density=rho)
+            make(rho)
 
-    def test_rejects_bad_trace(self):
-        omegas = np.linspace(1.0, 1.1, 4)
+    def test_rejects_bad_trace(self, make):
         with pytest.raises(StateError):
-            bp.SpectralState(omegas=omegas, density=np.eye(4, dtype=complex))
+            make(np.eye(4, dtype=complex))
 
-    def test_rejects_negative_eigenvalue(self):
-        omegas = np.linspace(1.0, 1.1, 2)
-        rho = np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)
+    def test_rejects_negative_eigenvalue(self, make):
         with pytest.raises(StateError):
-            bp.SpectralState(omegas=omegas, density=rho)
+            make(np.diag([1.2, 0.0, 0.0, -0.2]).astype(complex))
+
+    def test_eigenvalue_floor_is_minus_1e_10(self, make):
+        make(np.diag([0.5 + 5e-11, 0.5, 0.0, -5e-11]).astype(complex))
+        with pytest.raises(StateError, match="negative eigenvalue"):
+            make(np.diag([0.5 + 5e-10, 0.5, 0.0, -5e-10]).astype(complex))

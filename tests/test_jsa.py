@@ -101,6 +101,24 @@ class TestComputeJsa:
     def test_normalization(self, paper_jsa):
         assert abs(paper_jsa.total_probability() - 1.0) < 1e-9
 
+    def test_normalized_constructor_rejects_wrong_norm(self, paper_jsa):
+        # integral of |f|^2 is 1.5: the public constructor still checks it
+        with pytest.raises(InputError, match="integral of"):
+            bp.JointAmplitude(grid=paper_jsa.grid, amplitudes=np.sqrt(1.5) * paper_jsa.amplitudes)
+
+    def test_internal_results_pay_one_norm_pass(self, default_config, small_grid, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            bp.JointAmplitude, "total_probability", lambda self: calls.append(self) or 1.0
+        )
+        jsa = bp.compute_jsa(default_config.pump, default_config.crystal, small_grid)
+        flt = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
+        bp.apply_filter(jsa, flt, flt)
+        separable_gaussian_jsa(small_grid, sum_sigma=0.01, diff_sigma=0.01)
+        assert calls == []
+        bp.JointAmplitude(grid=small_grid, amplitudes=jsa.amplitudes)
+        assert len(calls) == 1
+
     def test_grid_outside_range_fails_fast(self, default_config):
         grid = bp.FrequencyGrid(half_span_nm=500.0, points_per_axis=16)
         with pytest.raises(bp.errors.WavelengthRangeError):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton as bp
-from biphoton.errors import ConvergenceError, InputError, RankDeficiencyError, StateError
+from biphoton.errors import ConvergenceError, InputError, RankDeficiencyError
 from biphoton.polarization import SINGLET, projector
 
 
@@ -111,14 +111,6 @@ class TestMetrics:
         rotated = bp.TwoQubitState(rho=u @ state.rho @ u.conj().T)
         assert bp.tangle(rotated) == pytest.approx(bp.tangle(state), abs=1e-9)
         assert bp.state_purity(rotated) == pytest.approx(bp.state_purity(state), abs=1e-9)
-
-    def test_invalid_matrix_rejected(self):
-        with pytest.raises(StateError):
-            bp.TwoQubitState(rho=np.eye(4, dtype=complex))  # trace 4
-        bad = np.eye(4, dtype=complex) / 4
-        bad[0, 1] = 0.5
-        with pytest.raises(StateError):
-            bp.TwoQubitState(rho=bad)
 
 
 class TestSimulateTomography:
