@@ -10,12 +10,14 @@ _EIGENVALUE_FLOOR = -1e-10
 
 
 def check_density_matrix(rho: np.ndarray, n: int) -> None:
-    """Raise StateError unless ρ is n×n, Hermitian, of unit trace and PSD.
+    """Raise StateError unless ρ is n×n, finite, Hermitian, of unit trace and PSD.
 
     The positivity check is an O(n³) ``eigvalsh``.
     """
     if rho.shape != (n, n):
         raise StateError(f"density matrix shape {rho.shape} does not match {n}x{n}")
+    if not np.all(np.isfinite(rho)):
+        raise StateError("density matrix has a non-finite entry")
     if np.max(np.abs(rho - rho.conj().T)) > _HERMITICITY_TOL:
         raise StateError("density matrix is not Hermitian")
     trace = complex(np.trace(rho))

@@ -3,7 +3,9 @@
 The two-photon amplitude is the product of a Gaussian pump envelope and
 the sinc-shaped phase-matching amplitude of the poled crystal, discretised
 on a signal × idler grid that is uniform in angular frequency. Schmidt
-analysis of the discretised amplitude yields the heralded spectral purity.
+analysis of the discretised amplitude yields the heralded spectral purity,
+computed in the Gram form without an SVD; the Schmidt coefficients run the
+SVD only when they are first read.
 
 Bandwidth convention: pump bandwidth is the intensity FWHM in nm; the
 envelope exp(−(ωs+ωi−ωp)²/σ²) uses the amplitude 1/e half width
@@ -13,7 +15,8 @@ FWHM at the pump center.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -122,7 +125,7 @@ class JointAmplitude:
             )
         if self.normalized:
             total = self.total_probability()
-            if abs(total - 1.0) > NORMALIZATION_TOL:
+            if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN-safe
                 raise InputError(
                     f"normalized flag set but integral of |f|^2 is {total!r}"
                 )
@@ -164,21 +167,24 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Normalized Schmidt coefficients, descending, summing to one."""
+    """Schmidt analysis of one normalized joint amplitude.
 
-    coefficients: np.ndarray
+    Built only by ``schmidt_decompose``, which sets ``purity`` = Σλ_k² in the
+    Gram form (``gram_purity``). ``coefficients`` — the λ_k, descending and
+    summing to one — are computed by an SVD on first read and cached. The
+    spectrum holds a reference to the amplitude matrix, not a copy, so the
+    amplitudes must not be mutated in place before ``coefficients`` is read.
+    """
 
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=float)
-        if abs(float(c.sum()) - 1.0) > NORMALIZATION_TOL:
-            raise InputError("Schmidt coefficients must sum to 1")
-        if np.any(c < -1e-15):
-            raise InputError("Schmidt coefficients must be non-negative")
-        object.__setattr__(self, "coefficients", c)
+    amplitudes: np.ndarray = field(repr=False)
+    purity: float
 
-    @property
-    def purity(self) -> float:
-        return float(np.sum(self.coefficients**2))
+    @cached_property
+    def coefficients(self) -> np.ndarray:
+        # σ²/Σσ² from the singular values: non-negative, descending and summing
+        # to one by construction, so not re-checked.
+        weights = np.linalg.svd(self.amplitudes, compute_uv=False) ** 2
+        return weights / weights.sum()
 
     @property
     def schmidt_number(self) -> float:
@@ -295,25 +301,24 @@ def apply_filter(
 
 
 def schmidt_decompose(jsa: JointAmplitude) -> SchmidtSpectrum:
-    """Schmidt coefficients λ_k = σ_k²/Σσ² from the singular values.
+    """Schmidt spectrum of a normalized amplitude: purity now, λ_k on first read.
 
-    numpy returns singular values in descending order; ties keep their
-    original index, which makes golden tests deterministic.
+    The coefficients λ_k = σ_k²/Σσ² come from the singular values, which
+    numpy returns in descending order; ties keep their original index, which
+    makes golden tests deterministic.
     """
     if not np.any(jsa.amplitudes):
         raise DegenerateInputError("all-zero joint amplitude has no Schmidt spectrum")
     if not jsa.normalized:
         raise InputError("schmidt_decompose requires a normalized joint amplitude")
-    singular = np.linalg.svd(jsa.amplitudes, compute_uv=False)
-    weights = singular**2
-    return SchmidtSpectrum(coefficients=weights / weights.sum())
+    return SchmidtSpectrum(amplitudes=jsa.amplitudes, purity=gram_purity(jsa))
 
 
 def gram_purity(jsa: JointAmplitude) -> float:
     """Schmidt purity Σλ_k² as ‖FF†‖²_F / ‖F‖⁴_F, without an SVD.
 
-    Equal to ``schmidt_decompose(jsa).purity`` up to rounding; the Schmidt
-    coefficients themselves still need the SVD.
+    This is ``schmidt_decompose(jsa).purity``; only the Schmidt coefficients
+    themselves need the SVD, which ``SchmidtSpectrum`` runs on first read.
     """
     f = jsa.amplitudes
     weight = np.sum(np.abs(f) ** 2)
@@ -453,6 +458,10 @@ def separable_gaussian_jsa(
 
     With matched widths the cross term cancels and the amplitude is
     factorable by construction (purity → 1).
+
+    Raises:
+        DegenerateInputError: the widths are so small that the amplitude
+            underflows to zero on the whole grid.
     """
     ws, wi = grid.signal_omegas[:, None], grid.idler_omegas[None, :]
     center_sum = nm_to_angular_frequency(grid.center_signal_nm) + nm_to_angular_frequency(
@@ -466,5 +475,7 @@ def separable_gaussian_jsa(
         - ((ws - wi - center_diff) ** 2) / diff_sigma**2
     ).astype(complex)
     norm = np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
+    if norm == 0.0:
+        raise DegenerateInputError("separable amplitude vanishes on the whole grid")
     # Divided by the norm just summed, so unit norm without a second pass.
     return built_valid(JointAmplitude, grid=grid, amplitudes=f / norm)

@@ -261,6 +261,13 @@ class TestDensityMatrixValidation:
         with pytest.raises(StateError):
             make(np.diag([1.2, 0.0, 0.0, -0.2]).astype(complex))
 
+    def test_rejects_non_finite(self, make):
+        one_nan = np.eye(4, dtype=complex) / 4
+        one_nan[2, 2] = np.nan
+        for rho in (one_nan, np.full((4, 4), np.nan, dtype=complex)):
+            with pytest.raises(StateError, match="non-finite"):
+                make(rho)
+
     def test_eigenvalue_floor_is_minus_1e_10(self, make):
         make(np.diag([0.5 + 5e-11, 0.5, 0.0, -5e-11]).astype(complex))
         with pytest.raises(StateError, match="negative eigenvalue"):

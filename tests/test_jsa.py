@@ -102,9 +102,10 @@ class TestComputeJsa:
         assert abs(paper_jsa.total_probability() - 1.0) < 1e-9
 
     def test_normalized_constructor_rejects_wrong_norm(self, paper_jsa):
-        # integral of |f|^2 is 1.5: the public constructor still checks it
-        with pytest.raises(InputError, match="integral of"):
-            bp.JointAmplitude(grid=paper_jsa.grid, amplitudes=np.sqrt(1.5) * paper_jsa.amplitudes)
+        # integral of |f|^2 is 1.5, then NaN: the public constructor still checks it
+        for scale in (np.sqrt(1.5), np.nan):
+            with pytest.raises(InputError, match="integral of"):
+                bp.JointAmplitude(grid=paper_jsa.grid, amplitudes=scale * paper_jsa.amplitudes)
 
     def test_internal_results_pay_one_norm_pass(self, default_config, small_grid, monkeypatch):
         calls = []
@@ -158,13 +159,24 @@ class TestComputeJsa:
         assert np.array_equal(jsa.amplitudes, expected)
 
 
+def svd_purity(jsa):
+    """Σλ² from the singular values: the reference the Gram form must match."""
+    return float(np.sum(bp.schmidt_decompose(jsa).coefficients ** 2))
+
+
 class TestGramPurity:
-    def test_matches_schmidt_purity(self, paper_jsa, filtered_jsa):
+    def test_matches_schmidt_purity(self, default_config, paper_jsa, filtered_jsa):
         grid = bp.FrequencyGrid(points_per_axis=128, half_span_nm=40.0)
         separable = separable_gaussian_jsa(grid, sum_sigma=0.01, diff_sigma=0.01)
-        for jsa in (paper_jsa, filtered_jsa, separable):
-            assert abs(gram_purity(jsa) - bp.schmidt_decompose(jsa).purity) < 1e-12
+        narrow_pump = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=0.05)
+        entangled = bp.compute_jsa(
+            narrow_pump, default_config.crystal, bp.FrequencyGrid(points_per_axis=128)
+        )
+        for jsa in (paper_jsa, filtered_jsa, separable, entangled):
+            assert abs(gram_purity(jsa) - svd_purity(jsa)) < 1e-12
+            assert bp.schmidt_decompose(jsa).purity == gram_purity(jsa)
         assert gram_purity(separable) > 0.99
+        assert bp.schmidt_decompose(entangled).schmidt_number > 10.0
 
     def test_all_zero_rejected(self, small_grid):
         zero = bp.JointAmplitude(
@@ -172,6 +184,12 @@ class TestGramPurity:
         )
         with pytest.raises(DegenerateInputError):
             gram_purity(zero)
+
+
+def test_separable_gaussian_underflow_rejected(small_grid):
+    # widths far below the grid spacing: the Gaussian is zero at every point
+    with pytest.raises(DegenerateInputError):
+        separable_gaussian_jsa(small_grid, sum_sigma=1e-7, diff_sigma=1e-7)
 
 
 class TestApplyFilter:
@@ -258,6 +276,22 @@ class TestSchmidtDecompose:
         jsa = bp.JointAmplitude(grid=small_grid, amplitudes=f, normalized=False)
         with pytest.raises(InputError):
             bp.schmidt_decompose(jsa)
+
+    def test_svd_runs_only_when_coefficients_read(self, paper_jsa, monkeypatch):
+        calls = []
+        original = np.linalg.svd
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        spectrum = bp.schmidt_decompose(paper_jsa)
+        assert spectrum.purity * spectrum.schmidt_number == pytest.approx(1.0, abs=1e-12)
+        assert calls == []
+        first = spectrum.coefficients
+        assert spectrum.coefficients is first
+        assert len(calls) == 1
 
     def test_purity_schmidt_number_inverse(self, paper_schmidt):
         assert paper_schmidt.purity * paper_schmidt.schmidt_number == pytest.approx(
@@ -358,10 +392,7 @@ class TestOptimizePumpBandwidth:
         assert len(calls) == 1
         monkeypatch.undo()
         pump = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=best)
-        svd_purity = bp.schmidt_decompose(
-            bp.compute_jsa(pump, default_config.crystal, grid)
-        ).purity
-        assert abs(purity - svd_purity) < 1e-12
+        assert abs(purity - svd_purity(bp.compute_jsa(pump, default_config.crystal, grid))) < 1e-12
 
     def test_window_without_interior_maximum(self, default_config):
         grid = bp.FrequencyGrid(points_per_axis=128)
