@@ -167,17 +167,23 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Schmidt analysis of one normalized joint amplitude.
+    """Schmidt analysis of one joint amplitude matrix.
 
-    Built only by ``schmidt_decompose``, which sets ``purity`` = Σλ_k² in the
-    Gram form (``gram_purity``). ``coefficients`` — the λ_k, descending and
-    summing to one — are computed by an SVD on first read and cached. The
-    spectrum holds a reference to the amplitude matrix, not a copy, so the
-    amplitudes must not be mutated in place before ``coefficients`` is read.
+    The constructor takes only the amplitude matrix and derives ``purity`` =
+    Σλ_k² from it in the Gram form, raising ``DegenerateInputError`` on zero
+    or non-finite weight. ``coefficients`` — the λ_k, descending and summing
+    to one — are computed by an SVD on first read and cached. The spectrum
+    holds a reference to the amplitude matrix, not a copy, so the amplitudes
+    must not be mutated in place before ``coefficients`` is read.
     """
 
     amplitudes: np.ndarray = field(repr=False)
-    purity: float
+    purity: float = field(init=False)
+
+    def __post_init__(self):
+        if np.ndim(self.amplitudes) != 2:
+            raise InputError("Schmidt analysis needs a 2-D amplitude matrix")
+        object.__setattr__(self, "purity", _gram_purity(self.amplitudes))
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -311,7 +317,7 @@ def schmidt_decompose(jsa: JointAmplitude) -> SchmidtSpectrum:
         raise DegenerateInputError("all-zero joint amplitude has no Schmidt spectrum")
     if not jsa.normalized:
         raise InputError("schmidt_decompose requires a normalized joint amplitude")
-    return SchmidtSpectrum(amplitudes=jsa.amplitudes, purity=gram_purity(jsa))
+    return SchmidtSpectrum(amplitudes=jsa.amplitudes)
 
 
 def gram_purity(jsa: JointAmplitude) -> float:
@@ -320,10 +326,15 @@ def gram_purity(jsa: JointAmplitude) -> float:
     This is ``schmidt_decompose(jsa).purity``; only the Schmidt coefficients
     themselves need the SVD, which ``SchmidtSpectrum`` runs on first read.
     """
-    f = jsa.amplitudes
+    return _gram_purity(jsa.amplitudes)
+
+
+def _gram_purity(f: np.ndarray) -> float:
     weight = np.sum(np.abs(f) ** 2)
-    if weight == 0.0:
-        raise DegenerateInputError("all-zero joint amplitude has no Schmidt spectrum")
+    if not (np.isfinite(weight) and weight > 0.0):
+        raise DegenerateInputError(
+            "joint amplitude with zero or non-finite weight has no Schmidt spectrum"
+        )
     gram = f @ f.conj().T
     return float(np.sum(np.abs(gram) ** 2) / weight**2)
 

@@ -55,3 +55,8 @@ def random_density_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def svd_purity(jsa) -> float:
+    """Σλ² from the singular values: the reference the Gram form must match."""
+    return float(np.sum(bp.schmidt_decompose(jsa).coefficients ** 2))

@@ -8,6 +8,7 @@ from biphoton.errors import DegenerateInputError, EmptyResultError, InputError, 
 from biphoton import jsa as jsa_mod
 from biphoton.jsa import gram_purity, pump_sigma, separable_gaussian_jsa
 from biphoton.units import nm_to_angular_frequency
+from conftest import svd_purity
 
 PUMP = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=5.35)
 
@@ -159,11 +160,6 @@ class TestComputeJsa:
         assert np.array_equal(jsa.amplitudes, expected)
 
 
-def svd_purity(jsa):
-    """Σλ² from the singular values: the reference the Gram form must match."""
-    return float(np.sum(bp.schmidt_decompose(jsa).coefficients ** 2))
-
-
 class TestGramPurity:
     def test_matches_schmidt_purity(self, default_config, paper_jsa, filtered_jsa):
         grid = bp.FrequencyGrid(points_per_axis=128, half_span_nm=40.0)
@@ -292,6 +288,25 @@ class TestSchmidtDecompose:
         first = spectrum.coefficients
         assert spectrum.coefficients is first
         assert len(calls) == 1
+
+    def test_constructor_derives_purity(self):
+        rng = np.random.default_rng(5)
+        f = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        spectrum = bp.SchmidtSpectrum(amplitudes=f)
+        assert spectrum.purity == pytest.approx(np.sum(spectrum.coefficients**2), abs=1e-12)
+        with pytest.raises(TypeError):
+            bp.SchmidtSpectrum(amplitudes=f, purity=7.0)
+
+    @pytest.mark.parametrize(
+        "amplitudes, error",
+        [(np.zeros((8, 8), complex), DegenerateInputError),
+         (np.full((8, 8), np.nan, complex), DegenerateInputError),
+         (np.ones(8, complex), InputError)],
+        ids=["all-zero", "nan", "one-dimensional"],
+    )
+    def test_constructor_rejects_bad_amplitudes(self, amplitudes, error):
+        with pytest.raises(error):
+            bp.SchmidtSpectrum(amplitudes=amplitudes)
 
     def test_purity_schmidt_number_inverse(self, paper_schmidt):
         assert paper_schmidt.purity * paper_schmidt.schmidt_number == pytest.approx(
