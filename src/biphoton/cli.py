@@ -36,11 +36,13 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, rows, header: str, comments: list[str]) -> None:
-    lines = [f"# {c}" for c in comments]
-    lines.append(header)
-    for row in rows:
-        lines.append(",".join(map(_fmt, row)))
-    path.write_text("\n".join(lines) + "\n")
+    # Streamed line by line, so no whole-file string or row list is held.
+    with path.open("w") as out:
+        for c in comments:
+            out.write(f"# {c}\n")
+        out.write(header + "\n")
+        for row in rows:
+            out.write(",".join(map(_fmt, row)) + "\n")
 
 
 def _read_input(path) -> str:
@@ -140,11 +142,12 @@ def cmd_jsa(args, config: RunConfig) -> int:
         part for k in range(n) for part in (f"re_idler{k}", f"im_idler{k}")
     )
     # the float64 view of a complex row interleaves re/im per idler index
-    rows = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64).tolist()
-    _write_csv(out / "jsa_amplitudes.csv", rows, header, comments)
+    view = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
+    _write_csv(out / "jsa_amplitudes.csv", (row.tolist() for row in view), header, comments)
 
     header_i = ",".join(f"idler{k}" for k in range(n))
-    _write_csv(out / "jsa_intensity.csv", amplitude.intensity.tolist(), header_i, comments)
+    _write_csv(out / "jsa_intensity.csv", (row.tolist() for row in amplitude.intensity),
+               header_i, comments)
 
     report = {
         "config_digest": config_digest(config),
@@ -175,7 +178,7 @@ def _parse_delays(spec: str) -> np.ndarray:
         start, stop, step = (float(x) for x in spec.split(":"))
     except ValueError:
         raise InputError(f"bad delay range {spec!r}; expected start:stop:step in fs")
-    if step <= 0 or stop < start:
+    if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
         raise InputError(f"bad delay range {spec!r}")
     count = int(np.floor((stop - start) / step + 1e-9)) + 1
     return start + step * np.arange(count)

@@ -64,6 +64,12 @@ def heralded_spectral_state(
     applied to the traced arm first; Tr(ρ²) equals the Schmidt purity of
     the correspondingly filtered joint amplitude. The returned state is
     not revalidated: ρ is valid by construction.
+
+    The unfiltered signal arm scales ``jsa.gram`` into a fresh array, so a
+    purity and a herald of one amplitude share one N³ product (the Gram
+    stays cached on the amplitude, N²·16 bytes); the idler arm and a herald
+    filter form their own product. The density never shares memory with
+    the cached Gram.
     """
     if not jsa.normalized:
         raise InputError("heralded_spectral_state requires a normalized joint amplitude")
@@ -82,12 +88,16 @@ def heralded_spectral_state(
         raise InputError(f"heralded_arm must be 'signal' or 'idler', got {heralded_arm!r}")
     if herald_filter is not None:
         f = f * np.sqrt(herald_filter.transmission(herald_lam))[None, :]
-    rho = (f @ f.conj().T) * d_herald
+    # f is the amplitude matrix itself only on the unfiltered signal arm, whose
+    # FF† the amplitude caches; ``gram * d_herald`` is a fresh array either way.
+    gram = jsa.gram if f is jsa.amplitudes else f @ f.conj().T
+    rho = gram * d_herald
     trace = float(np.real(np.trace(rho)))
-    if trace <= 0.0:
-        raise DegenerateInputError("herald filter removed all spectral weight")
+    if not trace > 0.0:  # NaN-safe
+        raise DegenerateInputError("heralded state has zero or non-finite trace")
+    rho /= trace
     # FF†Δω over its real trace is Hermitian, PSD and unit-trace by construction.
-    return built_valid(SpectralState, omegas=omegas, density=rho / trace)
+    return built_valid(SpectralState, omegas=omegas, density=rho)
 
 
 def _check_shared_axis(a: SpectralState, b: SpectralState) -> None:

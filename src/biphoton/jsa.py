@@ -4,8 +4,9 @@ The two-photon amplitude is the product of a Gaussian pump envelope and
 the sinc-shaped phase-matching amplitude of the poled crystal, discretised
 on a signal × idler grid that is uniform in angular frequency. Schmidt
 analysis of the discretised amplitude yields the heralded spectral purity,
-computed in the Gram form without an SVD; the Schmidt coefficients run the
-SVD only when they are first read.
+computed in the Gram form without an SVD from the amplitude's cached FF†
+(which the signal-arm herald reuses); the Schmidt coefficients run the SVD
+only when they are first read.
 
 Bandwidth convention: pump bandwidth is the intensity FWHM in nm; the
 envelope exp(−(ωs+ωi−ωp)²/σ²) uses the amplitude 1/e half width
@@ -15,6 +16,7 @@ FWHM at the pump center.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -50,9 +52,11 @@ class FrequencyGrid:
         n = self.points_per_axis
         if n < 16 or (n & (n - 1)) != 0:
             raise InputError("points_per_axis must be a power of two, at least 16")
-        if self.half_span_nm <= 0:
-            raise InputError("half_span_nm must be positive")
+        if not 0.0 < self.half_span_nm < math.inf:  # NaN-safe
+            raise InputError("half_span_nm must be positive and finite")
         for c in (self.center_signal_nm, self.center_idler_nm):
+            if not math.isfinite(c):
+                raise InputError("grid centers must be finite")
             if c - self.half_span_nm <= 0:
                 raise InputError("grid extends to non-positive wavelengths")
 
@@ -101,7 +105,7 @@ class FilterSurvival:
     total: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class JointAmplitude:
     """Discretised joint spectral amplitude f(ωs, ωi).
 
@@ -110,6 +114,13 @@ class JointAmplitude:
     checks that, while ``compute_jsa``, ``apply_filter`` and
     ``separable_gaussian_jsa`` divide by the norm they have just summed and
     skip the second pass.
+
+    ``gram`` is FF† over the signal index, unscaled: formed on first read,
+    cached read-only, and shared by the Schmidt purity and the signal-arm
+    herald, so each amplitude pays one N³ product for both. The cache costs
+    N²·16 bytes while the amplitude lives (4 MB at 512², 16 MB at 1024²).
+    The fields cannot be reassigned, and ``amplitudes`` must not be mutated
+    in place, or the cached Gram goes stale.
     """
 
     grid: FrequencyGrid
@@ -137,6 +148,12 @@ class JointAmplitude:
     def intensity(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
+    @cached_property
+    def gram(self) -> np.ndarray:
+        gram = _gram(self.amplitudes)
+        gram.setflags(write=False)
+        return gram
+
 
 @dataclass(frozen=True)
 class FilterSpec:
@@ -148,8 +165,10 @@ class FilterSpec:
     peak_transmission: float = 1.0
 
     def __post_init__(self):
-        if self.fwhm_nm <= 0:
-            raise InputError("filter fwhm_nm must be positive")
+        if not math.isfinite(self.center_nm):
+            raise InputError("filter center_nm must be finite")
+        if not 0.0 < self.fwhm_nm < math.inf:  # NaN-safe
+            raise InputError("filter fwhm_nm must be positive and finite")
         if not 0.0 < self.peak_transmission <= 1.0:
             raise InputError("filter peak_transmission must be in (0, 1]")
         if self.shape not in ("gaussian", "rectangular"):
@@ -183,7 +202,7 @@ class SchmidtSpectrum:
     def __post_init__(self):
         if np.ndim(self.amplitudes) != 2:
             raise InputError("Schmidt analysis needs a 2-D amplitude matrix")
-        object.__setattr__(self, "purity", _gram_purity(self.amplitudes))
+        object.__setattr__(self, "purity", _gram_purity(self.amplitudes, _gram(self.amplitudes)))
 
     @cached_property
     def coefficients(self) -> np.ndarray:
@@ -247,8 +266,8 @@ def _joint(pump: PumpSpec, phi: np.ndarray, grid: FrequencyGrid) -> JointAmplitu
     alpha = pump_envelope(grid.signal_omegas[:, None], grid.idler_omegas[None, :], pump)
     f = alpha * phi
     norm = np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
-    if norm == 0.0:
-        raise DegenerateInputError("joint amplitude vanishes on the whole grid")
+    if not 0.0 < norm < math.inf:  # NaN-safe
+        raise DegenerateInputError("joint amplitude vanishes or is not finite on the grid")
     # Divided by the norm just summed, so unit norm without a second pass.
     return built_valid(JointAmplitude, grid=grid, amplitudes=f / norm)
 
@@ -294,7 +313,7 @@ def apply_filter(
         f = f * amp_i[None, :]
     kept = np.sum(np.abs(f) ** 2)
     total = float(kept / base)
-    if total <= 0.0:
+    if not total > 0.0:  # NaN-safe
         raise EmptyResultError("filter pass-band does not overlap the grid")
     norm = np.sqrt(total) if jsa.normalized else np.sqrt(kept * jsa.grid.cell_area)
     # Unit norm: the input's own (checked) norm, or the one just summed.
@@ -317,25 +336,32 @@ def schmidt_decompose(jsa: JointAmplitude) -> SchmidtSpectrum:
         raise DegenerateInputError("all-zero joint amplitude has no Schmidt spectrum")
     if not jsa.normalized:
         raise InputError("schmidt_decompose requires a normalized joint amplitude")
-    return SchmidtSpectrum(amplitudes=jsa.amplitudes)
+    # The purity the constructor would derive, read off the amplitude's cached Gram.
+    return built_valid(SchmidtSpectrum, amplitudes=jsa.amplitudes, purity=gram_purity(jsa))
 
 
 def gram_purity(jsa: JointAmplitude) -> float:
     """Schmidt purity Σλ_k² as ‖FF†‖²_F / ‖F‖⁴_F, without an SVD.
 
-    This is ``schmidt_decompose(jsa).purity``; only the Schmidt coefficients
-    themselves need the SVD, which ``SchmidtSpectrum`` runs on first read.
+    This is ``schmidt_decompose(jsa).purity``. FF† is ``jsa.gram``, formed
+    once per amplitude and cached there (N²·16 bytes), so a later signal-arm
+    ``heralded_spectral_state`` of the same amplitude reuses it; only the
+    Schmidt coefficients themselves need the SVD, which ``SchmidtSpectrum``
+    runs on first read.
     """
-    return _gram_purity(jsa.amplitudes)
+    return _gram_purity(jsa.amplitudes, jsa.gram)
 
 
-def _gram_purity(f: np.ndarray) -> float:
+def _gram(f: np.ndarray) -> np.ndarray:
+    return f @ f.conj().T
+
+
+def _gram_purity(f: np.ndarray, gram: np.ndarray) -> float:
     weight = np.sum(np.abs(f) ** 2)
     if not (np.isfinite(weight) and weight > 0.0):
         raise DegenerateInputError(
             "joint amplitude with zero or non-finite weight has no Schmidt spectrum"
         )
-    gram = f @ f.conj().T
     return float(np.sum(np.abs(gram) ** 2) / weight**2)
 
 
@@ -486,7 +512,7 @@ def separable_gaussian_jsa(
         - ((ws - wi - center_diff) ** 2) / diff_sigma**2
     ).astype(complex)
     norm = np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
-    if norm == 0.0:
+    if not norm > 0.0:  # NaN-safe
         raise DegenerateInputError("separable amplitude vanishes on the whole grid")
     # Divided by the norm just summed, so unit norm without a second pass.
     return built_valid(JointAmplitude, grid=grid, amplitudes=f / norm)

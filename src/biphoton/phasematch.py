@@ -14,6 +14,7 @@ derivatives.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,16 +45,14 @@ class PumpSpec:
     pulse_duration_fs: float | None = None
 
     def __post_init__(self):
-        if self.center_wavelength_nm <= 0:
-            raise InputError("pump center_wavelength_nm must be positive")
-        if self.intensity_fwhm_bandwidth_nm <= 0:
-            raise InputError("pump intensity_fwhm_bandwidth_nm must be positive")
+        for name in ("center_wavelength_nm", "intensity_fwhm_bandwidth_nm",
+                     "repetition_rate_mhz"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN-safe
+                raise InputError(f"pump {name} must be positive and finite")
         if self.intensity_fwhm_bandwidth_nm >= self.center_wavelength_nm:
             raise InputError("pump bandwidth must be smaller than the center wavelength")
-        if self.repetition_rate_mhz <= 0:
-            raise InputError("pump repetition_rate_mhz must be positive")
-        if self.pulse_duration_fs is not None and self.pulse_duration_fs <= 0:
-            raise InputError("pump pulse_duration_fs must be positive when given")
+        if self.pulse_duration_fs is not None and not 0.0 < self.pulse_duration_fs < math.inf:
+            raise InputError("pump pulse_duration_fs must be positive and finite when given")
 
     @property
     def pulse_period_ns(self) -> float:
@@ -75,10 +74,11 @@ class CrystalSpec:
     temperature_c: float = 20.0
 
     def __post_init__(self):
-        if self.length_mm <= 0:
-            raise InputError("crystal length_mm must be positive")
-        if self.poling_period_um <= 0:
-            raise InputError("crystal poling_period_um must be positive")
+        for name in ("length_mm", "poling_period_um"):
+            if not 0.0 < getattr(self, name) < math.inf:  # NaN-safe
+                raise InputError(f"crystal {name} must be positive and finite")
+        if not math.isfinite(self.temperature_c):
+            raise InputError("crystal temperature_c must be finite")
 
     @property
     def length_um(self) -> float:

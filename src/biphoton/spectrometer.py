@@ -12,6 +12,7 @@ resolutions and bandwidth, not measured fiber data.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ class DcfSpec:
     insertion_delay_ns: float = 0.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.total_dispersion_ps_per_nm,
+                                       self.reference_wavelength_nm, self.insertion_delay_ns))):
+            raise InputError("DCF parameters must be finite")
         if self.total_dispersion_ps_per_nm == 0.0:
             raise InputError("total_dispersion_ps_per_nm must be nonzero")
 
@@ -129,8 +133,8 @@ def simulate_jsi_histogram(
     are flagged as wraps and their samples dropped, which keeps the
     wavelength-time mapping unambiguous.
     """
-    if bin_size_ns <= 0:
-        raise InputError("bin_size_ns must be positive")
+    if not 0.0 < bin_size_ns < math.inf:  # NaN-safe
+        raise InputError("bin_size_ns must be positive and finite")
     if total_pairs < 1:
         raise InputError("total_pairs must be at least 1")
     window_ns = pump.pulse_period_ns

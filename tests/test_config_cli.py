@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import biphoton as bp
 from biphoton.cli import main, read_tomography_records
 from biphoton.config import config_to_dict
-from biphoton.errors import ConfigError
+from biphoton.errors import ConfigError, InputError
 
 
 class TestConfig:
@@ -251,6 +251,11 @@ BUDGET = ["efficiency", "--budget", IN]
 COUNTS = ["efficiency", "--counts", IN]
 RECORDS = ["tomo", "reconstruct", "--in", IN]
 HOM_PAST_REVIVAL = ["hom", "--delays=0:40000:5000"]  # 2*pi/d_omega is 34961 fs
+CONFIG = ["--config", IN]
+NAN_PUMP_BANDWIDTH = (
+    "pump:\n  center_wavelength_nm: 785.0\n  intensity_fwhm_bandwidth_nm: .nan\n"
+    "crystal:\n  length_mm: 2.0\n  poling_period_um: 46.15\n"
+)
 
 
 def _with_input(command, path):
@@ -268,11 +273,18 @@ def _with_input(command, path):
         (RECORDS, "setting_a,setting_b,counts,integration_s\nH,H,12.5,1.0\n", "InputError"),
         (RECORDS, None, "InputError"),  # the file does not exist
         (HOM_PAST_REVIVAL, None, "InputError"),
+        (["hom", "--delays=nan:0:1"], None, "InputError"),
+        (["hom", "--delays=0:inf:1"], None, "InputError"),
+        (["hom", "--filter-nm", "nan"], None, "InputError"),
+        ([*CONFIG, "hom"], NAN_PUMP_BANDWIDTH, "InputError"),
+        ([*CONFIG, "spectro", "simulate", "--pairs", "1000"], NAN_PUMP_BANDWIDTH,
+         "InputError"),
     ],
     ids=[
         "budget-unknown-key", "budget-not-yaml", "counts-not-numeric",
         "counts-zero-singles", "tomo-fractional-count", "tomo-missing-in",
-        "hom-delay-past-revival",
+        "hom-delay-past-revival", "hom-delay-nan", "hom-delay-inf", "hom-filter-nan",
+        "config-nan-bandwidth-hom", "config-nan-bandwidth-spectro",
     ],
 )
 def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error):
@@ -287,6 +299,36 @@ def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error)
     record = json.loads(lines[0])
     assert record["error"] == error
     assert record["message"]
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "spec, fields",
+    [
+        (bp.PumpSpec, {"center_wavelength_nm": NAN, "intensity_fwhm_bandwidth_nm": 5.35}),
+        (bp.PumpSpec, {"center_wavelength_nm": 785.0, "intensity_fwhm_bandwidth_nm": NAN}),
+        (bp.PumpSpec, {"center_wavelength_nm": 785.0, "intensity_fwhm_bandwidth_nm": 5.35,
+                       "repetition_rate_mhz": INF}),
+        (bp.PumpSpec, {"center_wavelength_nm": 785.0, "intensity_fwhm_bandwidth_nm": 5.35,
+                       "pulse_duration_fs": NAN}),
+        (bp.CrystalSpec, {"length_mm": NAN, "poling_period_um": 46.15}),
+        (bp.CrystalSpec, {"length_mm": 2.0, "poling_period_um": INF}),
+        (bp.CrystalSpec, {"length_mm": 2.0, "poling_period_um": 46.15, "temperature_c": NAN}),
+        (bp.FilterSpec, {"center_nm": 1570.0, "fwhm_nm": NAN}),
+        (bp.FilterSpec, {"center_nm": NAN, "fwhm_nm": 8.0}),
+        (bp.FrequencyGrid, {"half_span_nm": NAN}),
+        (bp.FrequencyGrid, {"center_signal_nm": NAN}),
+        (bp.DcfSpec, {"total_dispersion_ps_per_nm": NAN}),
+        (bp.DcfSpec, {"total_dispersion_ps_per_nm": -413.0, "insertion_delay_ns": INF}),
+    ],
+)
+def test_non_finite_spec_fields_rejected(ktp, spec, fields):
+    if spec is bp.CrystalSpec:
+        fields = {"axes": ktp, **fields}
+    with pytest.raises(InputError):
+        spec(**fields)
 
 
 def test_cli_starts_without_scipy(tmp_path):

@@ -59,6 +59,50 @@ class TestHeraldedSpectralState:
         with pytest.raises(InputError):
             bp.heralded_spectral_state(paper_jsa, "both")
 
+    def test_purity_then_signal_herald_form_one_gram(self, default_config, small_grid,
+                                                     monkeypatch):
+        gram = bp.JointAmplitude.__dict__["gram"]
+        evaluations, products = [], []
+        original = gram.func
+        monkeypatch.setattr(gram, "func", lambda jsa: evaluations.append(1) or original(jsa))
+
+        class CountedProducts(np.ndarray):
+            def __matmul__(self, other):
+                products.append(1)
+                return np.asarray(self) @ np.asarray(other)
+
+        cfg = default_config
+        f = bp.compute_jsa(cfg.pump, cfg.crystal, small_grid).amplitudes
+        jsa = bp.JointAmplitude(grid=small_grid, amplitudes=f.view(CountedProducts))
+        bp.schmidt_decompose(jsa).purity
+        bp.heralded_spectral_state(jsa, "signal")
+        assert (len(evaluations), len(products)) == (1, 1)
+        bp.gram_purity(jsa)
+        bp.heralded_spectral_state(jsa, "signal")
+        assert (len(evaluations), len(products)) == (1, 1)
+
+    @pytest.mark.parametrize(
+        "arm, herald", [("signal", False), ("idler", False), ("signal", True)],
+        ids=["signal", "idler", "herald-filter-8nm"],
+    )
+    def test_density_is_fresh_product_bit_for_bit(self, default_config, small_grid,
+                                                  eight_nm_filter, arm, herald):
+        cfg = default_config
+        jsa = bp.compute_jsa(cfg.pump, cfg.crystal, small_grid)
+        bp.schmidt_decompose(jsa).purity  # the cached Gram exists before the herald
+        f = jsa.amplitudes if arm == "signal" else jsa.amplitudes.T
+        d_herald = small_grid.d_omega_idler if arm == "signal" else small_grid.d_omega_signal
+        herald_filter = eight_nm_filter if herald else None
+        if herald:
+            f = f * np.sqrt(eight_nm_filter.transmission(small_grid.idler_wavelengths_nm))
+        rho = (f @ f.conj().T) * d_herald
+        expected = rho / float(np.real(np.trace(rho)))
+        state = bp.heralded_spectral_state(jsa, arm, herald_filter=herald_filter)
+        assert np.array_equal(state.density, expected)
+        assert not np.shares_memory(state.density, jsa.gram)
+        fresh_gram = jsa.amplitudes @ jsa.amplitudes.conj().T
+        assert np.array_equal(jsa.gram, fresh_gram)
+
     @pytest.mark.parametrize(
         "source, arm, herald",
         [("paper_jsa", "signal", False), ("paper_jsa", "idler", False),

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +173,7 @@ class TestGramPurity:
         for jsa in (paper_jsa, filtered_jsa, separable, entangled):
             assert abs(gram_purity(jsa) - svd_purity(jsa)) < 1e-12
             assert bp.schmidt_decompose(jsa).purity == gram_purity(jsa)
+            assert bp.SchmidtSpectrum(amplitudes=jsa.amplitudes).purity == gram_purity(jsa)
         assert gram_purity(separable) > 0.99
         assert bp.schmidt_decompose(entangled).schmidt_number > 10.0
 
@@ -180,6 +183,16 @@ class TestGramPurity:
         )
         with pytest.raises(DegenerateInputError):
             gram_purity(zero)
+
+    def test_cached_gram_is_read_only_and_amplitude_frozen(self, default_config, small_grid):
+        cfg = default_config
+        jsa = bp.compute_jsa(cfg.pump, cfg.crystal, small_grid)
+        assert jsa.gram is jsa.gram
+        assert np.array_equal(jsa.gram, jsa.amplitudes @ jsa.amplitudes.conj().T)
+        with pytest.raises(ValueError):
+            jsa.gram[0, 0] = 0.0
+        with pytest.raises(FrozenInstanceError):
+            jsa.amplitudes = 2.0 * jsa.amplitudes
 
 
 def test_separable_gaussian_underflow_rejected(small_grid):
