@@ -85,11 +85,17 @@ def _out_dir(config: RunConfig) -> Path:
     return path
 
 
-def _filters_from_args(args, config: RunConfig):
-    if getattr(args, "filter_nm", None) is not None:
-        spec = FilterSpec(center_nm=config.grid.center_signal_nm, fwhm_nm=args.filter_nm)
-        return spec, spec
-    return config.signal_filter, config.idler_filter
+def _jsa(args, config: RunConfig) -> jsa_mod.JointAmplitude:
+    """The profile's amplitude, filtered by ``--filter-nm`` or else by the config's filters."""
+    signal_filter, idler_filter = config.signal_filter, config.idler_filter
+    if args.filter_nm is not None:
+        signal_filter = idler_filter = FilterSpec(
+            center_nm=config.grid.center_signal_nm, fwhm_nm=args.filter_nm
+        )
+    amplitude = jsa_mod.compute_jsa(config.pump, config.crystal, config.grid)
+    if signal_filter is None and idler_filter is None:
+        return amplitude
+    return jsa_mod.apply_filter(amplitude, signal_filter, idler_filter)
 
 
 def cmd_design(args, config: RunConfig) -> int:
@@ -118,17 +124,9 @@ def cmd_design(args, config: RunConfig) -> int:
     return 0
 
 
-def _compute_default_jsa(config: RunConfig):
-    return jsa_mod.compute_jsa(config.pump, config.crystal, config.grid)
-
-
 def cmd_jsa(args, config: RunConfig) -> int:
-    amplitude = _compute_default_jsa(config)
-    signal_filter, idler_filter = _filters_from_args(args, config)
-    survival = None
-    if signal_filter is not None or idler_filter is not None:
-        amplitude = jsa_mod.apply_filter(amplitude, signal_filter, idler_filter)
-        survival = amplitude.survival
+    amplitude = _jsa(args, config)
+    survival = amplitude.survival
     spectrum = jsa_mod.schmidt_decompose(amplitude)
     marg_s = jsa_mod.marginal_spectrum(amplitude, "signal")
     marg_i = jsa_mod.marginal_spectrum(amplitude, "idler")
@@ -173,6 +171,11 @@ def cmd_jsa(args, config: RunConfig) -> int:
     return 0
 
 
+#: most points a ``--delays`` range may ask for, checked before the delays are built;
+#: 1e5 points still sample the default grid's ±17,480 fs window every 0.35 fs
+MAX_DELAYS = 100_000
+
+
 def _parse_delays(spec: str) -> np.ndarray:
     try:
         start, stop, step = (float(x) for x in spec.split(":"))
@@ -180,18 +183,17 @@ def _parse_delays(spec: str) -> np.ndarray:
         raise InputError(f"bad delay range {spec!r}; expected start:stop:step in fs")
     if not (np.isfinite([start, stop, step]).all() and step > 0 and stop >= start):
         raise InputError(f"bad delay range {spec!r}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
-    return start + step * np.arange(count)
+    steps = (stop - start) / step + 1e-9
+    if steps >= MAX_DELAYS:
+        raise InputError(f"delay range {spec!r} asks for more than {MAX_DELAYS} points")
+    return start + step * np.arange(int(np.floor(steps)) + 1)
 
 
 def cmd_hom(args, config: RunConfig) -> int:
-    amplitude = _compute_default_jsa(config)
-    signal_filter, idler_filter = _filters_from_args(args, config)
-    if signal_filter is not None or idler_filter is not None:
-        amplitude = jsa_mod.apply_filter(amplitude, signal_filter, idler_filter)
-    state = interference.heralded_spectral_state(amplitude, "signal")
-    visibility = interference.hom_visibility(state, state)
     delays = _parse_delays(args.delays)
+    # the amplitude and its cached Gram are dropped once the herald is formed
+    state = interference.heralded_spectral_state(_jsa(args, config), "signal")
+    visibility = interference.hom_visibility(state, state)
     curve = interference.hom_curve(state, state, delays)
 
     out = _out_dir(config)
@@ -295,7 +297,7 @@ def cmd_tomo_reconstruct(args, config: RunConfig) -> int:
 
 
 def cmd_spectro(args, config: RunConfig) -> int:
-    amplitude = _compute_default_jsa(config)
+    amplitude = jsa_mod.compute_jsa(config.pump, config.crystal, config.grid)
     seed = args.spectro_seed if args.spectro_seed is not None else config.seed
     histogram = spectrometer.simulate_jsi_histogram(
         amplitude,
@@ -394,17 +396,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dispersion-file", help="dispersion registry YAML override")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("design", help="poling period, GVM wavelength and ridge angle")
+    p_design = sub.add_parser("design", help="poling period, GVM wavelength and ridge angle")
+    p_design.set_defaults(run=cmd_design)
 
     p_jsa = sub.add_parser("jsa", help="joint spectral amplitude pipeline")
     jsa_sub = p_jsa.add_subparsers(dest="jsa_command", required=True)
     p_jsa_compute = jsa_sub.add_parser("compute", help="compute, filter and decompose the JSA")
     p_jsa_compute.add_argument("--filter-nm", type=float, help="Gaussian filter FWHM both arms")
+    p_jsa_compute.set_defaults(run=cmd_jsa)
 
     p_hom = sub.add_parser("hom", help="two-source interference prediction")
     p_hom.add_argument("--filter-nm", type=float, help="Gaussian filter FWHM both arms")
     p_hom.add_argument("--delays", default="-2000:2000:50", help="start:stop:step in fs")
     p_hom.add_argument("--pair-probability", type=float, help="pair/pulse probability")
+    p_hom.set_defaults(run=cmd_hom)
 
     p_tomo = sub.add_parser("tomo", help="polarization tomography")
     tomo_sub = p_tomo.add_subparsers(dest="tomo_command", required=True)
@@ -414,9 +419,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--phase-error", type=float, default=0.0)
     p_sim.add_argument("--mean-counts", type=int, default=10_000)
     p_sim.add_argument("--out", dest="out_file", help="records CSV path")
+    p_sim.set_defaults(run=cmd_tomo_simulate)
     p_rec = tomo_sub.add_parser("reconstruct", help="MLE reconstruction from records")
     p_rec.add_argument("--in", dest="in_file", required=True, help="records CSV path")
     p_rec.add_argument("--out", dest="out_file", help="state JSON path")
+    p_rec.set_defaults(run=cmd_tomo_reconstruct)
 
     p_spec = sub.add_parser("spectro", help="time-of-flight spectrometer")
     spec_sub = p_spec.add_subparsers(dest="spectro_command", required=True)
@@ -424,39 +431,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_spec_sim.add_argument("--pairs", type=int, default=10**6)
     p_spec_sim.add_argument("--seed", dest="spectro_seed", type=int, default=None)
     p_spec_sim.add_argument("--out", dest="out_file", help="histogram CSV path")
+    p_spec_sim.set_defaults(run=cmd_spectro)
 
     p_eff = sub.add_parser("efficiency", help="Klyshko efficiency and loss budget")
     p_eff.add_argument("--counts", help="CSV with singles_signal,singles_idler,coincidences")
     p_eff.add_argument("--budget", help="YAML loss budget file")
+    p_eff.set_defaults(run=cmd_efficiency)
 
     return parser
 
 
-def run_pipeline(config: RunConfig, command: str, args) -> int:
-    """Dispatch one validated command; returns the process exit code."""
-    if command == "design":
-        return cmd_design(args, config)
-    if command == "jsa":
-        return cmd_jsa(args, config)
-    if command == "hom":
-        return cmd_hom(args, config)
-    if command == "tomo":
-        if args.tomo_command == "simulate":
-            return cmd_tomo_simulate(args, config)
-        return cmd_tomo_reconstruct(args, config)
-    if command == "spectro":
-        return cmd_spectro(args, config)
-    if command == "efficiency":
-        return cmd_efficiency(args, config)
-    raise InputError(f"unknown command {command!r}")
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        return run_pipeline(config, args.command, args)
+        return args.run(args, _resolve_config(args))
     except BiphotonError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, sort_keys=True), file=sys.stderr)

@@ -3,24 +3,31 @@
 One versioned YAML document drives every pipeline run; the shipped
 default profile encodes the reference source parameters (785 nm pump,
 5.35 nm bandwidth, 2 mm crystal, 46.15 µm poling, 81 MHz, 512² grid).
+Each YAML section is read into the spec dataclass that holds it: the keys
+are the dataclass fields, an absent key takes the field default, and an
+unknown key or a value that the field's type would change is a ConfigError.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
-from .dispersion import CrystalAxes, DispersionRegistry, builtin_registry, load_registry
+from .dispersion import CrystalAxes, builtin_registry, load_registry
 from .errors import ConfigError
 from .jsa import FilterSpec, FrequencyGrid
 from .phasematch import CrystalSpec, PumpSpec
-from .spectrometer import DEFAULT_BIN_NS, DcfSpec
+from .spectrometer import DEFAULT_BIN_NS, DcfSpec, idler_arm_preset, signal_arm_preset
 
 SCHEMA_VERSION = 1
+#: default registry set of each polarization, named by the crystal's <role>_axis key
+_AXES = {"pump": "ktp_y", "signal": "ktp_z", "idler": "ktp_y"}
+#: spectrometer keys of the DCF arms, with the preset an absent arm takes
+_DCF_PRESETS = {"signal_dcf": signal_arm_preset, "idler_dcf": idler_arm_preset}
 
 
 @dataclass(frozen=True)
@@ -35,229 +42,142 @@ class RunConfig:
     signal_dcf: DcfSpec
     idler_dcf: DcfSpec
     bin_size_ns: float
-    seed: int
-    output_dir: str
+    seed: int = 0
+    output_dir: str = "out"
     dispersion_file: str | None = None
 
 
-def _require(mapping: dict, key: str, context: str):
-    if key not in mapping:
-        raise ConfigError(f"missing required field {context}.{key}")
-    return mapping[key]
+#: converter for each field annotation. Float fields coerce, because PyYAML
+#: reads exponent forms without a dot, such as 6e1, as strings; int and str
+#: fields reject any value that the conversion would change.
+_CONVERT = {"float": float, "int": int, "str": str}
 
 
-def _filter_from_dict(d: dict | None, context: str) -> FilterSpec | None:
-    if d is None:
+def _convert(annotation: str, value, key: str):
+    kind, optional, _ = annotation.partition(" | None")
+    if value is None and optional:
         return None
     try:
-        return FilterSpec(
-            center_nm=float(_require(d, "center_nm", context)),
-            fwhm_nm=float(_require(d, "fwhm_nm", context)),
-            shape=d.get("shape", "gaussian"),
-            peak_transmission=float(d.get("peak_transmission", 1.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad filter spec at {context}: {exc}") from exc
+        converted = _CONVERT[kind](value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from exc
+    if kind != "float" and (converted != value or isinstance(value, bool)):
+        raise ConfigError(f"bad value for {key}: {value!r} is not of type {kind}")
+    return converted
 
 
-def _dcf_from_dict(d: dict, context: str) -> DcfSpec:
-    try:
-        return DcfSpec(
-            total_dispersion_ps_per_nm=float(
-                _require(d, "total_dispersion_ps_per_nm", context)
-            ),
-            reference_wavelength_nm=float(d.get("reference_wavelength_nm", 1570.0)),
-            insertion_delay_ns=float(d.get("insertion_delay_ns", 0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad DCF spec at {context}: {exc}") from exc
-
-
-def _config_from_dict(raw: dict, registry: DispersionRegistry, origin: str) -> RunConfig:
+def _mapping(raw, where: str) -> dict:
+    """A copy of one YAML section; an absent or empty section reads as {}."""
+    if raw is None:
+        return {}
     if not isinstance(raw, dict):
-        raise ConfigError(f"{origin}: top level must be a mapping")
-    version = raw.get("schema_version", SCHEMA_VERSION)
+        raise ConfigError(f"{where or 'top level'} must be a mapping, not {type(raw).__name__}")
+    return dict(raw)
+
+
+def _reject_unknown(rest: dict, where: str) -> None:
+    if rest:
+        names = ", ".join(f"{where}.{key}".lstrip(".") for key in rest)
+        raise ConfigError(f"unknown field {names}")
+
+
+def _spec(cls, raw, where: str, **given):
+    """Build dataclass ``cls`` from the YAML section ``raw`` at ``where``.
+
+    The section's keys are the fields of ``cls`` not in ``given``; an absent
+    key takes the field default, and a field without one is required.
+    """
+    raw = _mapping(raw, where)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key = f"{where}.{f.name}".lstrip(".")
+        if f.name in raw:
+            given[f.name] = _convert(f.type, raw.pop(f.name), key)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required field {key}")
+    _reject_unknown(raw, where)
+    return cls(**given)
+
+
+def _config_from_dict(raw, base: Path, dispersion_file: str | Path | None) -> RunConfig:
+    """Parse the YAML document; a relative dispersion file is taken from ``base``."""
+    top = _mapping(raw, "")
+    version = top.pop("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"{origin}: unsupported schema_version {version!r} (expected {SCHEMA_VERSION})"
-        )
-
-    pump_raw = _require(raw, "pump", origin)
-    crystal_raw = _require(raw, "crystal", origin)
-    grid_raw = raw.get("grid", {})
-    spectro_raw = raw.get("spectrometer", {})
-    filters_raw = raw.get("filters", {}) or {}
-
-    try:
-        pump = PumpSpec(
-            center_wavelength_nm=float(_require(pump_raw, "center_wavelength_nm", "pump")),
-            intensity_fwhm_bandwidth_nm=float(
-                _require(pump_raw, "intensity_fwhm_bandwidth_nm", "pump")
-            ),
-            repetition_rate_mhz=float(pump_raw.get("repetition_rate_mhz", 81.0)),
-            pulse_duration_fs=(
-                float(pump_raw["pulse_duration_fs"])
-                if pump_raw.get("pulse_duration_fs") is not None
-                else None
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{origin}: bad pump section: {exc}") from exc
-
-    try:
-        axes = CrystalAxes(
-            pump=registry.get(crystal_raw.get("pump_axis", "ktp_y")),
-            signal=registry.get(crystal_raw.get("signal_axis", "ktp_z")),
-            idler=registry.get(crystal_raw.get("idler_axis", "ktp_y")),
-        )
-        crystal = CrystalSpec(
-            axes=axes,
-            length_mm=float(_require(crystal_raw, "length_mm", "crystal")),
-            poling_period_um=float(_require(crystal_raw, "poling_period_um", "crystal")),
-            temperature_c=float(crystal_raw.get("temperature_c", 20.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{origin}: bad crystal section: {exc}") from exc
-
-    try:
-        grid = FrequencyGrid(
-            center_signal_nm=float(grid_raw.get("center_signal_nm", 1570.0)),
-            center_idler_nm=float(grid_raw.get("center_idler_nm", 1570.0)),
-            half_span_nm=float(grid_raw.get("half_span_nm", 60.0)),
-            points_per_axis=int(grid_raw.get("points_per_axis", 512)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{origin}: bad grid section: {exc}") from exc
-
-    signal_dcf = _dcf_from_dict(
-        spectro_raw.get(
-            "signal_dcf",
-            {
-                "total_dispersion_ps_per_nm": -413.0,
-                "reference_wavelength_nm": 1570.0,
-                "insertion_delay_ns": 6.173,
-            },
-        ),
-        "spectrometer.signal_dcf",
+        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    source = dispersion_file or _convert(
+        "str | None", top.get("dispersion_file"), "dispersion_file"
     )
-    idler_dcf = _dcf_from_dict(
-        spectro_raw.get(
-            "idler_dcf",
-            {
-                "total_dispersion_ps_per_nm": -388.0,
-                "reference_wavelength_nm": 1570.0,
-                "insertion_delay_ns": 6.173,
-            },
-        ),
-        "spectrometer.idler_dcf",
-    )
+    registry = builtin_registry() if source is None else load_registry(base / source)
 
-    return RunConfig(
-        pump=pump,
-        crystal=crystal,
-        grid=grid,
-        signal_filter=_filter_from_dict(filters_raw.get("signal"), "filters.signal"),
-        idler_filter=_filter_from_dict(filters_raw.get("idler"), "filters.idler"),
-        signal_dcf=signal_dcf,
-        idler_dcf=idler_dcf,
-        bin_size_ns=float(spectro_raw.get("bin_size_ns", DEFAULT_BIN_NS)),
-        seed=int(raw.get("seed", 0)),
-        output_dir=str(raw.get("output_dir", "out")),
-        dispersion_file=raw.get("dispersion_file"),
-    )
+    crystal = _mapping(top.pop("crystal", None), "crystal")
+    axes = CrystalAxes(**{
+        role: registry.get(_convert("str", crystal.pop(f"{role}_axis", name),
+                                    f"crystal.{role}_axis"))
+        for role, name in _AXES.items()
+    })
+    filters = _mapping(top.pop("filters", None), "filters")
+    arms = {}
+    for arm in ("signal", "idler"):
+        spec = filters.pop(arm, None)
+        arms[f"{arm}_filter"] = None if spec is None else _spec(FilterSpec, spec, f"filters.{arm}")
+    _reject_unknown(filters, "filters")
+    spectro = _mapping(top.pop("spectrometer", None), "spectrometer")
+    dcfs = {
+        key: _spec(DcfSpec, spectro.pop(key), f"spectrometer.{key}")
+        if key in spectro else preset()
+        for key, preset in _DCF_PRESETS.items()
+    }
+    bin_size_ns = _convert("float", spectro.pop("bin_size_ns", DEFAULT_BIN_NS),
+                           "spectrometer.bin_size_ns")
+    _reject_unknown(spectro, "spectrometer")
+    pump = _spec(PumpSpec, top.pop("pump", None), "pump")
+    grid = _spec(FrequencyGrid, top.pop("grid", None), "grid")
+    return _spec(RunConfig, top, "", pump=pump, grid=grid, bin_size_ns=bin_size_ns,
+                 crystal=_spec(CrystalSpec, crystal, "crystal", axes=axes), **arms, **dcfs)
 
 
 def load_config(path: str | Path, dispersion_file: str | Path | None = None) -> RunConfig:
     """Load and validate a YAML run configuration.
 
     ``dispersion_file`` (CLI ``--dispersion-file``) overrides the file
-    named inside the config; the shipped registry is the fallback.
+    named inside the config; the shipped registry is the fallback. A
+    relative registry path is taken from the config file's directory.
     """
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file does not exist: {path}")
     try:
         raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"failed to parse {path}: {exc}") from exc
-    registry_source = dispersion_file or (raw or {}).get("dispersion_file")
-    if registry_source is not None:
-        registry_path = Path(registry_source)
-        if not registry_path.is_absolute():
-            registry_path = path.parent / registry_path
-        if not registry_path.exists():
-            raise ConfigError(f"dispersion file does not exist: {registry_path}")
-        registry = load_registry(registry_path)
-    else:
-        registry = builtin_registry()
-    return _config_from_dict(raw, registry, origin=str(path))
+    return _config_from_dict(raw, path.parent, dispersion_file)
 
 
 def default_config(dispersion_file: str | Path | None = None) -> RunConfig:
     """The shipped default profile (reference source parameters)."""
     text = resources.files("biphoton.data").joinpath("default_profile.yaml").read_text()
-    if dispersion_file is not None:
-        registry_path = Path(dispersion_file)
-        if not registry_path.exists():
-            raise ConfigError(f"dispersion file does not exist: {registry_path}")
-        registry = load_registry(registry_path)
-    else:
-        registry = builtin_registry()
-    return _config_from_dict(yaml.safe_load(text), registry, origin="default profile")
+    return _config_from_dict(yaml.safe_load(text), Path(), dispersion_file)
+
+
+def _fields(spec) -> dict:
+    return {f.name: getattr(spec, f.name) for f in fields(spec)}
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    """Serializable mapping mirroring the YAML schema."""
-    d: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "pump": {
-            "center_wavelength_nm": config.pump.center_wavelength_nm,
-            "intensity_fwhm_bandwidth_nm": config.pump.intensity_fwhm_bandwidth_nm,
-            "repetition_rate_mhz": config.pump.repetition_rate_mhz,
-            "pulse_duration_fs": config.pump.pulse_duration_fs,
-        },
-        "crystal": {
-            "length_mm": config.crystal.length_mm,
-            "poling_period_um": config.crystal.poling_period_um,
-            "temperature_c": config.crystal.temperature_c,
-            "pump_axis": config.crystal.axes.pump.name,
-            "signal_axis": config.crystal.axes.signal.name,
-            "idler_axis": config.crystal.axes.idler.name,
-        },
-        "grid": {
-            "center_signal_nm": config.grid.center_signal_nm,
-            "center_idler_nm": config.grid.center_idler_nm,
-            "half_span_nm": config.grid.half_span_nm,
-            "points_per_axis": config.grid.points_per_axis,
-        },
-        "spectrometer": {
-            "signal_dcf": {
-                "total_dispersion_ps_per_nm": config.signal_dcf.total_dispersion_ps_per_nm,
-                "reference_wavelength_nm": config.signal_dcf.reference_wavelength_nm,
-                "insertion_delay_ns": config.signal_dcf.insertion_delay_ns,
-            },
-            "idler_dcf": {
-                "total_dispersion_ps_per_nm": config.idler_dcf.total_dispersion_ps_per_nm,
-                "reference_wavelength_nm": config.idler_dcf.reference_wavelength_nm,
-                "insertion_delay_ns": config.idler_dcf.insertion_delay_ns,
-            },
-            "bin_size_ns": config.bin_size_ns,
-        },
-        "seed": config.seed,
-        "output_dir": config.output_dir,
-        "dispersion_file": config.dispersion_file,
+    """Serializable mapping mirroring the YAML schema; the inverse of the parse."""
+    d = {
+        name: _fields(value) if is_dataclass(value) else value
+        for name, value in _fields(config).items()
     }
-    filters = {}
-    for arm, spec in (("signal", config.signal_filter), ("idler", config.idler_filter)):
-        if spec is not None:
-            filters[arm] = {
-                "center_nm": spec.center_nm,
-                "fwhm_nm": spec.fwhm_nm,
-                "shape": spec.shape,
-                "peak_transmission": spec.peak_transmission,
-            }
-    if filters:
-        d["filters"] = filters
+    d["schema_version"] = SCHEMA_VERSION
+    axes = d["crystal"].pop("axes")
+    d["crystal"].update({f"{role}_axis": getattr(axes, role).name for role in _AXES})
+    d["spectrometer"] = {key: d.pop(key) for key in (*_DCF_PRESETS, "bin_size_ns")}
+    filters = {arm: d.pop(f"{arm}_filter") for arm in ("signal", "idler")}
+    if any(filters.values()):
+        d["filters"] = {arm: spec for arm, spec in filters.items() if spec is not None}
     return d
 
 

@@ -230,8 +230,8 @@ def load_registry(path: str | Path) -> DispersionRegistry:
     path = Path(path)
     try:
         raw = yaml.safe_load(path.read_text())
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"failed to parse dispersion file {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
+        raise ConfigError(f"failed to read dispersion file {path}: {exc}") from exc
     return _registry_from_dict(raw, origin=str(path))
 
 

@@ -15,6 +15,21 @@ from biphoton.cli import main, read_tomography_records
 from biphoton.config import config_to_dict
 from biphoton.errors import ConfigError, InputError
 
+#: a two-set registry with constant indices, enough to bind the KTP axis names
+CONSTANT_REGISTRY = {
+    "schema_version": 1,
+    "sets": [
+        {"name": name, "formula": "constant", "coefficients": [index],
+         "valid_range_nm": [400.0, 2000.0]}
+        for name, index in (("ktp_y", 1.7), ("ktp_z", 1.8))
+    ],
+}
+#: the required pump and crystal fields, every other field at its default
+MINIMAL = (
+    "pump: {center_wavelength_nm: 785.0, intensity_fwhm_bandwidth_nm: 5.35}\n"
+    "crystal: {length_mm: 2.0, poling_period_um: 46.15}\n"
+)
+
 
 class TestConfig:
     def test_default_profile_is_paper_parameter_set(self, default_config):
@@ -63,27 +78,7 @@ class TestConfig:
 
     def test_dispersion_file_reference(self, tmp_path, default_config):
         registry_path = tmp_path / "registry.yaml"
-        registry_path.write_text(
-            yaml.safe_dump(
-                {
-                    "schema_version": 1,
-                    "sets": [
-                        {
-                            "name": "ktp_y",
-                            "formula": "constant",
-                            "coefficients": [1.7],
-                            "valid_range_nm": [400.0, 2000.0],
-                        },
-                        {
-                            "name": "ktp_z",
-                            "formula": "constant",
-                            "coefficients": [1.8],
-                            "valid_range_nm": [400.0, 2000.0],
-                        },
-                    ],
-                }
-            )
-        )
+        registry_path.write_text(yaml.safe_dump(CONSTANT_REGISTRY))
         cfg_path = tmp_path / "run.yaml"
         raw = config_to_dict(default_config)
         raw["dispersion_file"] = "registry.yaml"
@@ -93,6 +88,75 @@ class TestConfig:
         # the flag also applies when running on the shipped default profile
         flagged = bp.default_config(dispersion_file=registry_path)
         assert flagged.crystal.axes.pump.formula == "constant"
+
+    def test_default_profile_dcf_blocks_match_presets(self, default_config):
+        # the profile spells the arms out as schema documentation; a config
+        # without them gets the presets, so the two must not drift apart
+        assert default_config.signal_dcf == bp.signal_arm_preset()
+        assert default_config.idler_dcf == bp.idler_arm_preset()
+
+    def test_exponent_without_dot_is_a_float(self, tmp_path):
+        # PyYAML reads 6e1 as the string '6e1'; float fields coerce it
+        path = tmp_path / "exponent.yaml"
+        path.write_text(MINIMAL + "grid: {half_span_nm: 6e1}\n")
+        assert bp.load_config(path).grid.half_span_nm == 60.0
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("pump: {center_wavelength_nm: 785.0, intensity_fwhm_bandwidth_nm: 5.35}\n"
+             "crystal: {length_mm: 2.0, poling_period_um: 46.15, temperature: 60}\n",
+             r"unknown field crystal\.temperature$"),
+            (MINIMAL + "filters: {signal: {center_nm: 1570.0, fwhm_nm: 8.0}, sigal: {}}\n",
+             r"unknown field filters\.sigal$"),
+            (MINIMAL + "grid: {points_per_axis: 64.9}\n", r"grid\.points_per_axis: 64\.9"),
+            (MINIMAL + "seed: 1.5\n", r"seed: 1\.5"),
+            ("pump: {center_wavelength_nm: 785.0, intensity_fwhm_bandwidth_nm: 5.35}\n"
+             "crystal: {poling_period_um: 46.15}\n",
+             r"^missing required field crystal\.length_mm$"),
+        ],
+        ids=["unknown-crystal-key", "unknown-filter-arm", "fractional-points", "fractional-seed",
+             "missing-length"],
+    )
+    def test_rejection_names_the_field(self, tmp_path, text, match):
+        path = tmp_path / "run.yaml"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match=match):
+            bp.load_config(path)
+
+
+PINNED_DIGESTS = {
+    "default": "baec72e855d7",
+    "filters": "09f96d81e798",
+    "grid": "761d51bc5dde",
+    "minimal": "254824252518",
+    "registry": "728ac8d7a184",
+}
+
+
+@pytest.mark.parametrize("variant", PINNED_DIGESTS)
+def test_config_digest_pinned_and_round_trips(tmp_path, default_config, variant):
+    raw = config_to_dict(default_config)
+    if variant == "filters":
+        raw["filters"] = {
+            "signal": {"center_nm": 1570.0, "fwhm_nm": 8.0},
+            "idler": {"center_nm": 1570.0, "fwhm_nm": 8.0, "shape": "rectangular",
+                      "peak_transmission": 0.9},
+        }
+    elif variant == "grid":
+        raw["grid"].update(points_per_axis=64, half_span_nm=40.0)
+    elif variant == "minimal":
+        raw = yaml.safe_load(MINIMAL)
+    elif variant == "registry":
+        (tmp_path / "registry.yaml").write_text(yaml.safe_dump(CONSTANT_REGISTRY))
+        raw["dispersion_file"] = "registry.yaml"
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    loaded = bp.load_config(path)
+    assert bp.config_digest(loaded) == PINNED_DIGESTS[variant]
+    saved = tmp_path / "saved.yaml"
+    bp.save_config(loaded, saved)
+    assert bp.load_config(saved) == loaded
 
 
 class TestCliContracts:
@@ -279,12 +343,33 @@ def _with_input(command, path):
         ([*CONFIG, "hom"], NAN_PUMP_BANDWIDTH, "InputError"),
         ([*CONFIG, "spectro", "simulate", "--pairs", "1000"], NAN_PUMP_BANDWIDTH,
          "InputError"),
+        (["hom", "--delays=0:1e300:1"], None, "InputError"),
+        (["hom", "--delays=0:1e300:1e290"], None, "InputError"),
+        ([*CONFIG, "design"], "- 1\n", "ConfigError"),
+        ([*CONFIG, "design"], MINIMAL + "grid: [1, 2]\n", "ConfigError"),
+        ([*CONFIG, "design"], MINIMAL + "spectrometer: [1]\n", "ConfigError"),
+        ([*CONFIG, "design"], MINIMAL + "filters: [1]\n", "ConfigError"),
+        ([*CONFIG, "design"], MINIMAL + "seed: abc\n", "ConfigError"),
+        ([*CONFIG, "design"], MINIMAL + "spectrometer: {bin_size_ns: abc}\n", "ConfigError"),
+        ([*CONFIG, "design"], MINIMAL + "dispersion_file: 5\n", "ConfigError"),
+        ([*CONFIG, "design"], MINIMAL + "dispersion_file: .\n", "ConfigError"),
+        (["--config", ".", "design"], None, "ConfigError"),
+        ([*CONFIG, "design"], MINIMAL.replace("46.15}", "46.15, temperature: 60}"),
+         "ConfigError"),
+        ([*CONFIG, "design"], MINIMAL + "grid: {points_per_axis: 64.9}\n", "ConfigError"),
+        ([*CONFIG, "design"], MINIMAL + "seed: 1.5\n", "ConfigError"),
     ],
     ids=[
         "budget-unknown-key", "budget-not-yaml", "counts-not-numeric",
         "counts-zero-singles", "tomo-fractional-count", "tomo-missing-in",
         "hom-delay-past-revival", "hom-delay-nan", "hom-delay-inf", "hom-filter-nan",
         "config-nan-bandwidth-hom", "config-nan-bandwidth-spectro",
+        "hom-delay-count-past-int64", "hom-delay-count-past-memory",
+        "config-top-level-list", "config-grid-list", "config-spectrometer-list",
+        "config-filters-list", "config-seed-not-a-number", "config-bin-size-not-a-number",
+        "config-dispersion-file-not-a-string", "config-dispersion-file-is-a-directory",
+        "config-is-a-directory", "config-unknown-key", "config-fractional-points",
+        "config-fractional-seed",
     ],
 )
 def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error):
