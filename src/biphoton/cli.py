@@ -29,20 +29,19 @@ from .jsa import FilterSpec
 from .phasematch import gvm_angle, gvm_degenerate_wavelength, solve_poling_period
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _write_csv(path: Path, rows, header: str, comments: list[str], fmt=repr) -> None:
+    """Write ``rows`` of Python numbers (``ndarray.tolist()``), each cell as ``fmt(cell)``.
 
-
-def _write_csv(path: Path, rows, header: str, comments: list[str]) -> None:
+    ``repr`` of a Python float is its shortest round-trip form; a numpy
+    scalar would print as ``np.float64(...)``, so callers pass lists.
+    """
     # Streamed line by line, so no whole-file string or row list is held.
     with path.open("w") as out:
         for c in comments:
             out.write(f"# {c}\n")
         out.write(header + "\n")
         for row in rows:
-            out.write(",".join(map(_fmt, row)) + "\n")
+            out.write(",".join(map(fmt, row)) + "\n")
 
 
 def _read_input(path) -> str:
@@ -199,7 +198,7 @@ def cmd_hom(args, config: RunConfig) -> int:
     out = _out_dir(config)
     _write_csv(
         out / "hom_curve.csv",
-        zip(curve.delays_fs, curve.coincidence_probability),
+        zip(curve.delays_fs.tolist(), curve.coincidence_probability.tolist()),
         "delay_fs,coincidence_probability",
         _grid_comments(config),
     )
@@ -241,6 +240,7 @@ def cmd_tomo_simulate(args, config: RunConfig) -> int:
         ((r.setting_a, r.setting_b, r.counts, r.integration_time_s) for r in records),
         "setting_a,setting_b,counts,integration_s",
         [f"config_digest: {config_digest(config)}", f"seed: {config.seed}"],
+        fmt=str,
     )
     print(f"wrote {out_path}")
     return 0
@@ -311,10 +311,10 @@ def cmd_spectro(args, config: RunConfig) -> int:
     out_path = Path(args.out_file) if args.out_file else _out_dir(config) / "hist.csv"
     out_path.parent.mkdir(parents=True, exist_ok=True)
     # first row and first column carry bin centers in ns, body is counts
-    header = ",".join([""] + [_fmt(float(c)) for c in histogram.bin_centers_idler_ns])
+    header = ",".join(["", *map(repr, histogram.bin_centers_idler_ns.tolist())])
     rows = (
-        [float(center)] + row.tolist()
-        for center, row in zip(histogram.bin_centers_signal_ns, histogram.counts)
+        [center] + row.tolist()
+        for center, row in zip(histogram.bin_centers_signal_ns.tolist(), histogram.counts)
     )
     _write_csv(
         out_path,
