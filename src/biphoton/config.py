@@ -101,15 +101,22 @@ def _spec(cls, raw, where: str, **given):
 
 
 def _config_from_dict(raw, base: Path, dispersion_file: str | Path | None) -> RunConfig:
-    """Parse the YAML document; a relative dispersion file is taken from ``base``."""
+    """Parse the YAML document.
+
+    A relative ``dispersion_file`` argument is taken from the working
+    directory, a relative ``dispersion_file`` key from ``base``.
+    """
     top = _mapping(raw, "")
     version = top.pop("schema_version", SCHEMA_VERSION)
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
-    source = dispersion_file or _convert(
-        "str | None", top.get("dispersion_file"), "dispersion_file"
-    )
-    registry = builtin_registry() if source is None else load_registry(base / source)
+    key = _convert("str | None", top.get("dispersion_file"), "dispersion_file")
+    if dispersion_file:
+        registry = load_registry(dispersion_file)
+    elif key is not None:
+        registry = load_registry(base / key)
+    else:
+        registry = builtin_registry()
 
     crystal = _mapping(top.pop("crystal", None), "crystal")
     axes = CrystalAxes(**{
@@ -143,7 +150,9 @@ def load_config(path: str | Path, dispersion_file: str | Path | None = None) -> 
 
     ``dispersion_file`` (CLI ``--dispersion-file``) overrides the file
     named inside the config; the shipped registry is the fallback. A
-    relative registry path is taken from the config file's directory.
+    relative ``dispersion_file`` argument is taken from the working
+    directory, a relative ``dispersion_file`` key from the config file's
+    directory.
     """
     path = Path(path)
     if not path.exists():

@@ -236,10 +236,14 @@ def load_registry(path: str | Path) -> DispersionRegistry:
 
 
 def _registry_from_dict(raw: dict, origin: str) -> DispersionRegistry:
-    if not isinstance(raw, dict) or "sets" not in raw:
+    if not isinstance(raw, dict) or not isinstance(raw.get("sets"), list):
         raise ConfigError(f"{origin}: expected a mapping with a 'sets' list")
     registry = DispersionRegistry()
     for entry in raw["sets"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("thermal") or {}, dict):
+            raise ConfigError(
+                f"{origin}: bad set entry {entry!r}: expected a mapping, with 'thermal' a mapping"
+            )
         try:
             thermal = entry.get("thermal")
             registry.register(

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._contracts import built_valid, check_density_matrix
 from .errors import AxisMismatchError, DegenerateInputError, InputError
-from .jsa import FilterSpec, JointAmplitude
+from .jsa import FilterSpec, JointAmplitude, _gram
 
 
 @dataclass
@@ -66,10 +66,10 @@ def heralded_spectral_state(
     not revalidated: ρ is valid by construction.
 
     The unfiltered signal arm scales ``jsa.gram`` into a fresh array, so a
-    purity and a herald of one amplitude share one N³ product (the Gram
+    purity and a herald of one amplitude share one Gram product (the Gram
     stays cached on the amplitude, N²·16 bytes); the idler arm and a herald
-    filter form their own product. The density never shares memory with
-    the cached Gram.
+    filter form their own with the same ``_gram``. The density never shares
+    memory with the cached Gram.
     """
     if not jsa.normalized:
         raise InputError("heralded_spectral_state requires a normalized joint amplitude")
@@ -90,7 +90,7 @@ def heralded_spectral_state(
         f = f * np.sqrt(herald_filter.transmission(herald_lam))[None, :]
     # f is the amplitude matrix itself only on the unfiltered signal arm, whose
     # FF† the amplitude caches; ``gram * d_herald`` is a fresh array either way.
-    gram = jsa.gram if f is jsa.amplitudes else f @ f.conj().T
+    gram = jsa.gram if f is jsa.amplitudes else _gram(f)
     rho = gram * d_herald
     trace = float(np.real(np.trace(rho)))
     if not trace > 0.0:  # NaN-safe

@@ -2,11 +2,15 @@
 
 The two-photon amplitude is the product of a Gaussian pump envelope and
 the sinc-shaped phase-matching amplitude of the poled crystal, discretised
-on a signal × idler grid that is uniform in angular frequency. Schmidt
-analysis of the discretised amplitude yields the heralded spectral purity,
-computed in the Gram form without an SVD from the amplitude's cached FF†
-(which the signal-arm herald reuses); the Schmidt coefficients run the SVD
-only when they are first read.
+on a signal × idler grid that is uniform in angular frequency with one step
+Δω on both axes. The pump envelope α and the pump wavenumber k_p depend on
+ωs + ωi alone, so they are evaluated on the grid's 2N − 1 sum frequencies
+and spread over the N² points by a zero-copy Hankel view; only k_s and k_i
+and the sinc itself are per-axis or per-point. Schmidt analysis of the
+discretised amplitude yields the heralded spectral purity, computed in the
+Gram form without an SVD from the amplitude's cached FF† (formed in real
+arithmetic, and reused by the signal-arm herald); the Schmidt coefficients
+run the SVD only when they are first read.
 
 Bandwidth convention: pump bandwidth is the intensity FWHM in nm; the
 envelope exp(−(ωs+ωi−ωp)²/σ²) uses the amplitude 1/e half width
@@ -24,7 +28,7 @@ import numpy as np
 
 from ._contracts import built_valid
 from .errors import DegenerateInputError, EmptyResultError, InputError, SearchError
-from .phasematch import CrystalSpec, PumpSpec, phase_mismatch
+from .phasematch import CrystalSpec, PumpSpec, phase_mismatch, spread_sums
 from .units import (
     angular_frequency_to_nm,
     fwhm_nm_to_fwhm_omega,
@@ -37,10 +41,16 @@ NORMALIZATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class FrequencyGrid:
-    """Signal × idler grid, uniform in angular frequency.
+    """Signal × idler grid, uniform in angular frequency with one step Δω.
 
-    The grid endpoints map exactly to center ± half_span in nm;
-    points_per_axis must be a power of two, at least 16.
+    The signal axis runs from center_signal + half_span to
+    center_signal − half_span in nm, endpoints exact. The idler axis is the
+    signal axis shifted by ω(center_idler) − ω(center_signal), so both axes
+    share Δω and ωs[j] + ωi[k] depends on j + k alone (``sum_omegas``). On a
+    degenerate grid the shift is zero and the two axes are the same array; on
+    a non-degenerate one the idler axis spans the signal's ω range, not
+    center_idler ± half_span in nm. points_per_axis must be a power of two,
+    at least 16.
     """
 
     center_signal_nm: float = 1570.0
@@ -60,18 +70,30 @@ class FrequencyGrid:
             if c - self.half_span_nm <= 0:
                 raise InputError("grid extends to non-positive wavelengths")
 
-    def _axis(self, center_nm: float) -> np.ndarray:
-        lo = nm_to_angular_frequency(center_nm + self.half_span_nm)
-        hi = nm_to_angular_frequency(center_nm - self.half_span_nm)
+    @property
+    def signal_omegas(self) -> np.ndarray:
+        lo = nm_to_angular_frequency(self.center_signal_nm + self.half_span_nm)
+        hi = nm_to_angular_frequency(self.center_signal_nm - self.half_span_nm)
         return np.linspace(lo, hi, self.points_per_axis)
 
     @property
-    def signal_omegas(self) -> np.ndarray:
-        return self._axis(self.center_signal_nm)
+    def idler_omegas(self) -> np.ndarray:
+        shift = nm_to_angular_frequency(self.center_idler_nm) - nm_to_angular_frequency(
+            self.center_signal_nm
+        )
+        return self.signal_omegas + shift
 
     @property
-    def idler_omegas(self) -> np.ndarray:
-        return self._axis(self.center_idler_nm)
+    def sum_omegas(self) -> np.ndarray:
+        """The 2N − 1 sum frequencies ωs[j] + ωi[k], indexed by m = j + k.
+
+        Each is the sum of one representative pair, j = min(m, N − 1); the
+        other pairs with the same j + k differ from it only by rounding.
+        """
+        n = self.points_per_axis
+        m = np.arange(2 * n - 1)
+        j = np.minimum(m, n - 1)
+        return self.signal_omegas[j] + self.idler_omegas[m - j]
 
     @property
     def d_omega_signal(self) -> float:
@@ -80,8 +102,7 @@ class FrequencyGrid:
 
     @property
     def d_omega_idler(self) -> float:
-        ax = self.idler_omegas
-        return float(ax[1] - ax[0])
+        return self.d_omega_signal
 
     @property
     def signal_wavelengths_nm(self) -> np.ndarray:
@@ -115,10 +136,11 @@ class JointAmplitude:
     ``separable_gaussian_jsa`` divide by the norm they have just summed and
     skip the second pass.
 
-    ``gram`` is FF† over the signal index, unscaled: formed on first read,
-    cached read-only, and shared by the Schmidt purity and the signal-arm
-    herald, so each amplitude pays one N³ product for both. The cache costs
-    N²·16 bytes while the amplitude lives (4 MB at 512², 16 MB at 1024²).
+    ``gram`` is FF† over the signal index, unscaled: formed on first read
+    by ``_gram`` (real BLAS, exactly Hermitian), cached read-only, and
+    shared by the Schmidt purity and the signal-arm herald, so each
+    amplitude pays one Gram product for both. The cache costs N²·16 bytes
+    while the amplitude lives (4 MB at 512², 16 MB at 1024²).
     The fields cannot be reassigned, and ``amplitudes`` must not be mutated
     in place, or the cached Gram goes stale.
     """
@@ -218,10 +240,12 @@ class SchmidtSpectrum:
 
 def pump_envelope(omega_s, omega_i, pump: PumpSpec):
     """Gaussian pump envelope α(ωs + ωi), real valued in (0, 1]."""
-    omega_p = nm_to_angular_frequency(pump.center_wavelength_nm)
-    sigma = pump_sigma(pump)
-    detuning = np.asarray(omega_s) + np.asarray(omega_i) - omega_p
-    return np.exp(-(detuning**2) / sigma**2)
+    return _envelope(np.asarray(omega_s) + np.asarray(omega_i), pump)
+
+
+def _envelope(omega_sum, pump: PumpSpec):
+    detuning = omega_sum - nm_to_angular_frequency(pump.center_wavelength_nm)
+    return np.exp(-(detuning**2) / pump_sigma(pump) ** 2)
 
 
 def pump_sigma(pump: PumpSpec) -> float:
@@ -232,39 +256,32 @@ def pump_sigma(pump: PumpSpec) -> float:
     return intensity_fwhm_to_amplitude_sigma(fwhm_omega)
 
 
-def phasematching_function(omega_s, omega_i, crystal: CrystalSpec):
-    """sinc(LΔK/2)·exp(−iLΔK/2) on the given frequencies, |φ| ≤ 1."""
-    x = crystal.length_um * phase_mismatch(crystal, omega_s, omega_i) / 2.0
+def phasematching_function(omega_s, omega_i, crystal: CrystalSpec, sums=None):
+    """sinc(LΔK/2)·exp(−iLΔK/2) on the given frequencies, |φ| ≤ 1.
+
+    ``sums`` are a grid's sum frequencies, as in ``unpoled_mismatch``.
+    """
+    x = crystal.length_um * phase_mismatch(crystal, omega_s, omega_i, sums) / 2.0
     return np.sinc(x / np.pi) * np.exp(-1j * x)
 
 
-def _check_grid_in_range(crystal: CrystalSpec, grid: FrequencyGrid) -> None:
-    axes = crystal.axes
-    s_lam = grid.signal_wavelengths_nm
-    i_lam = grid.idler_wavelengths_nm
-    axes.signal.check_range(s_lam)
-    axes.idler.check_range(i_lam)
-    w_sum_max = grid.signal_omegas[-1] + grid.idler_omegas[-1]
-    w_sum_min = grid.signal_omegas[0] + grid.idler_omegas[0]
-    axes.pump.check_range(angular_frequency_to_nm(np.array([w_sum_max, w_sum_min])))
-
-
 def _crystal_factor(crystal: CrystalSpec, grid: FrequencyGrid) -> np.ndarray:
-    """Pump-independent φ on the grid, after the dispersion range check.
+    """Pump-independent φ on the grid.
 
-    The signal and idler axes are broadcast against each other, so k_s and
-    k_i are evaluated on N points each and only k_p on the N² sum grid.
+    k_s and k_i are evaluated on the N points of their axes and k_p on the
+    grid's 2N − 1 sum frequencies, spread over the N² points by a Hankel
+    view: about 4N Sellmeier evaluations. Each evaluation checks its set's
+    validity range, so a grid outside it fails before any N² work.
     """
-    _check_grid_in_range(crystal, grid)
     return phasematching_function(
-        grid.signal_omegas[:, None], grid.idler_omegas[None, :], crystal
+        grid.signal_omegas[:, None], grid.idler_omegas[None, :], crystal,
+        sums=grid.sum_omegas,
     )
 
 
 def _joint(pump: PumpSpec, phi: np.ndarray, grid: FrequencyGrid) -> JointAmplitude:
     """Normalized N·α·φ for a crystal factor from ``_crystal_factor``."""
-    alpha = pump_envelope(grid.signal_omegas[:, None], grid.idler_omegas[None, :], pump)
-    f = alpha * phi
+    f = spread_sums(_envelope(grid.sum_omegas, pump)) * phi
     norm = np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
     if not 0.0 < norm < math.inf:  # NaN-safe
         raise DegenerateInputError("joint amplitude vanishes or is not finite on the grid")
@@ -353,7 +370,21 @@ def gram_purity(jsa: JointAmplitude) -> float:
 
 
 def _gram(f: np.ndarray) -> np.ndarray:
-    return f @ f.conj().T
+    """FF† of a complex matrix in real arithmetic, exactly Hermitian.
+
+    With V = F viewed as reals (re, im interleaved per column), Re FF† = VVᵀ,
+    which numpy runs as one BLAS syrk, and Im FF† = P − Pᵀ with
+    P = Im F·(Re F)ᵀ, one real gemm: half the flops of the complex product,
+    and no more N² temporaries than its conjugate copy. A non-contiguous F,
+    such as the transposed idler arm, is copied contiguous first.
+    """
+    f = np.ascontiguousarray(f, dtype=complex)
+    v = f.view(np.float64)
+    p = np.ascontiguousarray(f.imag) @ np.ascontiguousarray(f.real).T
+    gram = np.empty((len(f), len(f)), dtype=complex)
+    gram.real = v @ v.T
+    np.subtract(p, p.T, out=gram.imag)
+    return gram
 
 
 def _gram_purity(f: np.ndarray, gram: np.ndarray) -> float:

@@ -93,22 +93,37 @@ class CrystalSpec:
         return self.poling_period_um * (1.0 + thermal.poling_expansion_per_c * dt)
 
 
-def unpoled_mismatch(axes: CrystalAxes, omega_s, omega_i, temperature_c: float):
-    """k_p(ωs+ωi) − k_s(ωs) − k_i(ωi) without the grating term, rad/µm."""
-    lam_s = angular_frequency_to_nm(omega_s)
-    lam_i = angular_frequency_to_nm(omega_i)
-    lam_p = angular_frequency_to_nm(np.asarray(omega_s) + np.asarray(omega_i))
+def spread_sums(values: np.ndarray) -> np.ndarray:
+    """The N × N zero-copy Hankel view of 2N − 1 values: entry [j, k] is values[j + k]."""
+    return np.lib.stride_tricks.sliding_window_view(values, (len(values) + 1) // 2)
+
+
+def unpoled_mismatch(axes: CrystalAxes, omega_s, omega_i, temperature_c: float, sums=None):
+    """k_p(ωs+ωi) − k_s(ωs) − k_i(ωi) without the grating term, rad/µm.
+
+    ``sums`` serves a grid: ωs an N-point column and ωi an N-point row with
+    one shared step, and ``sums`` the 2N − 1 sums ωs[j] + ωi[k] indexed by
+    j + k. k_p is then evaluated on those sums alone and spread over the
+    N × N points by ``spread_sums``. Without it, k_p is evaluated at
+    ωs + ωi on every point.
+    """
+    if sums is None:
+        lam_p = angular_frequency_to_nm(np.asarray(omega_s) + np.asarray(omega_i))
+        k_p = wavenumber(axes.pump, lam_p, temperature_c)
+    else:
+        k_p = spread_sums(wavenumber(axes.pump, angular_frequency_to_nm(sums), temperature_c))
     return (
-        wavenumber(axes.pump, lam_p, temperature_c)
-        - wavenumber(axes.signal, lam_s, temperature_c)
-        - wavenumber(axes.idler, lam_i, temperature_c)
+        k_p
+        - wavenumber(axes.signal, angular_frequency_to_nm(omega_s), temperature_c)
+        - wavenumber(axes.idler, angular_frequency_to_nm(omega_i), temperature_c)
     )
 
 
-def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i):
+def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i, sums=None):
     """ΔK including the compensating first-order grating term, rad/µm.
 
-    Accepts scalars or arrays in rad/fs; dispersion range errors
+    Accepts scalars or arrays in rad/fs, or a grid's axes with its sum
+    frequencies ``sums`` (see ``unpoled_mismatch``); dispersion range errors
     propagate. In the Λ → ∞ limit the result reduces to the unpoled
     mismatch.
 
@@ -117,7 +132,7 @@ def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i):
             negative at others, so no single grating order compensates it
             and a per-point order would jump ΔK by 4π/Λ.
     """
-    dk0 = unpoled_mismatch(crystal.axes, omega_s, omega_i, crystal.temperature_c)
+    dk0 = unpoled_mismatch(crystal.axes, omega_s, omega_i, crystal.temperature_c, sums)
     lo, hi = np.min(dk0), np.max(dk0)
     if lo < 0.0 < hi:
         raise InputError(

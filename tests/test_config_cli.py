@@ -89,6 +89,22 @@ class TestConfig:
         flagged = bp.default_config(dispersion_file=registry_path)
         assert flagged.crystal.axes.pump.formula == "constant"
 
+    @pytest.mark.parametrize("given_by", ["flag", "key"])
+    def test_relative_dispersion_file_base(self, tmp_path, monkeypatch, given_by):
+        # the flag is a path from the working directory, the key one from the config's
+        # directory; the registry in the other place is malformed
+        (tmp_path / "sub").mkdir()
+        good, bad = ("reg.yaml", "sub/reg.yaml") if given_by == "flag" else (
+            "sub/reg.yaml", "reg.yaml")
+        (tmp_path / good).write_text(yaml.safe_dump(CONSTANT_REGISTRY))
+        (tmp_path / bad).write_text("sets: 5\n")
+        key = "dispersion_file: reg.yaml\n" if given_by == "key" else ""
+        (tmp_path / "sub" / "run.yaml").write_text(MINIMAL + key)
+        monkeypatch.chdir(tmp_path)
+        flag = "reg.yaml" if given_by == "flag" else None
+        loaded = bp.load_config("sub/run.yaml", dispersion_file=flag)
+        assert loaded.crystal.axes.pump.formula == "constant"
+
     def test_default_profile_dcf_blocks_match_presets(self, default_config):
         # the profile spells the arms out as schema documentation; a config
         # without them gets the presets, so the two must not drift apart
@@ -316,6 +332,8 @@ COUNTS = ["efficiency", "--counts", IN]
 RECORDS = ["tomo", "reconstruct", "--in", IN]
 HOM_PAST_REVIVAL = ["hom", "--delays=0:40000:5000"]  # 2*pi/d_omega is 34961 fs
 CONFIG = ["--config", IN]
+REGISTRY = ["--dispersion-file", IN, "design"]
+CONSTANT_SET = "{name: ktp_y, formula: constant, coefficients: [1.7], valid_range_nm: [400, 2000]"
 NAN_PUMP_BANDWIDTH = (
     "pump:\n  center_wavelength_nm: 785.0\n  intensity_fwhm_bandwidth_nm: .nan\n"
     "crystal:\n  length_mm: 2.0\n  poling_period_um: 46.15\n"
@@ -358,6 +376,9 @@ def _with_input(command, path):
          "ConfigError"),
         ([*CONFIG, "design"], MINIMAL + "grid: {points_per_axis: 64.9}\n", "ConfigError"),
         ([*CONFIG, "design"], MINIMAL + "seed: 1.5\n", "ConfigError"),
+        (REGISTRY, "sets: 5\n", "ConfigError"),
+        (REGISTRY, "sets: [1]\n", "ConfigError"),
+        (REGISTRY, f"sets: [{CONSTANT_SET}, thermal: [1]}}]\n", "ConfigError"),
     ],
     ids=[
         "budget-unknown-key", "budget-not-yaml", "counts-not-numeric",
@@ -369,7 +390,8 @@ def _with_input(command, path):
         "config-filters-list", "config-seed-not-a-number", "config-bin-size-not-a-number",
         "config-dispersion-file-not-a-string", "config-dispersion-file-is-a-directory",
         "config-is-a-directory", "config-unknown-key", "config-fractional-points",
-        "config-fractional-seed",
+        "config-fractional-seed", "registry-sets-not-a-list", "registry-set-not-a-mapping",
+        "registry-thermal-not-a-mapping",
     ],
 )
 def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error):

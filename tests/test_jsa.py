@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import biphoton as bp
 from biphoton.errors import DegenerateInputError, EmptyResultError, InputError, SearchError
 from biphoton import jsa as jsa_mod
-from biphoton.jsa import gram_purity, pump_sigma, separable_gaussian_jsa
+from biphoton.jsa import _gram, gram_purity, pump_sigma, separable_gaussian_jsa
 from biphoton.units import nm_to_angular_frequency
 from conftest import svd_purity
 
@@ -40,6 +40,23 @@ class TestFrequencyGrid:
         grid = bp.FrequencyGrid(points_per_axis=32)
         steps = np.diff(grid.signal_omegas)
         assert np.allclose(steps, steps[0], rtol=0, atol=1e-15)
+
+    def test_degenerate_axes_unchanged(self):
+        grid = bp.FrequencyGrid(center_signal_nm=1570.0, center_idler_nm=1570.0,
+                                half_span_nm=60.0, points_per_axis=64)
+        axis = np.linspace(nm_to_angular_frequency(1630.0), nm_to_angular_frequency(1510.0), 64)
+        assert np.array_equal(grid.signal_omegas, axis)
+        assert np.array_equal(grid.idler_omegas, axis)
+        assert grid.d_omega_idler == grid.d_omega_signal == axis[1] - axis[0]
+
+    def test_sum_omegas_are_representative_pairs(self, small_grid):
+        ws, wi = small_grid.signal_omegas, small_grid.idler_omegas
+        sums = small_grid.sum_omegas
+        assert sums.shape == (127,)
+        assert sums[0] == ws[0] + wi[0] and sums[-1] == ws[-1] + wi[-1]
+        assert sums[70] == ws[63] + wi[7]
+        assert np.max(np.abs(sums[np.add.outer(np.arange(64), np.arange(64))]
+                             - np.add.outer(ws, wi))) <= 4e-16 * sums[-1]
 
 
 class TestPumpEnvelope:
@@ -159,7 +176,57 @@ class TestComputeJsa:
         )
         expected = f / np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
         jsa = bp.compute_jsa(default_config.pump, crystal, grid)
-        assert np.array_equal(jsa.amplitudes, expected)
+        # α and k_p are taken at one representative pair per sum frequency
+        assert np.max(np.abs(jsa.amplitudes - expected)) <= 2e-11 * np.max(np.abs(expected))
+
+    def test_pump_terms_equal_along_anti_diagonals(self, ktp, small_grid):
+        n = small_grid.points_per_axis
+        alpha = jsa_mod._joint(PUMP, np.ones((n, n), complex), small_grid).amplitudes
+        assert np.array_equal(alpha[1:, :-1], alpha[:-1, 1:])
+        # zero-index signal and idler sets leave k_p as the mismatch's only term
+        axes = bp.CrystalAxes(pump=ktp.pump, signal=bp.constant_index_set("s", 0.0),
+                              idler=bp.constant_index_set("i", 0.0))
+        crystal = bp.CrystalSpec(axes=axes, length_mm=2.0, poling_period_um=0.43)
+        f = bp.compute_jsa(PUMP, crystal, small_grid).amplitudes
+        assert np.array_equal(f[1:, :-1], f[:-1, 1:])
+
+
+class TestNonDegenerateGrid:
+    """A 1550 nm signal with its energy-conserving idler near 1590 nm."""
+
+    LAMBDA_I = 1.0 / (1.0 / 785.0 - 1.0 / 1550.0)
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return bp.FrequencyGrid(center_signal_nm=1550.0, center_idler_nm=self.LAMBDA_I,
+                                half_span_nm=40.0, points_per_axis=64)
+
+    @pytest.fixture(scope="class")
+    def crystal(self, ktp):
+        period = bp.solve_poling_period(785.0, 1550.0, self.LAMBDA_I, 20.0, ktp)
+        return bp.CrystalSpec(axes=ktp, length_mm=2.0, poling_period_um=period)
+
+    def test_idler_axis_shares_signal_step(self, grid):
+        ws, wi = grid.signal_omegas, grid.idler_omegas
+        shift = nm_to_angular_frequency(self.LAMBDA_I) - nm_to_angular_frequency(1550.0)
+        assert np.allclose(wi - ws, shift, rtol=0, atol=1e-15)
+        assert grid.d_omega_idler == grid.d_omega_signal
+        assert np.allclose(np.diff(wi), grid.d_omega_signal, rtol=0, atol=1e-15)
+        assert grid.cell_area == grid.d_omega_signal**2
+
+    def test_jsa_matches_brute_force(self, grid, crystal):
+        ws, wi = np.meshgrid(grid.signal_omegas, grid.idler_omegas, indexing="ij")
+        f = bp.pump_envelope(ws, wi, PUMP) * bp.phasematching_function(ws, wi, crystal)
+        expected = f / np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
+        jsa = bp.compute_jsa(PUMP, crystal, grid)
+        assert np.max(np.abs(jsa.amplitudes - expected)) <= 2e-11 * np.max(np.abs(expected))
+        # the ridge runs through the grid, not off its edge
+        peak = np.unravel_index(np.argmax(np.abs(expected)), expected.shape)
+        assert all(8 < i < 56 for i in peak)
+
+    def test_gram_purity_matches_svd(self, grid, crystal):
+        jsa = bp.compute_jsa(PUMP, crystal, grid)
+        assert abs(gram_purity(jsa) - svd_purity(jsa)) < 1e-12
 
 
 class TestGramPurity:
@@ -188,11 +255,25 @@ class TestGramPurity:
         cfg = default_config
         jsa = bp.compute_jsa(cfg.pump, cfg.crystal, small_grid)
         assert jsa.gram is jsa.gram
-        assert np.array_equal(jsa.gram, jsa.amplitudes @ jsa.amplitudes.conj().T)
+        assert np.array_equal(jsa.gram, _gram(jsa.amplitudes))
         with pytest.raises(ValueError):
             jsa.gram[0, 0] = 0.0
         with pytest.raises(FrozenInstanceError):
             jsa.amplitudes = 2.0 * jsa.amplitudes
+
+
+    @pytest.mark.parametrize("layout", ["paper", "random", "transposed", "wide"])
+    def test_real_arithmetic_gram_matches_complex_product(self, paper_jsa, layout):
+        rng = np.random.default_rng(7)
+        f = {
+            "paper": paper_jsa.amplitudes,
+            "random": rng.normal(size=(96, 96)) + 1j * rng.normal(size=(96, 96)),
+            "transposed": paper_jsa.amplitudes.T,
+            "wide": rng.normal(size=(40, 72)) + 1j * rng.normal(size=(40, 72)),
+        }[layout]
+        gram = _gram(f)
+        assert np.max(np.abs(gram - f @ f.conj().T)) <= 1e-15 * np.sum(np.abs(f) ** 2)
+        assert np.array_equal(gram, gram.conj().T)
 
 
 def test_separable_gaussian_underflow_rejected(small_grid):
