@@ -375,8 +375,9 @@ def _gram(f: np.ndarray) -> np.ndarray:
     With V = F viewed as reals (re, im interleaved per column), Re FF† = VVᵀ,
     which numpy runs as one BLAS syrk, and Im FF† = P − Pᵀ with
     P = Im F·(Re F)ᵀ, one real gemm: half the flops of the complex product,
-    and no more N² temporaries than its conjugate copy. A non-contiguous F,
-    such as the transposed idler arm, is copied contiguous first.
+    and for a contiguous F no more N² temporaries than its conjugate copy.
+    A non-contiguous F, such as the transposed idler arm, is copied
+    contiguous first, which costs one N² complex temporary more.
     """
     f = np.ascontiguousarray(f, dtype=complex)
     v = f.view(np.float64)
