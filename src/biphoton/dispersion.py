@@ -1,6 +1,6 @@
 """Crystal dispersion from configurable Sellmeier coefficient sets.
 
-Refractive index, wavenumber and inverse group velocity are evaluated from
+Refractive index, wavenumber and exact group delay are evaluated from
 named coefficient sets with optional temperature corrections. Coefficient
 sets are data, not code: the shipped KTP registry lives in
 ``data/ktp_dispersion.yaml`` and users may register their own sets or load
@@ -30,10 +30,7 @@ import numpy as np
 import yaml
 
 from .errors import ConfigError, InputError, WavelengthRangeError
-from .units import angular_frequency_to_nm, nm_to_angular_frequency
-
-#: Default finite-difference step for group-delay derivatives, rad/fs.
-DEFAULT_FD_STEP = 1e-4
+from .units import C_UM_PER_FS
 
 _FORMULAS = ("sellmeier_poles_quadratic", "constant")
 
@@ -51,17 +48,17 @@ class ThermalModel:
     poling_expansion_per_c: float = 0.0
 
     def index_correction(self, wavelength_um, delta_t):
+        """(Δn, λ·dΔn/dλ) at λ in µm and ΔT in °C."""
         inv = 1.0 / np.asarray(wavelength_um, dtype=float)
-        n1 = _inverse_poly(self.first_order, inv)
-        n2 = _inverse_poly(self.second_order, inv)
-        return n1 * delta_t + n2 * delta_t**2
+        first, second = _inverse_poly(self.first_order, inv), _inverse_poly(self.second_order, inv)
+        return tuple(n1 * delta_t + n2 * delta_t**2 for n1, n2 in zip(first, second))
 
 
 def _inverse_poly(coeffs, inv_lambda):
-    total = np.zeros_like(inv_lambda)
-    for m, a in enumerate(coeffs):
-        total = total + a * inv_lambda**m
-    return total
+    """(Σ aₘλ⁻ᵐ, its λ·d/dλ = −Σ m·aₘλ⁻ᵐ), each summed from m = 0 up."""
+    terms = [a * inv_lambda**m for m, a in enumerate(coeffs)]
+    zero = np.zeros_like(inv_lambda)
+    return sum(terms, zero), sum((-m * term for m, term in enumerate(terms)), zero)
 
 
 @dataclass(frozen=True)
@@ -97,18 +94,32 @@ class SellmeierSet:
             )
 
 
-def _index_at_reference(sset: SellmeierSet, wavelength_um):
+def _index(sset: SellmeierSet, wavelength_nm, temperature_c: float):
+    """(n, λ·dn/dλ) at λ in nm after one range check, both in closed form.
+
+    Each pole term Bₖ/(1 − Cₖ/λ²) adds −2Cₖ·term/(λ² − Cₖ) to λ·d(n²)/dλ.
+    """
+    sset.check_range(wavelength_nm)
+    lam_um = np.asarray(wavelength_nm, dtype=float) / 1000.0
     c = sset.coefficients
     if sset.formula == "constant":
-        return np.broadcast_to(c[0], np.shape(wavelength_um)).astype(float) \
-            if np.ndim(wavelength_um) else c[0]
-    # sellmeier_poles_quadratic: [c0, B1, C1, ..., Bm, Cm, D]
-    lam2 = np.asarray(wavelength_um, dtype=float) ** 2
-    n2 = c[0] + np.zeros_like(lam2)
-    for b, pole in zip(c[1:-1:2], c[2:-1:2]):
-        n2 = n2 + b / (1.0 - pole / lam2)
-    n2 = n2 - c[-1] * lam2
-    return np.sqrt(n2)
+        n, lam_dn = np.full(np.shape(lam_um), c[0]), np.zeros(np.shape(lam_um))
+    else:
+        # sellmeier_poles_quadratic: [c0, B1, C1, ..., Bm, Cm, D]
+        lam2 = lam_um**2
+        n2 = c[0] + np.zeros_like(lam2)
+        lam_dn2 = -2.0 * c[-1] * lam2  # λ·d(n²)/dλ
+        for b, pole in zip(c[1:-1:2], c[2:-1:2]):
+            term = b / (1.0 - pole / lam2)
+            n2 = n2 + term
+            lam_dn2 = lam_dn2 - 2.0 * pole * term / (lam2 - pole)
+        n = np.sqrt(n2 - c[-1] * lam2)
+        lam_dn = lam_dn2 / (2.0 * n)
+    delta_t = temperature_c - sset.reference_temperature_c
+    if sset.thermal is not None and delta_t != 0.0:
+        dn, lam_ddn = sset.thermal.index_correction(lam_um, delta_t)
+        n, lam_dn = n + dn, lam_dn + lam_ddn
+    return n, lam_dn
 
 
 def refractive_index(sset: SellmeierSet, wavelength_nm, temperature_c: float = 20.0):
@@ -121,38 +132,24 @@ def refractive_index(sset: SellmeierSet, wavelength_nm, temperature_c: float = 2
     Raises:
         WavelengthRangeError: wavelength outside the set's validity range.
     """
-    sset.check_range(wavelength_nm)
-    lam_um = np.asarray(wavelength_nm, dtype=float) / 1000.0
-    n = _index_at_reference(sset, lam_um)
-    if sset.thermal is not None and temperature_c != sset.reference_temperature_c:
-        n = n + sset.thermal.index_correction(
-            lam_um, temperature_c - sset.reference_temperature_c
-        )
+    n, _ = _index(sset, wavelength_nm, temperature_c)
     return n if np.ndim(wavelength_nm) else float(n)
 
 
 def wavenumber(sset: SellmeierSet, wavelength_nm, temperature_c: float = 20.0):
     """Wavenumber k = 2π·n(λ, T)/λ in rad/µm."""
-    n = refractive_index(sset, wavelength_nm, temperature_c)
+    n, _ = _index(sset, wavelength_nm, temperature_c)
     return 2.0 * np.pi * n / (np.asarray(wavelength_nm, dtype=float) / 1000.0)
 
 
-def inverse_group_velocity(
-    sset: SellmeierSet,
-    wavelength_nm,
-    temperature_c: float = 20.0,
-    step_rad_fs: float = DEFAULT_FD_STEP,
-):
-    """Group delay per unit length k' = ∂k/∂ω in fs/µm.
+def inverse_group_velocity(sset: SellmeierSet, wavelength_nm, temperature_c: float = 20.0):
+    """Group delay per unit length k' = ∂k/∂ω = (n − λ·dn/dλ)/c in fs/µm.
 
-    Central finite difference in angular frequency with the documented
-    default step; positive for normal dispersion. The ±step neighbourhood
-    must stay inside the set's validity range.
+    Exact at every wavelength of the set's validity range, edges included;
+    positive for normal dispersion.
     """
-    omega = nm_to_angular_frequency(wavelength_nm)
-    k_hi = wavenumber(sset, angular_frequency_to_nm(omega + step_rad_fs), temperature_c)
-    k_lo = wavenumber(sset, angular_frequency_to_nm(omega - step_rad_fs), temperature_c)
-    return (k_hi - k_lo) / (2.0 * step_rad_fs)
+    n, lam_dn = _index(sset, wavelength_nm, temperature_c)
+    return (n - lam_dn) / C_UM_PER_FS
 
 
 def group_velocity(sset: SellmeierSet, wavelength_nm, temperature_c: float = 20.0):

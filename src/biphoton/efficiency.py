@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 from .errors import InputError
@@ -23,10 +24,10 @@ class CountSummary:
 
     def __post_init__(self):
         for name in ("singles_signal", "singles_idler", "coincidences", "accidental_rate"):
-            if getattr(self, name) < 0:
-                raise InputError(f"{name} must be non-negative")
-        if self.integration_time_s <= 0:
-            raise InputError("integration_time_s must be positive")
+            if not 0.0 <= getattr(self, name) < math.inf:  # NaN-safe
+                raise InputError(f"{name} must be non-negative and finite")
+        if not 0.0 < self.integration_time_s < math.inf:  # NaN-safe
+            raise InputError("integration_time_s must be positive and finite")
         corrected = self.coincidences - self.accidental_rate
         if corrected > min(self.singles_signal, self.singles_idler):
             raise InputError(

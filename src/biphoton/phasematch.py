@@ -204,11 +204,6 @@ def gvm_angle(
     kp_i = inverse_group_velocity(axes.idler, lambda_i_nm, temperature_c)
     num = kp_s - kp_p
     den = kp_p - kp_i
-    # group delays carry finite-difference rounding noise around 1e-11;
-    # snap differences below 1e-9 of the group-delay scale to exact zero
-    floor = 1e-9 * max(abs(kp_p), abs(kp_s), abs(kp_i))
-    num = 0.0 if abs(num) < floor else num
-    den = 0.0 if abs(den) < floor else den
     if num == 0.0 and den == 0.0:
         raise UndefinedOrientationError(
             "k'_s = k'_p = k'_i: ridge orientation is undefined"
@@ -246,7 +241,7 @@ def gvm_degenerate_wavelength(
     lo, hi = window_nm
     probes = np.linspace(lo, hi, 5)
     residuals = [_gvm_residual(axes, lam, temperature_c) for lam in probes]
-    # below the finite-difference noise floor the condition holds identically
+    # residuals of a few ulp of k'_p (~1e-15 fs/um) are rounding: GVM holds everywhere
     if all(abs(r) < 1e-9 for r in residuals):
         raise DegenerateInputError(
             "group velocity matching holds at every probe wavelength; "

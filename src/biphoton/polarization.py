@@ -148,6 +148,8 @@ def simulate_tomography(
     """
     if mean_counts_per_setting < 1:
         raise InputError("mean_counts_per_setting must be at least 1")
+    if not mean_counts_per_setting <= 9e18:  # NaN-safe; numpy's Poisson limit is ~9.2e18
+        raise InputError("mean_counts_per_setting must be at most 9e18 (Poisson sampler limit)")
     rng = np.random.default_rng(seed)
     records = []
     for label_a, label_b in settings:

@@ -137,6 +137,8 @@ def simulate_jsi_histogram(
         raise InputError("bin_size_ns must be positive and finite")
     if total_pairs < 1:
         raise InputError("total_pairs must be at least 1")
+    if not total_pairs <= 2**63 - 1:  # NaN-safe; the multinomial sampler counts in int64
+        raise InputError("total_pairs must be at most 2**63 - 1 (multinomial sampler limit)")
     window_ns = pump.pulse_period_ns
     n_bins = int(np.ceil(window_ns / bin_size_ns))
     edges = np.arange(n_bins + 1) * bin_size_ns

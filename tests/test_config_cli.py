@@ -352,6 +352,9 @@ def _with_input(command, path):
         (COUNTS, "38000.0,n/a,24300.0\n", "InputError"),
         (COUNTS, "singles_signal,singles_idler,coincidences\n0.0,0.0,0.0\n",
          "DegenerateInputError"),
+        (COUNTS, "38000.0,nan,24300.0\n", "InputError"),
+        (["tomo", "simulate", "--mean-counts", "100000000000000000000"], None, "InputError"),
+        (["spectro", "simulate", "--pairs", "100000000000000000000"], None, "InputError"),
         (RECORDS, "setting_a,setting_b,counts,integration_s\nH,H,12.5,1.0\n", "InputError"),
         (RECORDS, None, "InputError"),  # the file does not exist
         (HOM_PAST_REVIVAL, None, "InputError"),
@@ -382,7 +385,8 @@ def _with_input(command, path):
     ],
     ids=[
         "budget-unknown-key", "budget-not-yaml", "counts-not-numeric",
-        "counts-zero-singles", "tomo-fractional-count", "tomo-missing-in",
+        "counts-zero-singles", "counts-nan-singles", "tomo-mean-counts-past-poisson-limit",
+        "spectro-pairs-past-int64", "tomo-fractional-count", "tomo-missing-in",
         "hom-delay-past-revival", "hom-delay-nan", "hom-delay-inf", "hom-filter-nan",
         "config-nan-bandwidth-hom", "config-nan-bandwidth-spectro",
         "hom-delay-count-past-int64", "hom-delay-count-past-memory",

@@ -10,7 +10,9 @@ from biphoton.errors import ConfigError, InputError, WavelengthRangeError
 from biphoton.units import C_UM_PER_FS
 
 
-def hand_index_ktp_z(lam_um: float) -> float:
+# The hand oracles accept complex λ (np.sqrt rounds reals as math.sqrt does),
+# so hand_group_delay can differentiate them by complex step.
+def hand_index_ktp_z(lam_um):
     """Independent oracle: the z-axis polynomial written out literally."""
     n2 = (
         2.12725
@@ -18,19 +20,39 @@ def hand_index_ktp_z(lam_um: float) -> float:
         + 0.6603 / (1.0 - 100.00507 / lam_um**2)
         - 0.00968956 * lam_um**2
     )
-    return math.sqrt(n2)
+    return np.sqrt(n2)
 
 
-def hand_index_ktp_y(lam_um: float) -> float:
+def hand_index_ktp_y(lam_um):
     n2 = 2.09930 + 0.922683 / (1.0 - 0.0467695 / lam_um**2) - 0.0138408 * lam_um**2
-    return math.sqrt(n2)
+    return np.sqrt(n2)
 
 
-def hand_thermal_z(lam_um: float, temperature_c: float) -> float:
+def hand_thermal_z(lam_um, temperature_c: float):
     dt = temperature_c - 25.0
     n1 = (9.9587 + 9.9228 / lam_um - 8.9603 / lam_um**2 + 4.1010 / lam_um**3) * 1e-6
     n2 = (-1.1882 + 10.459 / lam_um - 9.8136 / lam_um**2 + 3.1481 / lam_um**3) * 1e-6
     return n1 * dt + n2 * dt**2
+
+
+def hand_thermal_y(lam_um, temperature_c: float):
+    dt = temperature_c - 25.0
+    n1 = (6.2897 + 6.3061 / lam_um - 6.0629 / lam_um**2 + 2.6486 / lam_um**3) * 1e-6
+    n2 = (-0.14445 + 2.2244 / lam_um - 3.5770 / lam_um**2 + 1.3470 / lam_um**3) * 1e-6
+    return n1 * dt + n2 * dt**2
+
+
+HAND_INDEX = {
+    "ktp_y": lambda lam, t: hand_index_ktp_y(lam) + hand_thermal_y(lam, t),
+    "ktp_z": lambda lam, t: hand_index_ktp_z(lam) + hand_thermal_z(lam, t),
+}
+
+
+def hand_group_delay(name: str, lam_nm: float, temperature_c: float) -> float:
+    """k' = (n − λ·dn/dλ)/c with dn/dλ by complex step (no subtraction error)."""
+    lam, h = lam_nm / 1000.0, 1e-20
+    dn = HAND_INDEX[name](complex(lam, h), temperature_c).imag / h
+    return (HAND_INDEX[name](lam, temperature_c) - lam * dn) / C_UM_PER_FS
 
 
 class TestRefractiveIndex:
@@ -100,10 +122,7 @@ class TestWavenumber:
 class TestInverseGroupVelocity:
     def test_dispersionless_analytic_limit(self):
         sset = bp.constant_index_set("n15", 1.5)
-        expected = 1.5 / C_UM_PER_FS
-        assert np.isclose(
-            bp.inverse_group_velocity(sset, 1500.0, 20.0), expected, rtol=0, atol=1e-9
-        )
+        assert bp.inverse_group_velocity(sset, 1500.0, 20.0) == 1.5 / C_UM_PER_FS
 
     def test_gvm_condition_at_solved_wavelength(self, ktp):
         lam = bp.gvm_degenerate_wavelength(ktp, 20.0)
@@ -112,23 +131,53 @@ class TestInverseGroupVelocity:
         kp_i = bp.inverse_group_velocity(ktp.idler, lam, 20.0)
         assert abs(kp_p - 0.5 * (kp_s + kp_i)) < 1e-8
 
-    @given(fraction=st.floats(min_value=0.0, max_value=1.0))
-    def test_step_halving_self_consistency(self, fraction):
-        # sampled across each shipped set's full validity range
+    @given(
+        fraction=st.floats(min_value=0.0, max_value=1.0),
+        temperature_c=st.sampled_from([20.0, 60.0]),
+    )
+    def test_matches_complex_step_of_hand_oracle(self, fraction, temperature_c):
+        # sampled across each shipped set's full validity range, edges included
         for sset in (bp.ktp_axes().signal, bp.ktp_axes().idler):
             lo, hi = sset.valid_range_nm
-            lam = (lo + 1.0) + fraction * (hi - lo - 2.0)
-            full = bp.inverse_group_velocity(sset, lam, 20.0, step_rad_fs=1e-4)
-            half = bp.inverse_group_velocity(sset, lam, 20.0, step_rad_fs=5e-5)
-            assert abs(full - half) / abs(half) < 1e-6
+            lam = min(lo + fraction * (hi - lo), hi)
+            expected = hand_group_delay(sset.name, lam, temperature_c)
+            got = bp.inverse_group_velocity(sset, lam, temperature_c)
+            assert abs(got - expected) <= 1e-12 * abs(expected)
 
     def test_positive_for_normal_dispersion(self, ktp):
         for lam in (800.0, 1200.0, 1600.0):
             assert bp.inverse_group_velocity(ktp.idler, lam, 20.0) > 0
 
-    def test_neighborhood_escaping_range_raises(self, ktp):
+    def test_range_edge_evaluates_and_beyond_raises(self, ktp):
+        assert bp.inverse_group_velocity(ktp.idler, 1800.0, 20.0) > 0
         with pytest.raises(WavelengthRangeError):
-            bp.inverse_group_velocity(ktp.idler, 1800.0, 20.0)
+            bp.inverse_group_velocity(ktp.idler, np.nextafter(1800.0, np.inf), 20.0)
+
+
+class TestGvmAgainstHandDelays:
+    """``design``'s GVM figures against the hand oracle's complex-step delays."""
+
+    @pytest.mark.parametrize("temperature_c", [20.0, 60.0])
+    def test_gvm_angle(self, ktp, temperature_c):
+        kp_p, kp_s, kp_i = (
+            hand_group_delay(sset.name, lam, temperature_c)
+            for sset, lam in ((ktp.pump, 785.0), (ktp.signal, 1570.0), (ktp.idler, 1570.0))
+        )
+        expected = math.degrees(math.atan2(kp_s - kp_p, kp_p - kp_i))
+        angle = bp.gvm_angle(785.0, 1570.0, 1570.0, ktp, temperature_c)
+        assert abs(angle - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("temperature_c", [20.0, 60.0])
+    def test_gvm_wavelength_brackets_hand_root(self, ktp, temperature_c):
+        def residual(lam):
+            return hand_group_delay(ktp.pump.name, lam / 2.0, temperature_c) - 0.5 * (
+                hand_group_delay(ktp.signal.name, lam, temperature_c)
+                + hand_group_delay(ktp.idler.name, lam, temperature_c)
+            )
+
+        lam = bp.gvm_degenerate_wavelength(ktp, temperature_c)
+        # the bisection stops once its bracket is 1e-6 nm wide
+        assert residual(lam - 1e-6) * residual(lam + 1e-6) < 0.0
 
 
 class TestRegistry:

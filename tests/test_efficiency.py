@@ -32,6 +32,16 @@ class TestKlyshko:
         assert bp.klyshko(raw)[0] == pytest.approx(0.64)
         assert bp.klyshko(corrected)[0] == pytest.approx(0.60)
 
+    @pytest.mark.parametrize(
+        "field", ["singles_signal", "singles_idler", "coincidences", "accidental_rate",
+                  "integration_time_s"],
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rates_rejected(self, field, value):
+        fields = {"singles_signal": 1000.0, "singles_idler": 1000.0, "coincidences": 640.0}
+        with pytest.raises(InputError, match=field):
+            bp.CountSummary(**{**fields, field: value})
+
     def test_invariant_coincidences_bounded(self):
         with pytest.raises(InputError):
             bp.CountSummary(singles_signal=100, singles_idler=500, coincidences=200)

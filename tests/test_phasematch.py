@@ -160,6 +160,17 @@ class TestGvmAngle:
         )
         assert bp.gvm_angle(785.0, 1570.0, 1570.0, axes, 20.0) == 0.0
 
+    def test_constant_sets_give_exact_diagonal(self):
+        # k'_s − k'_p = k'_p − k'_i = −0.1/c: the ridge points along −135°
+        axes = bp.CrystalAxes(
+            pump=bp.constant_index_set("p", 2.0),
+            signal=bp.constant_index_set("s", 1.9),
+            idler=bp.constant_index_set("i", 2.1),
+        )
+        assert bp.gvm_angle(785.0, 1570.0, 1570.0, axes, 20.0) == pytest.approx(
+            -135.0, rel=0.0, abs=1e-12
+        )
+
     def test_undefined_orientation(self):
         flat = bp.constant_index_set("f", 2.0)
         axes = bp.CrystalAxes(pump=flat, signal=flat, idler=flat)
@@ -191,6 +202,16 @@ class TestGvmDegenerateWavelength:
     def test_dispersionless_axes_degenerate(self):
         flat = bp.constant_index_set("f", 1.8)
         axes = bp.CrystalAxes(pump=flat, signal=flat, idler=flat)
+        with pytest.raises(DegenerateInputError):
+            bp.gvm_degenerate_wavelength(axes, 20.0)
+
+    def test_mean_index_pump_is_degenerate(self):
+        # n_p = (n_s + n_i)/2 holds at every wavelength; rounding leaves ulp residuals
+        axes = bp.CrystalAxes(
+            pump=bp.constant_index_set("p", 1.8),
+            signal=bp.constant_index_set("s", 1.7),
+            idler=bp.constant_index_set("i", 1.9),
+        )
         with pytest.raises(DegenerateInputError):
             bp.gvm_degenerate_wavelength(axes, 20.0)
 
