@@ -22,7 +22,7 @@ import numpy as np
 import yaml
 
 from . import interference, jsa as jsa_mod, polarization, spectrometer
-from .config import RunConfig, config_digest, default_config, load_config
+from .config import RunConfig, check_seed, config_digest, default_config, load_config
 from .efficiency import CountSummary, LossBudget, klyshko, predict_heralding
 from .errors import BiphotonError, DegenerateInputError, InputError
 from .jsa import FilterSpec
@@ -299,6 +299,7 @@ def cmd_tomo_reconstruct(args, config: RunConfig) -> int:
 def cmd_spectro(args, config: RunConfig) -> int:
     amplitude = jsa_mod.compute_jsa(config.pump, config.crystal, config.grid)
     seed = args.spectro_seed if args.spectro_seed is not None else config.seed
+    check_seed(seed)  # the subcommand's --seed enters here, not through the config
     histogram = spectrometer.simulate_jsi_histogram(
         amplitude,
         config.signal_dcf,

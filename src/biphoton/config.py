@@ -18,7 +18,7 @@ from pathlib import Path
 import yaml
 
 from .dispersion import CrystalAxes, builtin_registry, load_registry
-from .errors import ConfigError
+from .errors import ConfigError, InputError
 from .jsa import FilterSpec, FrequencyGrid
 from .phasematch import CrystalSpec, PumpSpec
 from .spectrometer import DEFAULT_BIN_NS, DcfSpec, idler_arm_preset, signal_arm_preset
@@ -45,6 +45,15 @@ class RunConfig:
     seed: int = 0
     output_dir: str = "out"
     dispersion_file: str | None = None
+
+    def __post_init__(self):
+        check_seed(self.seed)
+
+
+def check_seed(seed: int) -> None:
+    """Raise InputError for a negative seed, which numpy's generators reject."""
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
 
 
 #: converter for each field annotation. Float fields coerce, because PyYAML

@@ -65,11 +65,13 @@ def heralded_spectral_state(
     the correspondingly filtered joint amplitude. The returned state is
     not revalidated: ρ is valid by construction.
 
-    The unfiltered signal arm scales ``jsa.gram`` into a fresh array, so a
-    purity and a herald of one amplitude share one Gram product (the Gram
-    stays cached on the amplitude, N²·16 bytes); the idler arm and a herald
-    filter form their own with the same ``_gram``. The density never shares
-    memory with the cached Gram.
+    ρ = G / Re Tr G for the Gram G = FF†, in one pass: the herald step Δω_h
+    scales G and its trace alike and cancels. The unfiltered signal arm
+    divides ``jsa.gram`` into a fresh array, so a purity and a herald of one
+    amplitude share one Gram product (the Gram stays cached on the
+    amplitude, N²·16 bytes); the idler arm and a herald filter form their
+    own with the same ``_gram``. The density never shares memory with the
+    cached Gram.
     """
     if not jsa.normalized:
         raise InputError("heralded_spectral_state requires a normalized joint amplitude")
@@ -78,26 +80,22 @@ def heralded_spectral_state(
         f = jsa.amplitudes
         herald_lam = grid.idler_wavelengths_nm
         omegas = grid.signal_omegas
-        d_herald = grid.d_omega_idler
     elif heralded_arm == "idler":
         f = jsa.amplitudes.T
         herald_lam = grid.signal_wavelengths_nm
         omegas = grid.idler_omegas
-        d_herald = grid.d_omega_signal
     else:
         raise InputError(f"heralded_arm must be 'signal' or 'idler', got {heralded_arm!r}")
     if herald_filter is not None:
         f = f * np.sqrt(herald_filter.transmission(herald_lam))[None, :]
     # f is the amplitude matrix itself only on the unfiltered signal arm, whose
-    # FF† the amplitude caches; ``gram * d_herald`` is a fresh array either way.
+    # FF† the amplitude caches; ``gram / trace`` is a fresh array either way.
     gram = jsa.gram if f is jsa.amplitudes else _gram(f)
-    rho = gram * d_herald
-    trace = float(np.real(np.trace(rho)))
+    trace = float(np.real(np.trace(gram)))
     if not trace > 0.0:  # NaN-safe
         raise DegenerateInputError("heralded state has zero or non-finite trace")
-    rho /= trace
-    # FF†Δω over its real trace is Hermitian, PSD and unit-trace by construction.
-    return built_valid(SpectralState, omegas=omegas, density=rho)
+    # FF† over its real trace is Hermitian, PSD and unit-trace by construction.
+    return built_valid(SpectralState, omegas=omegas, density=gram / trace)
 
 
 def _check_shared_axis(a: SpectralState, b: SpectralState) -> None:

@@ -6,7 +6,10 @@ on a signal × idler grid that is uniform in angular frequency with one step
 Δω on both axes. The pump envelope α and the pump wavenumber k_p depend on
 ωs + ωi alone, so they are evaluated on the grid's 2N − 1 sum frequencies
 and spread over the N² points by a zero-copy Hankel view; only k_s and k_i
-and the sinc itself are per-axis or per-point. Schmidt analysis of the
+and the sinc itself are per-axis or per-point. The phase-matching
+amplitude takes one sin and one cos of x = ΔK·L/2 per point, written into
+one complex array. Every Σ|f|² (norms, survivals, purity sums) is one dot
+of the array's float64 view. Schmidt analysis of the
 discretised amplitude yields the heralded spectral purity, computed in the
 Gram form without an SVD from the amplitude's cached FF† (formed in real
 arithmetic, and reused by the signal-arm herald); the Schmidt coefficients
@@ -164,7 +167,7 @@ class JointAmplitude:
                 )
 
     def total_probability(self) -> float:
-        return float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.cell_area)
+        return _sum_sq(self.amplitudes) * self.grid.cell_area
 
     @property
     def intensity(self) -> np.ndarray:
@@ -257,12 +260,26 @@ def pump_sigma(pump: PumpSpec) -> float:
 
 
 def phasematching_function(omega_s, omega_i, crystal: CrystalSpec, sums=None):
-    """sinc(LΔK/2)·exp(−iLΔK/2) on the given frequencies, |φ| ≤ 1.
+    """sinc(x)·exp(−ix) with x = ΔK·L/2 on the given frequencies, |φ| ≤ 1.
 
-    ``sums`` are a grid's sum frequencies, as in ``unpoled_mismatch``.
+    One pass each of sin x and cos x: φ = cos x·sinc x − i·sin x·sinc x with
+    sinc x = sin x / x, and exactly 1 where x == 0. Both parts are written
+    into one complex array; a scalar input gives a scalar. ``sums`` are a
+    grid's sum frequencies, as in ``unpoled_mismatch``.
     """
-    x = crystal.length_um * phase_mismatch(crystal, omega_s, omega_i, sums) / 2.0
-    return np.sinc(x / np.pi) * np.exp(-1j * x)
+    dk = phase_mismatch(crystal, omega_s, omega_i, sums)
+    x = np.atleast_1d(dk)  # phase_mismatch returns a fresh array: scaled in place
+    x *= crystal.length_um / 2.0
+    phi = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=phi.real)
+    sinc = np.sin(x)
+    np.negative(sinc, out=phi.imag)
+    zero = x == 0.0
+    sinc[zero] = x[zero] = 1.0  # 1/1 where x == 0: no 0/0, no warning
+    sinc /= x
+    phi.real *= sinc
+    phi.imag *= sinc
+    return phi if np.ndim(dk) else phi[0]
 
 
 def _crystal_factor(crystal: CrystalSpec, grid: FrequencyGrid) -> np.ndarray:
@@ -282,11 +299,12 @@ def _crystal_factor(crystal: CrystalSpec, grid: FrequencyGrid) -> np.ndarray:
 def _joint(pump: PumpSpec, phi: np.ndarray, grid: FrequencyGrid) -> JointAmplitude:
     """Normalized N·α·φ for a crystal factor from ``_crystal_factor``."""
     f = spread_sums(_envelope(grid.sum_omegas, pump)) * phi
-    norm = np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
+    norm = math.sqrt(_sum_sq(f) * grid.cell_area)
     if not 0.0 < norm < math.inf:  # NaN-safe
         raise DegenerateInputError("joint amplitude vanishes or is not finite on the grid")
-    # Divided by the norm just summed, so unit norm without a second pass.
-    return built_valid(JointAmplitude, grid=grid, amplitudes=f / norm)
+    # Divided in place by the norm just summed, so unit norm without a second pass.
+    f /= norm
+    return built_valid(JointAmplitude, grid=grid, amplitudes=f)
 
 
 def compute_jsa(pump: PumpSpec, crystal: CrystalSpec, grid: FrequencyGrid) -> JointAmplitude:
@@ -315,24 +333,31 @@ def apply_filter(
     √(Σ|f|²·Δωs·Δωi) instead, so the output is normalized either way.
 
     Raises:
+        DegenerateInputError: the input has zero or non-finite weight.
         EmptyResultError: a filter removes all spectral weight.
     """
     f = jsa.amplitudes
-    base = np.sum(np.abs(f) ** 2)
+    base = _sum_sq(f)
+    if not 0.0 < base < math.inf:  # NaN-safe
+        raise DegenerateInputError("joint amplitude with zero or non-finite weight")
     survival_s = survival_i = None
     if signal_filter is not None:
         amp_s = np.sqrt(signal_filter.transmission(jsa.grid.signal_wavelengths_nm))
         f = f * amp_s[:, None]
-        survival_s = float(np.sum(np.abs(f) ** 2) / base)
+        survival_s = _sum_sq(f) / base
     if idler_filter is not None:
-        amp_i = np.sqrt(idler_filter.transmission(jsa.grid.idler_wavelengths_nm))
-        survival_i = float(np.sum(np.abs(jsa.amplitudes * amp_i[None, :]) ** 2) / base)
-        f = f * amp_i[None, :]
-    kept = np.sum(np.abs(f) ** 2)
-    total = float(kept / base)
+        t_i = idler_filter.transmission(jsa.grid.idler_wavelengths_nm)
+        # Σ_k T_k·Σ_j |f_jk|² from the column sums of the unfiltered |f|²
+        # (re and im columns of the float64 view), with no filtered copy.
+        v = np.ascontiguousarray(jsa.amplitudes, dtype=complex).view(np.float64)
+        columns = np.einsum("jc,jc->c", v, v)
+        survival_i = float(t_i @ (columns[0::2] + columns[1::2]) / base)
+        f = f * np.sqrt(t_i)[None, :]
+    kept = _sum_sq(f)
+    total = kept / base
     if not total > 0.0:  # NaN-safe
         raise EmptyResultError("filter pass-band does not overlap the grid")
-    norm = np.sqrt(total) if jsa.normalized else np.sqrt(kept * jsa.grid.cell_area)
+    norm = math.sqrt(total) if jsa.normalized else math.sqrt(kept * jsa.grid.cell_area)
     # Unit norm: the input's own (checked) norm, or the one just summed.
     return built_valid(
         JointAmplitude,
@@ -389,12 +414,25 @@ def _gram(f: np.ndarray) -> np.ndarray:
 
 
 def _gram_purity(f: np.ndarray, gram: np.ndarray) -> float:
-    weight = np.sum(np.abs(f) ** 2)
-    if not (np.isfinite(weight) and weight > 0.0):
+    weight = _sum_sq(f)
+    if not 0.0 < weight < math.inf:  # NaN-safe
         raise DegenerateInputError(
             "joint amplitude with zero or non-finite weight has no Schmidt spectrum"
         )
-    return float(np.sum(np.abs(gram) ** 2) / weight**2)
+    return _sum_sq(gram) / (weight * weight)
+
+
+def _sum_sq(f: np.ndarray) -> float:
+    """Σ|f|² as one dot of the float64 view of f (re and im interleaved).
+
+    A C- or F-contiguous f, such as a transposed amplitude, is read in
+    place; another layout is copied first. numpy's own einsum loop forms the
+    dot, not a BLAS ddot: BLAS splits a long dot over its threads, so its
+    sum would depend on the thread count, and the normalized amplitudes
+    written to CSV must not. NaN or inf in f gives NaN or inf.
+    """
+    v = np.ravel(np.asarray(f, dtype=complex), order="K").view(np.float64)
+    return float(np.einsum("i,i->", v, v))
 
 
 @dataclass(frozen=True)
@@ -543,8 +581,9 @@ def separable_gaussian_jsa(
         -((ws + wi - center_sum) ** 2) / sum_sigma**2
         - ((ws - wi - center_diff) ** 2) / diff_sigma**2
     ).astype(complex)
-    norm = np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell_area)
+    norm = math.sqrt(_sum_sq(f) * grid.cell_area)
     if not norm > 0.0:  # NaN-safe
         raise DegenerateInputError("separable amplitude vanishes on the whole grid")
-    # Divided by the norm just summed, so unit norm without a second pass.
-    return built_valid(JointAmplitude, grid=grid, amplitudes=f / norm)
+    # Divided in place by the norm just summed, so unit norm without a second pass.
+    f /= norm
+    return built_valid(JointAmplitude, grid=grid, amplitudes=f)

@@ -11,6 +11,7 @@ factorization ρ = TT†/Tr(TT†).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -63,6 +64,8 @@ def model_state(
         raise InputError("depolarization must be in [0, 1]")
     if not 0.0 <= amplitude_imbalance <= 1.0:
         raise InputError("amplitude_imbalance must be in [0, 1]")
+    if not math.isfinite(phase_error_rad):
+        raise InputError(f"phase_error_rad must be finite, got {phase_error_rad!r}")
     ket = np.zeros(4, dtype=complex)
     ket[1] = 1.0
     ket[2] = -(1.0 - amplitude_imbalance) * np.exp(1j * phase_error_rad)

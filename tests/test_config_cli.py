@@ -355,6 +355,10 @@ def _with_input(command, path):
         (COUNTS, "38000.0,nan,24300.0\n", "InputError"),
         (["tomo", "simulate", "--mean-counts", "100000000000000000000"], None, "InputError"),
         (["spectro", "simulate", "--pairs", "100000000000000000000"], None, "InputError"),
+        (["--seed", "-5", "tomo", "simulate"], None, "InputError"),
+        (["spectro", "simulate", "--pairs", "1000", "--seed", "-1"], None, "InputError"),
+        ([*CONFIG, "tomo", "simulate"], MINIMAL + "seed: -3\n", "InputError"),
+        (["tomo", "simulate", "--phase-error", "nan"], None, "InputError"),
         (RECORDS, "setting_a,setting_b,counts,integration_s\nH,H,12.5,1.0\n", "InputError"),
         (RECORDS, None, "InputError"),  # the file does not exist
         (HOM_PAST_REVIVAL, None, "InputError"),
@@ -386,7 +390,8 @@ def _with_input(command, path):
     ids=[
         "budget-unknown-key", "budget-not-yaml", "counts-not-numeric",
         "counts-zero-singles", "counts-nan-singles", "tomo-mean-counts-past-poisson-limit",
-        "spectro-pairs-past-int64", "tomo-fractional-count", "tomo-missing-in",
+        "spectro-pairs-past-int64", "negative-global-seed", "negative-spectro-seed",
+        "negative-config-seed", "tomo-phase-error-nan", "tomo-fractional-count", "tomo-missing-in",
         "hom-delay-past-revival", "hom-delay-nan", "hom-delay-inf", "hom-filter-nan",
         "config-nan-bandwidth-hom", "config-nan-bandwidth-spectro",
         "hom-delay-count-past-int64", "hom-delay-count-past-memory",
@@ -404,7 +409,7 @@ def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error)
         path.write_text(content)
     proc = _python("-m", "biphoton.cli", "--out", tmp_path / "out", *_with_input(command, path))
     assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])

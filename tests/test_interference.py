@@ -90,12 +90,11 @@ class TestHeraldedSpectralState:
         jsa = bp.compute_jsa(cfg.pump, cfg.crystal, small_grid)
         bp.schmidt_decompose(jsa).purity  # the cached Gram exists before the herald
         f = jsa.amplitudes if arm == "signal" else jsa.amplitudes.T
-        d_herald = small_grid.d_omega_idler if arm == "signal" else small_grid.d_omega_signal
         herald_filter = eight_nm_filter if herald else None
         if herald:
             f = f * np.sqrt(eight_nm_filter.transmission(small_grid.idler_wavelengths_nm))
-        rho = _gram(f) * d_herald
-        expected = rho / float(np.real(np.trace(rho)))
+        gram = _gram(f)
+        expected = gram / float(np.real(np.trace(gram)))
         state = bp.heralded_spectral_state(jsa, arm, herald_filter=herald_filter)
         assert np.array_equal(state.density, expected)
         assert not np.shares_memory(state.density, jsa.gram)

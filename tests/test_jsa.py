@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,8 @@ from hypothesis import strategies as st
 import biphoton as bp
 from biphoton.errors import DegenerateInputError, EmptyResultError, InputError, SearchError
 from biphoton import jsa as jsa_mod
-from biphoton.jsa import _gram, gram_purity, pump_sigma, separable_gaussian_jsa
+from biphoton.jsa import _gram, _sum_sq, gram_purity, pump_sigma, separable_gaussian_jsa
+from biphoton.phasematch import phase_mismatch
 from biphoton.units import nm_to_angular_frequency
 from conftest import svd_purity
 
@@ -112,6 +117,39 @@ class TestPhasematchingFunction:
         grid = paper_jsa.grid
         ws, wi = np.meshgrid(grid.signal_omegas[::8], grid.idler_omegas[::8], indexing="ij")
         assert np.all(np.abs(bp.phasematching_function(ws, wi, crystal)) <= 1.0 + 1e-12)
+
+    @pytest.mark.parametrize("temperature", [20.0, 27.0])
+    def test_one_pass_matches_sinc_times_exp(self, default_config, temperature):
+        # the old two-transcendental form, evaluated here on the same x
+        c = default_config.crystal
+        crystal = bp.CrystalSpec(axes=c.axes, length_mm=c.length_mm,
+                                 poling_period_um=c.poling_period_um, temperature_c=temperature)
+        grid = bp.FrequencyGrid(points_per_axis=256)
+        ws, wi = grid.signal_omegas[:, None], grid.idler_omegas[None, :]
+        x = crystal.length_um * phase_mismatch(crystal, ws, wi, grid.sum_omegas) / 2.0
+        expected = np.sinc(x / np.pi) * np.exp(-1j * x)
+        phi = bp.phasematching_function(ws, wi, crystal, sums=grid.sum_omegas)
+        assert phi.shape == (256, 256) and phi.dtype == complex
+        assert np.max(np.abs(phi - expected)) <= 1e-15
+
+    @pytest.mark.filterwarnings("error")
+    def test_zero_mismatch_gives_exactly_one(self, default_config, monkeypatch):
+        mismatch = np.array([[0.0, -0.0], [1e-300, 0.25]])
+        monkeypatch.setattr(jsa_mod, "phase_mismatch", lambda *args: mismatch.copy())
+        phi = bp.phasematching_function(None, None, default_config.crystal)
+        assert phi[0, 0] == phi[0, 1] == 1 + 0j
+        assert phi[1, 0].real == 1.0 and abs(phi[1, 0].imag) < 1e-290  # tiny x: sinc rounds to 1
+        x = 0.25 * default_config.crystal.length_um / 2.0
+        assert phi[1, 1] == pytest.approx(np.sin(x) / x * np.exp(-1j * x), abs=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_scalar_in_scalar_out(self, default_config, monkeypatch):
+        omega = nm_to_angular_frequency(1570.0)
+        value = bp.phasematching_function(omega, omega, default_config.crystal)
+        assert isinstance(value, np.complex128) and np.ndim(value) == 0
+        monkeypatch.setattr(jsa_mod, "phase_mismatch", lambda *args: np.float64(0.0))
+        zero = bp.phasematching_function(omega, omega, default_config.crystal)
+        assert isinstance(zero, np.complex128) and zero == 1 + 0j
 
 
 class TestComputeJsa:
@@ -276,6 +314,48 @@ class TestGramPurity:
         assert np.array_equal(gram, gram.conj().T)
 
 
+class TestSumSq:
+    @pytest.mark.parametrize("layout", ["paper", "random", "transposed"])
+    def test_matches_sum_of_abs_squared(self, paper_jsa, layout):
+        rng = np.random.default_rng(11)
+        f = {
+            "paper": paper_jsa.amplitudes,
+            "random": rng.normal(size=(256, 256)) + 1j * rng.normal(size=(256, 256)),
+            "transposed": paper_jsa.amplitudes.T,
+        }[layout]
+        expected = np.sum(np.abs(f) ** 2)
+        assert abs(_sum_sq(f) - expected) <= 1e-15 * expected
+
+    def test_strided_input_sums_its_contiguous_copy(self, paper_jsa):
+        f = paper_jsa.amplitudes[::3, 1::2]
+        assert _sum_sq(f) == _sum_sq(np.ascontiguousarray(f))
+
+    @pytest.mark.parametrize("bad, expected", [(np.nan, np.nan), (np.inf, np.inf),
+                                               (complex(0.0, -np.inf), np.inf)])
+    def test_non_finite_propagates(self, small_grid, bad, expected):
+        f = separable_gaussian_jsa(small_grid, 0.01, 0.01).amplitudes.copy()
+        f[3, 5] = bad
+        np.testing.assert_equal(_sum_sq(f), expected)
+        np.testing.assert_equal(_sum_sq(f.T), expected)
+
+    def test_same_sum_at_any_blas_thread_count(self):
+        # A BLAS ddot splits long vectors over its threads; the normalized
+        # amplitudes (and so the CSVs) must not depend on the thread count.
+        code = ("import numpy as np; from biphoton.jsa import _sum_sq; "
+                "f = np.random.default_rng(3).normal(size=(1024, 2048)).view(complex); "
+                "print(repr(_sum_sq(f)))")
+        src = str(Path(bp.__file__).resolve().parents[1])
+        sums = set()
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+            proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            sums.add(proc.stdout.strip())
+        assert len(sums) == 1
+
+
 def test_separable_gaussian_underflow_rejected(small_grid):
     # widths far below the grid spacing: the Gaussian is zero at every point
     with pytest.raises(DegenerateInputError):
@@ -312,6 +392,29 @@ class TestApplyFilter:
         assert bp.schmidt_decompose(filtered_jsa).purity >= 0.98
         assert filtered_jsa.survival.signal == pytest.approx(0.5, abs=0.15)
         assert filtered_jsa.survival.idler == pytest.approx(0.5, abs=0.15)
+
+    def test_survivals_match_filtered_products(self, paper_jsa):
+        f = paper_jsa.amplitudes
+        grid = paper_jsa.grid
+        sig = bp.FilterSpec(center_nm=1568.0, fwhm_nm=8.0)
+        idl = bp.FilterSpec(center_nm=1573.0, fwhm_nm=5.0, shape="rectangular")
+        amp_s = np.sqrt(sig.transmission(grid.signal_wavelengths_nm))[:, None]
+        amp_i = np.sqrt(idl.transmission(grid.idler_wavelengths_nm))[None, :]
+        base = np.sum(np.abs(f) ** 2)
+        filtered = bp.apply_filter(paper_jsa, sig, idl)
+        survival = filtered.survival
+        assert survival.signal == pytest.approx(np.sum(np.abs(f * amp_s) ** 2) / base, rel=1e-13)
+        assert survival.idler == pytest.approx(np.sum(np.abs(f * amp_i) ** 2) / base, rel=1e-13)
+        assert survival.total == pytest.approx(
+            np.sum(np.abs(f * amp_s * amp_i) ** 2) / base, rel=1e-13)
+
+    @pytest.mark.parametrize("fill", [0.0, np.nan])
+    def test_zero_or_nan_weight_rejected(self, small_grid, fill):
+        raw = bp.JointAmplitude(grid=small_grid, amplitudes=np.full((64, 64), fill, complex),
+                                normalized=False)
+        spec = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
+        with pytest.raises(DegenerateInputError):
+            bp.apply_filter(raw, spec, spec)
 
     def test_filter_outside_grid(self, paper_jsa):
         far = bp.FilterSpec(center_nm=1200.0, fwhm_nm=5.0, shape="rectangular")

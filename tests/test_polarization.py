@@ -56,6 +56,12 @@ class TestModelState:
         with pytest.raises(InputError):
             bp.model_state(amplitude_imbalance=-0.1)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("phase", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_phase_error_rejected(self, phase):
+        with pytest.raises(InputError, match="phase_error_rad"):
+            bp.model_state(phase_error_rad=phase)
+
     @given(
         p=st.floats(min_value=0.0, max_value=1.0),
         imbalance=st.floats(min_value=0.0, max_value=1.0),
