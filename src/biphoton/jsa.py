@@ -296,9 +296,12 @@ def _crystal_factor(crystal: CrystalSpec, grid: FrequencyGrid) -> np.ndarray:
     )
 
 
-def _joint(pump: PumpSpec, phi: np.ndarray, grid: FrequencyGrid) -> JointAmplitude:
-    """Normalized N·α·φ for a crystal factor from ``_crystal_factor``."""
-    f = spread_sums(_envelope(grid.sum_omegas, pump)) * phi
+def _joint(pump: PumpSpec, phi: np.ndarray, grid: FrequencyGrid, out=None) -> JointAmplitude:
+    """Normalized N·α·φ for a crystal factor from ``_crystal_factor``.
+
+    The amplitude is written into ``out`` when given, else into a new array.
+    """
+    f = np.multiply(spread_sums(_envelope(grid.sum_omegas, pump)), phi, out=out)
     norm = math.sqrt(_sum_sq(f) * grid.cell_area)
     if not 0.0 < norm < math.inf:  # NaN-safe
         raise DegenerateInputError("joint amplitude vanishes or is not finite on the grid")
@@ -336,15 +339,17 @@ def apply_filter(
         DegenerateInputError: the input has zero or non-finite weight.
         EmptyResultError: a filter removes all spectral weight.
     """
-    f = jsa.amplitudes
-    base = _sum_sq(f)
+    base = _sum_sq(jsa.amplitudes)
     if not 0.0 < base < math.inf:  # NaN-safe
         raise DegenerateInputError("joint amplitude with zero or non-finite weight")
     survival_s = survival_i = None
-    if signal_filter is not None:
+    if signal_filter is None:
+        f = jsa.amplitudes.copy()
+    else:
         amp_s = np.sqrt(signal_filter.transmission(jsa.grid.signal_wavelengths_nm))
-        f = f * amp_s[:, None]
+        f = jsa.amplitudes * amp_s[:, None]
         survival_s = _sum_sq(f) / base
+    # f is the one filtered copy; the idler filter and the norm scale it in place.
     if idler_filter is not None:
         t_i = idler_filter.transmission(jsa.grid.idler_wavelengths_nm)
         # Σ_k T_k·Σ_j |f_jk|² from the column sums of the unfiltered |f|²
@@ -352,17 +357,17 @@ def apply_filter(
         v = np.ascontiguousarray(jsa.amplitudes, dtype=complex).view(np.float64)
         columns = np.einsum("jc,jc->c", v, v)
         survival_i = float(t_i @ (columns[0::2] + columns[1::2]) / base)
-        f = f * np.sqrt(t_i)[None, :]
+        f *= np.sqrt(t_i)[None, :]
     kept = _sum_sq(f)
     total = kept / base
     if not total > 0.0:  # NaN-safe
         raise EmptyResultError("filter pass-band does not overlap the grid")
-    norm = math.sqrt(total) if jsa.normalized else math.sqrt(kept * jsa.grid.cell_area)
     # Unit norm: the input's own (checked) norm, or the one just summed.
+    f /= math.sqrt(total) if jsa.normalized else math.sqrt(kept * jsa.grid.cell_area)
     return built_valid(
         JointAmplitude,
         grid=jsa.grid,
-        amplitudes=f / norm,
+        amplitudes=f,
         survival=FilterSurvival(signal=survival_s, idler=survival_i, total=total),
     )
 
@@ -394,22 +399,24 @@ def gram_purity(jsa: JointAmplitude) -> float:
     return _gram_purity(jsa.amplitudes, jsa.gram)
 
 
-def _gram(f: np.ndarray) -> np.ndarray:
+def _gram(f: np.ndarray, out=None) -> np.ndarray:
     """FF† of a complex matrix in real arithmetic, exactly Hermitian.
 
     With V = F viewed as reals (re, im interleaved per column), Re FF† = VVᵀ,
     which numpy runs as one BLAS syrk, and Im FF† = P − Pᵀ with
-    P = Im F·(Re F)ᵀ, one real gemm: half the flops of the complex product,
-    and for a contiguous F no more N² temporaries than its conjugate copy.
-    A non-contiguous F, such as the transposed idler arm, is copied
-    contiguous first, which costs one N² complex temporary more.
+    P = Im F·(Re F)ᵀ, one real gemm: half the flops of the complex product.
+    VVᵀ reuses the buffer of P, and the contiguous copies of Re F and Im F
+    are freed before the Gram is allocated, so at most three real N² arrays
+    are alive beside F. A non-contiguous F, such as the transposed idler
+    arm, is copied contiguous first, which costs one N² complex temporary
+    more. The Gram is written into ``out`` when given.
     """
     f = np.ascontiguousarray(f, dtype=complex)
     v = f.view(np.float64)
-    p = np.ascontiguousarray(f.imag) @ np.ascontiguousarray(f.real).T
-    gram = np.empty((len(f), len(f)), dtype=complex)
-    gram.real = v @ v.T
-    np.subtract(p, p.T, out=gram.imag)
+    work = np.ascontiguousarray(f.imag) @ np.ascontiguousarray(f.real).T
+    gram = np.empty((len(f), len(f)), dtype=complex) if out is None else out
+    np.subtract(work, work.T, out=gram.imag)
+    gram.real = np.matmul(v, v.T, out=work)
     return gram
 
 
@@ -517,12 +524,16 @@ def optimize_pump_bandwidth(
     coarse scan must place the maximum strictly inside the window,
     otherwise a SearchError carrying the scan trace is raised. The crystal
     factor φ is computed once; each width then costs one pump envelope and
-    one ``gram_purity``.
+    one Gram purity. Every width writes its amplitude and Gram into the same
+    two N² buffers, so the search allocates them once: freed and reallocated
+    per width, they would be handed back to the operating system and
+    faulted in again on some heap layouts.
     """
     lo, hi = search_window_nm
     if not 0.0 < lo < hi:
         raise InputError("search window must be a positive, increasing interval")
     phi = _crystal_factor(crystal, grid)
+    f, gram = np.empty_like(phi), np.empty_like(phi)
 
     def purity_at(fwhm_nm: float) -> float:
         pump = PumpSpec(
@@ -530,7 +541,8 @@ def optimize_pump_bandwidth(
             intensity_fwhm_bandwidth_nm=fwhm_nm,
             repetition_rate_mhz=repetition_rate_mhz,
         )
-        return gram_purity(_joint(pump, phi, grid))
+        _joint(pump, phi, grid, out=f)
+        return _gram_purity(f, _gram(f, out=gram))
 
     scan_points = np.linspace(lo, hi, 5)
     trace = [(float(x), purity_at(float(x))) for x in scan_points]

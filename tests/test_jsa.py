@@ -408,6 +408,17 @@ class TestApplyFilter:
         assert survival.total == pytest.approx(
             np.sum(np.abs(f * amp_s * amp_i) ** 2) / base, rel=1e-13)
 
+    @pytest.mark.parametrize("arms", ["signal", "idler", "both"])
+    def test_input_amplitudes_untouched(self, default_config, small_grid, arms):
+        # the output is filtered and normalized in place in its own copy
+        jsa = bp.compute_jsa(default_config.pump, default_config.crystal, small_grid)
+        before = jsa.amplitudes.copy()
+        spec = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
+        filtered = bp.apply_filter(jsa, spec if arms != "idler" else None,
+                                   spec if arms != "signal" else None)
+        assert np.array_equal(jsa.amplitudes, before)
+        assert not np.shares_memory(filtered.amplitudes, jsa.amplitudes)
+
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_zero_or_nan_weight_rejected(self, small_grid, fill):
         raw = bp.JointAmplitude(grid=small_grid, amplitudes=np.full((64, 64), fill, complex),
