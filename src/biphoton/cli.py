@@ -3,18 +3,27 @@
 Subcommands: design, jsa compute, hom, tomo simulate|reconstruct,
 spectro simulate, efficiency. Global flags: --config, --out, --seed,
 --json, --dispersion-file. Exit codes: 0 success, 1 computation error,
-2 usage error. Every output file embeds the config digest. Reruns with
-identical (config, seed) write byte-identical CSVs. The JSON reports are
-byte-identical at a fixed BLAS thread count; with another thread count the
-Schmidt coefficients in schmidt_report.json and the visibility in
-hom_report.json can move in their last digits.
+2 usage error; an output path that cannot be created or written exits 1
+with an InputError naming it. Every output file embeds the config digest.
+Reruns with identical (config, seed) write byte-identical CSVs. The JSON
+reports are byte-identical at a fixed BLAS thread count; with another
+thread count the Schmidt coefficients in schmidt_report.json and the
+visibility in hom_report.json can move in their last digits.
+
+The two JSA CSVs are formatted in blocks of rows by up to MAX_CSV_WORKERS
+forked worker processes, one per CPU available to the process, while this
+process decomposes the amplitude. The blocks are written in order, so the
+bytes do not depend on the worker count. With one CPU, or where ``fork`` is
+not available, the same block formatter runs in the process itself.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -29,30 +38,89 @@ from .jsa import FilterSpec
 from .phasematch import gvm_angle, gvm_degenerate_wavelength, solve_poling_period
 
 
+#: most worker processes that format the JSA CSVs
+MAX_CSV_WORKERS = 4
+#: rows of a JSA CSV formatted by one worker task
+CSV_BLOCK_ROWS = 64
+
+
+@contextmanager
+def _os_error_as_input(what: str):
+    """An ``OSError`` in the body becomes an ``InputError`` that starts with ``what``."""
+    try:
+        yield
+    except OSError as exc:
+        raise InputError(f"{what}: {exc.strerror or exc}") from exc
+
+
+def _write_lines(path: Path, header: str, comments: list[str], lines) -> None:
+    """Write the comments, the header and then each text chunk of ``lines``.
+
+    Streamed chunk by chunk, so no whole-file string is held.
+    """
+    with _os_error_as_input(f"cannot write {path}"), path.open("w") as out:
+        out.write("".join(f"# {c}\n" for c in comments) + header + "\n")
+        out.writelines(lines)
+
+
 def _write_csv(path: Path, rows, header: str, comments: list[str], fmt=repr) -> None:
     """Write ``rows`` of Python numbers (``ndarray.tolist()``), each cell as ``fmt(cell)``.
 
     ``repr`` of a Python float is its shortest round-trip form; a numpy
     scalar would print as ``np.float64(...)``, so callers pass lists.
     """
-    # Streamed line by line, so no whole-file string or row list is held.
-    with path.open("w") as out:
-        for c in comments:
-            out.write(f"# {c}\n")
-        out.write(header + "\n")
-        for row in rows:
-            out.write(",".join(map(fmt, row)) + "\n")
+    _write_lines(path, header, comments, (",".join(map(fmt, row)) + "\n" for row in rows))
+
+
+def _csv_block(block: np.ndarray) -> str:
+    """The CSV lines of a 2-D float64 block, each cell the ``repr`` of its float."""
+    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
+
+
+def _available_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_blocks(array: np.ndarray) -> list[np.ndarray]:
+    return [array[k:k + CSV_BLOCK_ROWS] for k in range(0, len(array), CSV_BLOCK_ROWS)]
+
+
+@contextmanager
+def _csv_formatter():
+    """A function from a 2-D float64 array to its CSV lines, as text chunks in row order.
+
+    Each call hands the array's blocks of ``CSV_BLOCK_ROWS`` rows to up to
+    ``MAX_CSV_WORKERS`` forked workers at once, so this process can compute
+    while they format. With one CPU, or without ``fork``, ``_csv_block``
+    runs here as the chunks are read. Leaving the context, whether the text
+    was written or not, joins every worker.
+    """
+    import multiprocessing
+
+    workers = min(MAX_CSV_WORKERS, _available_cpus())
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        yield lambda array: map(_csv_block, _row_blocks(array))
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        yield lambda array: pool.map(_csv_block, _row_blocks(array))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _read_input(path) -> str:
-    try:
+    with _os_error_as_input(f"cannot read {path}"):
         return Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    with _os_error_as_input(f"cannot write {path}"):
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _grid_comments(config: RunConfig) -> list[str]:
@@ -78,9 +146,20 @@ def _resolve_config(args) -> RunConfig:
     return config
 
 
+def _make_dir(path: Path) -> Path:
+    with _os_error_as_input(f"cannot create output directory {path}"):
+        path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
 def _out_dir(config: RunConfig) -> Path:
-    path = Path(config.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
+    return _make_dir(Path(config.output_dir))
+
+
+def _out_path(out_file: str | None, config: RunConfig, name: str) -> Path:
+    """``out_file`` if given, else ``name`` in the output directory; its directory is made."""
+    path = Path(out_file) if out_file else Path(config.output_dir) / name
+    _make_dir(path.parent)
     return path
 
 
@@ -125,37 +204,36 @@ def cmd_design(args, config: RunConfig) -> int:
 
 def cmd_jsa(args, config: RunConfig) -> int:
     amplitude = _jsa(args, config)
-    survival = amplitude.survival
-    spectrum = jsa_mod.schmidt_decompose(amplitude)
-    marg_s = jsa_mod.marginal_spectrum(amplitude, "signal")
-    marg_i = jsa_mod.marginal_spectrum(amplitude, "idler")
-
     out = _out_dir(config)
     comments = _grid_comments(config)
-
-    f = amplitude.amplitudes
     n = config.grid.points_per_axis
-    header = ",".join(
-        part for k in range(n) for part in (f"re_idler{k}", f"im_idler{k}")
-    )
-    # the float64 view of a complex row interleaves re/im per idler index
-    view = np.ascontiguousarray(f, dtype=np.complex128).view(np.float64)
-    _write_csv(out / "jsa_amplitudes.csv", (row.tolist() for row in view), header, comments)
+    with _csv_formatter() as csv_lines:
+        # the float64 view of a complex row interleaves re/im per idler index
+        amplitudes_csv = csv_lines(
+            np.ascontiguousarray(amplitude.amplitudes, dtype=np.complex128).view(np.float64)
+        )
+        intensity_csv = csv_lines(amplitude.intensity)
 
-    header_i = ",".join(f"idler{k}" for k in range(n))
-    _write_csv(out / "jsa_intensity.csv", (row.tolist() for row in amplitude.intensity),
-               header_i, comments)
+        # decomposed here while the workers format
+        survival = amplitude.survival
+        spectrum = jsa_mod.schmidt_decompose(amplitude)
+        marg_s = jsa_mod.marginal_spectrum(amplitude, "signal")
+        marg_i = jsa_mod.marginal_spectrum(amplitude, "idler")
+        report = {
+            "config_digest": config_digest(config),
+            "purity": spectrum.purity,
+            "schmidt_number": spectrum.schmidt_number,
+            "leading_coefficients": [float(c) for c in spectrum.coefficients[:8]],
+            "marginal_fwhm_nm": {"signal": marg_s.fwhm_nm, "idler": marg_i.fwhm_nm},
+            "filter_survival": None
+            if survival is None
+            else {"signal": survival.signal, "idler": survival.idler, "total": survival.total},
+        }
 
-    report = {
-        "config_digest": config_digest(config),
-        "purity": spectrum.purity,
-        "schmidt_number": spectrum.schmidt_number,
-        "leading_coefficients": [float(c) for c in spectrum.coefficients[:8]],
-        "marginal_fwhm_nm": {"signal": marg_s.fwhm_nm, "idler": marg_i.fwhm_nm},
-        "filter_survival": None
-        if survival is None
-        else {"signal": survival.signal, "idler": survival.idler, "total": survival.total},
-    }
+        header = ",".join(part for k in range(n) for part in (f"re_idler{k}", f"im_idler{k}"))
+        _write_lines(out / "jsa_amplitudes.csv", header, comments, amplitudes_csv)
+        header_i = ",".join(f"idler{k}" for k in range(n))
+        _write_lines(out / "jsa_intensity.csv", header_i, comments, intensity_csv)
     _write_json(out / "schmidt_report.json", report)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -233,8 +311,7 @@ def cmd_tomo_simulate(args, config: RunConfig) -> int:
         mean_counts_per_setting=args.mean_counts,
         seed=config.seed,
     )
-    out_path = Path(args.out_file) if args.out_file else _out_dir(config) / "tomography.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out_path(args.out_file, config, "tomography.csv")
     _write_csv(
         out_path,
         ((r.setting_a, r.setting_b, r.counts, r.integration_time_s) for r in records),
@@ -282,8 +359,7 @@ def cmd_tomo_reconstruct(args, config: RunConfig) -> int:
         "rho_real": state.rho.real.tolist(),
         "rho_imag": state.rho.imag.tolist(),
     }
-    out_path = Path(args.out_file) if args.out_file else _out_dir(config) / "tomography_state.json"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out_path(args.out_file, config, "tomography_state.json")
     _write_json(out_path, report)
     if args.json:
         print(json.dumps({k: report[k] for k in ("fidelity_singlet", "purity", "tangle")},
@@ -309,8 +385,7 @@ def cmd_spectro(args, config: RunConfig) -> int:
         total_pairs=args.pairs,
         seed=seed,
     )
-    out_path = Path(args.out_file) if args.out_file else _out_dir(config) / "hist.csv"
-    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path = _out_path(args.out_file, config, "hist.csv")
     # first row and first column carry bin centers in ns, body is counts
     header = ",".join(["", *map(repr, histogram.bin_centers_idler_ns.tolist())])
     rows = (

@@ -139,8 +139,10 @@ def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i, sums=None):
             f"unpoled mismatch changes sign within one call ({lo:.3e} to {hi:.3e} "
             "rad/um); the compensating grating order is ambiguous"
         )
+    # one order for the whole call: exact zeros take the order of the other
+    # points, and an all-zero mismatch the order of a positive one
     grating = 2.0 * np.pi / crystal.expanded_poling_period_um
-    return dk0 - np.where(np.asarray(dk0) >= 0.0, 1.0, -1.0) * grating
+    return dk0 + grating if lo < 0.0 else dk0 - grating
 
 
 def _check_energy_conservation(lambda_p_nm, lambda_s_nm, lambda_i_nm):

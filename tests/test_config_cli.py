@@ -327,6 +327,7 @@ def _python(*args):
 
 
 IN = object()  # stands for the input file written from the case's content
+UNDER_IN = object()  # stands for a path inside the input file, which cannot be made
 BUDGET = ["efficiency", "--budget", IN]
 COUNTS = ["efficiency", "--counts", IN]
 RECORDS = ["tomo", "reconstruct", "--in", IN]
@@ -341,7 +342,8 @@ NAN_PUMP_BANDWIDTH = (
 
 
 def _with_input(command, path):
-    return [path if arg is IN else arg for arg in command]
+    return [path if arg is IN else path / "x.csv" if arg is UNDER_IN else arg
+            for arg in command]
 
 
 @pytest.mark.parametrize(
@@ -386,6 +388,11 @@ def _with_input(command, path):
         (REGISTRY, "sets: 5\n", "ConfigError"),
         (REGISTRY, "sets: [1]\n", "ConfigError"),
         (REGISTRY, f"sets: [{CONSTANT_SET}, thermal: [1]}}]\n", "ConfigError"),
+        (["--out", IN, "design"], "a file\n", "InputError"),
+        (["--out", IN, "jsa", "compute"], "a file\n", "InputError"),
+        (["tomo", "simulate", "--out", UNDER_IN], "a file\n", "InputError"),
+        (["spectro", "simulate", "--pairs", "1000", "--out", UNDER_IN], "a file\n",
+         "InputError"),
     ],
     ids=[
         "budget-unknown-key", "budget-not-yaml", "counts-not-numeric",
@@ -400,7 +407,8 @@ def _with_input(command, path):
         "config-dispersion-file-not-a-string", "config-dispersion-file-is-a-directory",
         "config-is-a-directory", "config-unknown-key", "config-fractional-points",
         "config-fractional-seed", "registry-sets-not-a-list", "registry-set-not-a-mapping",
-        "registry-thermal-not-a-mapping",
+        "registry-thermal-not-a-mapping", "design-out-is-a-file", "jsa-out-is-a-file",
+        "tomo-out-under-a-file", "spectro-out-under-a-file",
     ],
 )
 def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error):
@@ -448,11 +456,13 @@ def test_non_finite_spec_fields_rejected(ktp, spec, fields):
 
 
 def test_cli_starts_without_scipy(tmp_path):
+    # nor with the process pool that only the JSA CSV writer imports
     code = (
         "import json, sys\n"
         "import biphoton.cli\n"
         "def loaded():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent'))\n"
         "print(json.dumps(loaded()))\n"
         "assert biphoton.cli.main(['--out', sys.argv[1], 'design']) == 0\n"
         "print(json.dumps(loaded()))\n"
@@ -487,6 +497,49 @@ def test_jsa_csv_tokens_are_float_reprs(tmp_path, capsys, default_config):
         assert {len(l.split(",")) for l in lines} == {len(rows[0])}
         assert len(rows[0]) in (n, 2 * n)
         assert [l.split(",") for l in lines[1:]] == rows
+
+
+def test_pooled_jsa_csvs_match_in_process_bytes(tmp_path, capsys, monkeypatch,
+                                                default_config):
+    import multiprocessing
+
+    from biphoton import cli
+
+    small = config_to_dict(default_config)
+    small["grid"]["points_per_axis"] = 128  # two blocks of cli.CSV_BLOCK_ROWS rows
+    cfg_path = tmp_path / "small.yaml"
+    cfg_path.write_text(yaml.safe_dump(small))
+    names = ("jsa_amplitudes.csv", "jsa_intensity.csv", "schmidt_report.json")
+    written = {}
+    # this machine's CPUs, four workers whatever the machine has, and in-process
+    for cpus in (None, 4, 1):
+        if cpus is not None:
+            monkeypatch.setattr(cli, "_available_cpus", lambda cpus=cpus: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        assert main(["--config", str(cfg_path), "--out", str(out),
+                     "jsa", "compute", "--filter-nm", "8"]) == 0
+        assert multiprocessing.active_children() == []
+        written[cpus] = [(out / name).read_bytes() for name in names]
+    capsys.readouterr()
+    assert written[None] == written[4] == written[1]
+
+
+def test_failed_pooled_write_leaves_no_worker(tmp_path, capsys, monkeypatch, default_config):
+    import multiprocessing
+
+    from biphoton import cli
+
+    small = config_to_dict(default_config)
+    small["grid"]["points_per_axis"] = 128
+    cfg_path = tmp_path / "small.yaml"
+    cfg_path.write_text(yaml.safe_dump(small))
+    (tmp_path / "jsa_intensity.csv").mkdir()  # the second CSV cannot be opened
+    monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 1
+    assert multiprocessing.active_children() == []
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "InputError"
+    assert "jsa_intensity.csv" in record["message"]
 
 
 #: characters of well-formed counts, budget and tomography files, so that

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import biphoton as bp
+from biphoton import phasematch
 from biphoton.errors import (
     DegenerateInputError,
     InputError,
@@ -144,6 +145,18 @@ class TestPhaseMismatch:
                 assert bp.phase_mismatch(crystal, omega, idler) == (
                     unpoled_mismatch(axes, omega, idler, 20.0) - sign * grating
                 )
+
+    def test_zeros_and_negatives_take_one_order(self, ktp, monkeypatch):
+        crystal = paper_crystal(ktp)
+        grating = 2 * np.pi / crystal.expanded_poling_period_um
+        for dk0 in ([0.0, -1e-3, 0.0], [0.0, 1e-3], [0.0, 0.0]):
+            monkeypatch.setattr(
+                phasematch, "unpoled_mismatch", lambda *args, dk0=dk0: np.array(dk0)
+            )
+            sign = -1.0 if min(dk0) < 0.0 else 1.0
+            # every point, zeros included, gets the order of the nonzero ones
+            expected = np.array(dk0) - sign * grating
+            assert np.array_equal(bp.phase_mismatch(crystal, 0.0, 0.0), expected)
 
 
 class TestGvmAngle:
