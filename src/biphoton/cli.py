@@ -203,8 +203,8 @@ def cmd_design(args, config: RunConfig) -> int:
 
 
 def cmd_jsa(args, config: RunConfig) -> int:
-    amplitude = _jsa(args, config)
     out = _out_dir(config)
+    amplitude = _jsa(args, config)
     comments = _grid_comments(config)
     n = config.grid.points_per_axis
     with _csv_formatter() as csv_lines:
@@ -268,12 +268,12 @@ def _parse_delays(spec: str) -> np.ndarray:
 
 def cmd_hom(args, config: RunConfig) -> int:
     delays = _parse_delays(args.delays)
+    out = _out_dir(config)
     # the amplitude and its cached Gram are dropped once the herald is formed
     state = interference.heralded_spectral_state(_jsa(args, config), "signal")
     visibility = interference.hom_visibility(state, state)
     curve = interference.hom_curve(state, state, delays)
 
-    out = _out_dir(config)
     _write_csv(
         out / "hom_curve.csv",
         zip(curve.delays_fs.tolist(), curve.coincidence_probability.tolist()),
@@ -350,6 +350,7 @@ def read_tomography_records(path: str | Path) -> list[polarization.TomographyRec
 
 def cmd_tomo_reconstruct(args, config: RunConfig) -> int:
     records = read_tomography_records(args.in_file)
+    out_path = _out_path(args.out_file, config, "tomography_state.json")
     state = polarization.reconstruct_mle(records)
     report = {
         "config_digest": config_digest(config),
@@ -359,7 +360,6 @@ def cmd_tomo_reconstruct(args, config: RunConfig) -> int:
         "rho_real": state.rho.real.tolist(),
         "rho_imag": state.rho.imag.tolist(),
     }
-    out_path = _out_path(args.out_file, config, "tomography_state.json")
     _write_json(out_path, report)
     if args.json:
         print(json.dumps({k: report[k] for k in ("fidelity_singlet", "purity", "tangle")},
@@ -373,9 +373,10 @@ def cmd_tomo_reconstruct(args, config: RunConfig) -> int:
 
 
 def cmd_spectro(args, config: RunConfig) -> int:
-    amplitude = jsa_mod.compute_jsa(config.pump, config.crystal, config.grid)
     seed = args.spectro_seed if args.spectro_seed is not None else config.seed
     check_seed(seed)  # the subcommand's --seed enters here, not through the config
+    out_path = _out_path(args.out_file, config, "hist.csv")
+    amplitude = jsa_mod.compute_jsa(config.pump, config.crystal, config.grid)
     histogram = spectrometer.simulate_jsi_histogram(
         amplitude,
         config.signal_dcf,
@@ -385,7 +386,6 @@ def cmd_spectro(args, config: RunConfig) -> int:
         total_pairs=args.pairs,
         seed=seed,
     )
-    out_path = _out_path(args.out_file, config, "hist.csv")
     # first row and first column carry bin centers in ns, body is counts
     header = ",".join(["", *map(repr, histogram.bin_centers_idler_ns.tolist())])
     rows = (

@@ -135,9 +135,8 @@ class JointAmplitude:
 
     ``amplitudes[j, k]`` is f at signal index j, idler index k. When
     ``normalized`` is set, Σ|f|²·Δωs·Δωi = 1 within 1e-9; the constructor
-    checks that, while ``compute_jsa``, ``apply_filter`` and
-    ``separable_gaussian_jsa`` divide by the norm they have just summed and
-    skip the second pass.
+    checks that, while ``compute_jsa`` and ``apply_filter`` divide by the
+    norm they have just summed and skip the second pass.
 
     ``gram`` is FF† over the signal index, unscaled: formed on first read
     by ``_gram`` (real BLAS, exactly Hermitian), cached read-only, and
@@ -568,34 +567,3 @@ def optimize_pump_bandwidth(
             f_d = purity_at(d)
     best = c if f_c >= f_d else d
     return float(best), float(max(f_c, f_d))
-
-
-def separable_gaussian_jsa(
-    grid: FrequencyGrid, sum_sigma: float, diff_sigma: float
-) -> JointAmplitude:
-    """Synthetic Gaussian(sum)·Gaussian(difference) amplitude.
-
-    With matched widths the cross term cancels and the amplitude is
-    factorable by construction (purity → 1).
-
-    Raises:
-        DegenerateInputError: the widths are so small that the amplitude
-            underflows to zero on the whole grid.
-    """
-    ws, wi = grid.signal_omegas[:, None], grid.idler_omegas[None, :]
-    center_sum = nm_to_angular_frequency(grid.center_signal_nm) + nm_to_angular_frequency(
-        grid.center_idler_nm
-    )
-    center_diff = nm_to_angular_frequency(grid.center_signal_nm) - nm_to_angular_frequency(
-        grid.center_idler_nm
-    )
-    f = np.exp(
-        -((ws + wi - center_sum) ** 2) / sum_sigma**2
-        - ((ws - wi - center_diff) ** 2) / diff_sigma**2
-    ).astype(complex)
-    norm = math.sqrt(_sum_sq(f) * grid.cell_area)
-    if not norm > 0.0:  # NaN-safe
-        raise DegenerateInputError("separable amplitude vanishes on the whole grid")
-    # Divided in place by the norm just summed, so unit norm without a second pass.
-    f /= norm
-    return built_valid(JointAmplitude, grid=grid, amplitudes=f)

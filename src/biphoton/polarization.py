@@ -4,9 +4,11 @@ The Sagnac output is modeled as a singlet-anchored two-qubit density
 matrix in the |HH⟩, |HV⟩, |VH⟩, |VV⟩ basis with three imperfection knobs:
 isotropic depolarization, amplitude imbalance between the two singlet
 terms, and a relative phase. Tomography uses the overcomplete 36-setting
-scheme (all pairs of H, V, D, A, R, L eigenstates); reconstruction is
-positivity-constrained maximum likelihood over a lower-triangular
-factorization ρ = TT†/Tr(TT†).
+scheme (all pairs of H, V, D, A, R, L eigenstates). Reconstruction is
+maximum likelihood over density matrices by the diluted RρR iteration,
+which keeps the state positive by construction and accepts no step that
+lowers the likelihood; Newton steps on the face of the state take over
+wherever they keep it positive definite. It needs numpy only.
 """
 
 from __future__ import annotations
@@ -183,81 +185,174 @@ def _check_informationally_complete(records) -> None:
         )
 
 
-def _triangular_from_params(t: np.ndarray) -> np.ndarray:
-    T = np.zeros((4, 4), dtype=complex)
-    T[np.diag_indices(4)] = t[:4]
-    rows, cols = np.tril_indices(4, k=-1)
-    T[rows, cols] = t[4::2] + 1j * t[5::2]
-    return T
+#: most trial steps of ``reconstruct_mle``
+MLE_MAX_ITERATIONS = 100_000
+#: converged when a trial moves no entry of σ further than this ...
+MLE_CHANGE_TOL = 1e-10
+#: ... and both max |(R − I)σ| and the top eigenvalue of R − I are at most this
+MLE_STATIONARITY_TOL = 1e-8
+#: eigenvalues of σ at or below this are held fixed by the Newton step
+NEWTON_FACE_FLOOR = 1e-9
+#: most halvings of a Newton step that leaves the positive definite matrices
+NEWTON_HALVINGS = 30
+#: after a failed Newton trial, the next is tried at a multiple of this many iterations
+NEWTON_RETRY = 32
 
 
-def _rho_from_params(t: np.ndarray) -> np.ndarray:
-    T = _triangular_from_params(t)
-    A = T @ T.conj().T
-    return A / np.real(np.trace(A))
+def _traceless_hermitian_basis(dim: int) -> np.ndarray:
+    """dim² − 1 real-independent traceless Hermitian dim×dim matrices."""
+    basis = []
+    for i, j in product(range(dim), repeat=2):
+        e = np.zeros((dim, dim), dtype=complex)
+        if i == j:
+            e[0, 0], e[i, i] = -1.0, 1.0
+        elif i < j:
+            e[i, j] = e[j, i] = 1.0
+        else:
+            e[i, j], e[j, i] = 1j, -1j
+        basis.append(e)
+    return np.array(basis[1:]).reshape(-1, dim, dim)
+
+
+_TRACELESS_BASES = {dim: _traceless_hermitian_basis(dim) for dim in range(1, 5)}
+
+
+class _Likelihood:
+    """LL = Σ n_k ln p_k − N ln Σ p_k with p_k = Tr(P_k ρ), and its derivatives.
+
+    The Poisson likelihood of the counts with the rate profiled out, so it
+    does not change when ρ is scaled. It is evaluated on σ = G^½ρG^½ with
+    G = Σ P_k: then p_k = Tr(Q_k σ) with Q_k = G^-½P_kG^-½ and ΣQ_k = I,
+    so Σp_k = Tr σ whatever the settings are. A setting with n_k = 0 enters
+    only through Σ p_k, so p_k → 0 there gives no 0/0 term.
+    """
+
+    def __init__(self, records):
+        counts = np.array([float(r.counts) for r in records])
+        self.total = counts.sum()
+        projectors = np.array([projector(r.setting_a, r.setting_b) for r in records])
+        # G is positive definite for informationally complete settings
+        values, vectors = np.linalg.eigh(projectors.sum(axis=0))
+        self.whiten = (vectors / np.sqrt(values)) @ vectors.conj().T  # G^-½
+        # p_k = Tr(Q_k σ) = Σ_ij conj(Q_k)_ij σ_ij, as Q_k is Hermitian
+        self.conj_q = (self.whiten @ projectors @ self.whiten).conj().reshape(-1, 16)
+        self.seen = counts > 0
+        self.counts_seen = counts[self.seen]
+        self.conj_q_seen = self.conj_q[self.seen]
+
+    def __call__(self, sigma: np.ndarray) -> tuple[float, np.ndarray]:
+        """(LL, p); LL is -inf or NaN where a seen p_k is not positive."""
+        p = (self.conj_q @ sigma.ravel()).real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return float(self.counts_seen @ np.log(p[self.seen])
+                         - self.total * np.log(p.sum())), p
+
+    def delta(self, p: np.ndarray) -> np.ndarray:
+        """R − I = (Σp/N)·∂LL/∂σ, with R = (Σp/N) Σ n_k Q_k / p_k."""
+        weights = self.counts_seen / p[self.seen]
+        r = (weights @ self.conj_q_seen).conj().reshape(4, 4)
+        return (p.sum() / self.total) * r - np.eye(4)
+
+    def derivatives(self, p: np.ndarray, directions: np.ndarray):
+        """Gradient and negated Hessian of LL(σ + Σ x_a D_a) in x, for traceless D_a.
+
+        Σp does not move along such directions, so only Σ n_k ln p_k counts.
+        """
+        along = (self.conj_q_seen @ directions.reshape(len(directions), 16).T).real
+        weights = self.counts_seen / p[self.seen]
+        return weights @ along, (along.T * (weights / p[self.seen])) @ along
+
+    def state(self, sigma: np.ndarray) -> TwoQubitState:
+        """ρ = G^-½σG^-½ at unit trace."""
+        rho = self.whiten @ sigma @ self.whiten
+        rho = rho / np.trace(rho).real
+        return TwoQubitState(rho=(rho + rho.conj().T) / 2.0)
+
+
+def _newton_trial(likelihood: _Likelihood, sigma: np.ndarray, p: np.ndarray):
+    """σ plus the Newton step on the face of σ, or None.
+
+    The face is the span of the eigenvectors of σ above NEWTON_FACE_FLOOR;
+    the traceless step moves σ within it and leaves the smaller eigenvalues
+    as they are. It is halved until σ stays positive definite.
+    """
+    values, vectors = np.linalg.eigh(sigma)
+    face = vectors[:, values > NEWTON_FACE_FLOOR]
+    directions = face @ _TRACELESS_BASES[face.shape[1]] @ face.conj().T
+    if len(directions) == 0:
+        return None
+    gradient, curvature = likelihood.derivatives(p, directions)
+    try:
+        step = np.tensordot(np.linalg.solve(curvature, gradient), directions, axes=1)
+    except np.linalg.LinAlgError:
+        return None
+    for _ in range(NEWTON_HALVINGS):
+        if np.linalg.eigvalsh(sigma + step)[0] > 0.0:
+            return sigma + step
+        step /= 2.0
+    return None
+
+
+def _stationary(delta: np.ndarray, sigma: np.ndarray) -> bool:
+    """Rσ ≈ σ, and R ⪯ I, so that no direction outside the support of σ raises LL."""
+    return (np.abs(delta @ sigma).max() <= MLE_STATIONARITY_TOL
+            and np.linalg.eigvalsh(delta)[-1] <= MLE_STATIONARITY_TOL)
 
 
 def reconstruct_mle(records) -> TwoQubitState:
     """Maximum-likelihood state from tomography records.
 
-    Maximizes the Poisson likelihood over the 16 real parameters of a
-    lower-triangular factorization (PSD and unit trace by construction)
-    with an analytic gradient, iterating until the projected gradient
-    norm drops below 1e-8 or 10⁵ iterations.
+    Maximizes LL = Σ n_k ln p_k − N ln Σ p_k over density matrices (see
+    ``_Likelihood`` for σ = G^½ρG^½ and the Q_k) by the RρR iteration with
+    dilution (Hradil, PRA 55, R1561 (1997); Řeháček, Hradil, Knill &
+    Lvovsky, PRA 75, 042108 (2007)). With R = (Σp/N) Σ n_k Q_k / p_k the
+    maximum satisfies Rσ = σ and R ⪯ I. Starting from σ = I/4, each trial
+    is a diluted step σ ← (I + εΔ)σ(I + εΔ)/Tr with Δ = R − I, positive by
+    construction, or, while such steps are accepted, a Newton step
+    (``_newton_trial``). A trial is accepted only if LL does not fall; ε
+    doubles after an accepted diluted step and halves after a rejected
+    one. The run stops once a trial moves no entry of σ by more than
+    MLE_CHANGE_TOL, if σ is stationary to MLE_STATIONARITY_TOL or that
+    trial was a rejected diluted step (rounding hides any further gain).
 
     Raises:
         RankDeficiencyError: the settings are not informationally complete.
-        ConvergenceError: L-BFGS-B reports failure.
+        ConvergenceError: no stationary point within MLE_MAX_ITERATIONS trials.
     """
-    from scipy.optimize import minimize  # imported here so the CLI starts without scipy
-
     records = list(records)
     _check_informationally_complete(records)
-    projectors = np.array([projector(r.setting_a, r.setting_b) for r in records])
-    counts = np.array([float(r.counts) for r in records])
-    total = counts.sum()
-    if total <= 0:
+    likelihood = _Likelihood(records)
+    if likelihood.total <= 0:
         raise InputError("all-zero counts cannot constrain a state")
-    sum_projectors = projectors.sum(axis=0)
 
-    def negative_log_likelihood_and_grad(t):
-        T = _triangular_from_params(t)
-        A = T @ T.conj().T
-        norm = float(np.real(np.trace(A)))
-        rho = A / norm
-        probabilities = np.real(np.einsum("kij,ji->k", projectors, rho))
-        probabilities = np.clip(probabilities, 1e-12, None)
-        sum_p = probabilities.sum()
-        # Poisson likelihood with the rate scale profiled out:
-        # LL = sum n_k ln p_k - N ln(sum_k p_k) + const
-        ll = float(counts @ np.log(probabilities) - total * np.log(sum_p))
-        weight_matrix = np.einsum("k,kij->ij", counts / probabilities, projectors)
-        weight_matrix = weight_matrix - (total / sum_p) * sum_projectors
-        # d LL = Tr(d rho · M); rho = A/Tr A
-        trace_rho_m = float(np.real(np.einsum("jk,kj->", rho, weight_matrix)))
-        G = (weight_matrix - trace_rho_m * np.eye(4)) / norm
-        GT = G @ T
-        grad = np.zeros_like(t)
-        grad[:4] = 2.0 * np.real(np.diag(GT))
-        rows, cols = np.tril_indices(4, k=-1)
-        grad[4::2] = 2.0 * np.real(GT[rows, cols])
-        grad[5::2] = 2.0 * np.imag(GT[rows, cols])
-        return -ll, -grad
-
-    t0 = np.zeros(16)
-    t0[:4] = 0.5
-    result = minimize(
-        negative_log_likelihood_and_grad,
-        t0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": 100_000, "gtol": 1e-8, "ftol": 1e-14},
+    sigma = np.eye(4, dtype=complex) / 4.0
+    ll, p = likelihood(sigma)
+    epsilon, try_newton, change, stalled = 1.0, True, np.inf, False
+    for iteration in range(1, MLE_MAX_ITERATIONS + 1):
+        delta = likelihood.delta(p)
+        if change <= MLE_CHANGE_TOL and (stalled or _stationary(delta, sigma)):
+            return likelihood.state(sigma)
+        trial = _newton_trial(likelihood, sigma, p) if try_newton else None
+        newton = trial is not None
+        if not newton:
+            dilute = np.eye(4) + epsilon * delta
+            trial = dilute @ sigma @ dilute
+            trial /= trial.trace().real
+        ll_trial, p_trial = likelihood(trial)
+        change = np.abs(trial - sigma).max()
+        accepted = ll_trial >= ll
+        if accepted:
+            sigma, ll, p = trial, ll_trial, p_trial
+        if newton:
+            try_newton = accepted and change > MLE_CHANGE_TOL
+        else:
+            try_newton = iteration % NEWTON_RETRY == 0
+            epsilon = epsilon * 2.0 if accepted else epsilon / 2.0
+        # a rejected diluted step this close to σ: rounding hides any further gain
+        stalled = not (newton or accepted)
+    raise ConvergenceError(
+        f"MLE did not reach a stationary point in {MLE_MAX_ITERATIONS} iterations"
     )
-    if not result.success:
-        raise ConvergenceError(
-            f"MLE did not converge after {result.nit} iterations: {result.message}"
-        )
-    return TwoQubitState(rho=_rho_from_params(result.x))
 
 
 def trace_distance(a: TwoQubitState, b: TwoQubitState) -> float:

@@ -328,6 +328,17 @@ def _python(*args):
 
 IN = object()  # stands for the input file written from the case's content
 UNDER_IN = object()  # stands for a path inside the input file, which cannot be made
+#: leads a command that must fail before any physics: it runs with compute_jsa and
+#: reconstruct_mle replaced by a function that exits 3
+NO_PHYSICS = object()
+FORBID_PHYSICS = (
+    "import sys\n"
+    "from biphoton import cli, jsa, polarization\n"
+    "def called(*args, **kwargs):\n"
+    "    raise SystemExit(3)\n"
+    "jsa.compute_jsa = polarization.reconstruct_mle = called\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
 BUDGET = ["efficiency", "--budget", IN]
 COUNTS = ["efficiency", "--counts", IN]
 RECORDS = ["tomo", "reconstruct", "--in", IN]
@@ -335,6 +346,8 @@ HOM_PAST_REVIVAL = ["hom", "--delays=0:40000:5000"]  # 2*pi/d_omega is 34961 fs
 CONFIG = ["--config", IN]
 REGISTRY = ["--dispersion-file", IN, "design"]
 CONSTANT_SET = "{name: ktp_y, formula: constant, coefficients: [1.7], valid_range_nm: [400, 2000]"
+VALID_RECORDS = "setting_a,setting_b,counts,integration_s\n" + "".join(
+    f"{a},{b},100,1.0\n" for a, b in bp.full_settings())
 NAN_PUMP_BANDWIDTH = (
     "pump:\n  center_wavelength_nm: 785.0\n  intensity_fwhm_bandwidth_nm: .nan\n"
     "crystal:\n  length_mm: 2.0\n  poling_period_um: 46.15\n"
@@ -393,6 +406,11 @@ def _with_input(command, path):
         (["tomo", "simulate", "--out", UNDER_IN], "a file\n", "InputError"),
         (["spectro", "simulate", "--pairs", "1000", "--out", UNDER_IN], "a file\n",
          "InputError"),
+        ([NO_PHYSICS, "--out", IN, "jsa", "compute"], "a file\n", "InputError"),
+        ([NO_PHYSICS, "--out", IN, "hom", "--filter-nm", "8"], "a file\n", "InputError"),
+        ([NO_PHYSICS, "spectro", "simulate", "--out", UNDER_IN], "a file\n", "InputError"),
+        ([NO_PHYSICS, "spectro", "simulate", "--seed", "-1"], None, "InputError"),
+        ([NO_PHYSICS, *RECORDS, "--out", UNDER_IN], VALID_RECORDS, "InputError"),
     ],
     ids=[
         "budget-unknown-key", "budget-not-yaml", "counts-not-numeric",
@@ -409,13 +427,19 @@ def _with_input(command, path):
         "config-fractional-seed", "registry-sets-not-a-list", "registry-set-not-a-mapping",
         "registry-thermal-not-a-mapping", "design-out-is-a-file", "jsa-out-is-a-file",
         "tomo-out-under-a-file", "spectro-out-under-a-file",
+        "jsa-out-is-a-file-before-the-jsa", "hom-out-is-a-file-before-the-herald",
+        "spectro-out-under-a-file-before-the-jsa", "spectro-negative-seed-before-the-jsa",
+        "tomo-reconstruct-out-under-a-file-before-the-mle",
     ],
 )
 def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error):
     path = tmp_path / "input"
     if content is not None:
         path.write_text(content)
-    proc = _python("-m", "biphoton.cli", "--out", tmp_path / "out", *_with_input(command, path))
+    runner = ["-m", "biphoton.cli"]
+    if command[0] is NO_PHYSICS:
+        runner, command = ["-c", FORBID_PHYSICS], command[1:]
+    proc = _python(*runner, "--out", tmp_path / "out", *_with_input(command, path))
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     lines = proc.stderr.splitlines()
@@ -455,24 +479,57 @@ def test_non_finite_spec_fields_rejected(ktp, spec, fields):
         spec(**fields)
 
 
-def test_cli_starts_without_scipy(tmp_path):
-    # nor with the process pool that only the JSA CSV writer imports
-    code = (
-        "import json, sys\n"
-        "import biphoton.cli\n"
-        "def loaded():\n"
-        "    return sorted(m for m in sys.modules\n"
-        "                  if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent'))\n"
-        "print(json.dumps(loaded()))\n"
-        "assert biphoton.cli.main(['--out', sys.argv[1], 'design']) == 0\n"
-        "print(json.dumps(loaded()))\n"
-    )
-    proc = _python("-c", code, tmp_path)
+#: runs biphoton.cli.main on each argv list of the JSON in argv[1] with scipy
+#: unimportable; prints the loaded scipy, multiprocessing and concurrent modules
+#: after ``import biphoton.cli`` and again after the commands
+WITHOUT_SCIPY = (
+    "import json, sys\n"
+    "class NoScipy:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name.split('.')[0] == 'scipy':\n"
+    "            raise ImportError(f'{name} is not available')\n"
+    "sys.meta_path.insert(0, NoScipy())\n"
+    "def loaded():\n"
+    "    return sorted(m for m in sys.modules\n"
+    "                  if m.split('.')[0] in ('scipy', 'multiprocessing', 'concurrent'))\n"
+    "import biphoton.cli\n"
+    "print(json.dumps(loaded()))\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    assert biphoton.cli.main(argv) == 0, argv\n"
+    "print(json.dumps(loaded()))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "commands",
+    [
+        [["design"]],
+        [["--config", "{config}", "jsa", "compute"]],
+        [["hom", "--filter-nm", "8"]],
+        [["spectro", "simulate", "--pairs", "10000"]],
+        [["tomo", "simulate"], ["tomo", "reconstruct", "--in", "{out}/tomography.csv"]],
+        [["efficiency", "--counts", "{counts}"]],
+    ],
+    ids=["design", "jsa-compute", "hom", "spectro", "tomo", "efficiency"],
+)
+def test_subcommands_run_without_scipy(tmp_path, default_config, commands):
+    small = config_to_dict(default_config)
+    small["grid"]["points_per_axis"] = 64
+    config_path = tmp_path / "small.yaml"
+    config_path.write_text(yaml.safe_dump(small))
+    counts_path = tmp_path / "counts.csv"
+    counts_path.write_text("singles_signal,singles_idler,coincidences\n38000.0,41000.0,24300.0\n")
+    out = tmp_path / "out"
+    places = {"config": config_path, "out": out, "counts": counts_path}
+    argvs = [["--out", str(out), *(arg.format(**places) for arg in argv)] for argv in commands]
+    proc = _python("-c", WITHOUT_SCIPY, json.dumps(argvs))
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    after_import, after_design = json.loads(lines[0]), json.loads(lines[-1])
+    after_import, after_commands = json.loads(lines[0]), json.loads(lines[-1])
     assert after_import == []
-    assert after_design == []
+    # only the JSA CSV writer starts a process pool
+    pool = ["multiprocessing", "concurrent"] if commands[0][-1] == "compute" else []
+    assert [m for m in after_commands if m.split(".")[0] not in pool] == []
 
 
 def test_jsa_csv_tokens_are_float_reprs(tmp_path, capsys, default_config):

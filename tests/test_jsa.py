@@ -12,12 +12,28 @@ from hypothesis import strategies as st
 import biphoton as bp
 from biphoton.errors import DegenerateInputError, EmptyResultError, InputError, SearchError
 from biphoton import jsa as jsa_mod
-from biphoton.jsa import _gram, _sum_sq, gram_purity, pump_sigma, separable_gaussian_jsa
+from biphoton.jsa import _gram, _sum_sq, gram_purity, pump_sigma
 from biphoton.phasematch import phase_mismatch
 from biphoton.units import nm_to_angular_frequency
 from conftest import svd_purity
 
 PUMP = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=5.35)
+
+
+def separable_gaussian_jsa(grid, sum_sigma, diff_sigma):
+    """Synthetic Gaussian(sum)·Gaussian(difference) amplitude, unit norm.
+
+    With matched widths the cross term cancels and the amplitude is
+    factorable by construction (purity → 1).
+    """
+    ws, wi = grid.signal_omegas[:, None], grid.idler_omegas[None, :]
+    signal = nm_to_angular_frequency(grid.center_signal_nm)
+    idler = nm_to_angular_frequency(grid.center_idler_nm)
+    f = np.exp(
+        -((ws + wi - signal - idler) ** 2) / sum_sigma**2
+        - ((ws - wi - signal + idler) ** 2) / diff_sigma**2
+    ).astype(complex)
+    return bp.JointAmplitude(grid=grid, amplitudes=f / np.sqrt(_sum_sq(f) * grid.cell_area))
 
 
 def flat_axes(n_pump=2.0, n_signal=2.0, n_idler=2.0):
@@ -173,7 +189,6 @@ class TestComputeJsa:
         jsa = bp.compute_jsa(default_config.pump, default_config.crystal, small_grid)
         flt = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
         bp.apply_filter(jsa, flt, flt)
-        separable_gaussian_jsa(small_grid, sum_sigma=0.01, diff_sigma=0.01)
         assert calls == []
         bp.JointAmplitude(grid=small_grid, amplitudes=jsa.amplitudes)
         assert len(calls) == 1
@@ -357,8 +372,9 @@ class TestSumSq:
 
 
 def test_separable_gaussian_underflow_rejected(small_grid):
-    # widths far below the grid spacing: the Gaussian is zero at every point
-    with pytest.raises(DegenerateInputError):
+    # widths far below the grid spacing: the Gaussian is zero at every point,
+    # and the public constructor rejects the 0/0 amplitude
+    with np.errstate(invalid="ignore"), pytest.raises(InputError, match="normalized"):
         separable_gaussian_jsa(small_grid, sum_sigma=1e-7, diff_sigma=1e-7)
 
 

@@ -184,52 +184,32 @@ class TestReconstructMle:
             bp.reconstruct_mle(records)
 
     def test_analytic_gradient_matches_finite_differences(self):
-        from biphoton.polarization import reconstruct_mle as _  # module import side
-        import biphoton.polarization as pol
+        from biphoton.polarization import _TRACELESS_BASES, _Likelihood
 
-        truth = werner(0.05)
-        records = bp.simulate_tomography(truth, bp.full_settings(), 2000, seed=9)
-        projectors = np.array([projector(r.setting_a, r.setting_b) for r in records])
-        counts = np.array([float(r.counts) for r in records])
-        total = counts.sum()
-        sum_projectors = projectors.sum(axis=0)
-
-        def objective(t):
-            T = pol._triangular_from_params(t)
-            A = T @ T.conj().T
-            rho = A / np.real(np.trace(A))
-            probabilities = np.clip(
-                np.real(np.einsum("kij,ji->k", projectors, rho)), 1e-12, None
-            )
-            return -(counts @ np.log(probabilities) - total * np.log(probabilities.sum()))
-
+        records = bp.simulate_tomography(werner(0.05), bp.full_settings(), 2000, seed=9)
+        # 16 settings, whose projectors do not sum to a multiple of I
+        records = [r for r in records if r.setting_a in "HVDR" and r.setting_b in "HVDR"]
+        likelihood = _Likelihood(records)
         rng = np.random.default_rng(4)
-        t = rng.normal(size=16) * 0.4 + np.r_[np.ones(4), np.zeros(12)] * 0.5
-
-        # reproduce the internal gradient
-        T = pol._triangular_from_params(t)
-        A = T @ T.conj().T
-        norm = float(np.real(np.trace(A)))
-        rho = A / norm
-        probabilities = np.clip(np.real(np.einsum("kij,ji->k", projectors, rho)), 1e-12, None)
-        weight = np.einsum("k,kij->ij", counts / probabilities, projectors)
-        weight = weight - (total / probabilities.sum()) * sum_projectors
-        trace_rho_m = float(np.real(np.einsum("jk,kj->", rho, weight)))
-        G = (weight - trace_rho_m * np.eye(4)) / norm
-        GT = G @ T
-        grad = np.zeros(16)
-        grad[:4] = 2.0 * np.real(np.diag(GT))
-        rows, cols = np.tril_indices(4, k=-1)
-        grad[4::2] = 2.0 * np.real(GT[rows, cols])
-        grad[5::2] = 2.0 * np.imag(GT[rows, cols])
-        grad = -grad
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        sigma = a @ a.conj().T / np.real(np.trace(a @ a.conj().T))  # full rank
+        _, p = likelihood(sigma)
+        directions = _TRACELESS_BASES[4]
+        gradient, curvature = likelihood.derivatives(p, directions)
+        delta = likelihood.delta(p)
 
         eps = 1e-6
-        for index in range(16):
-            shift = np.zeros(16)
-            shift[index] = eps
-            numeric = (objective(t + shift) - objective(t - shift)) / (2 * eps)
-            assert grad[index] == pytest.approx(numeric, rel=1e-4, abs=1e-4)
+        for index, direction in enumerate(directions):
+            up, down = likelihood(sigma + eps * direction), likelihood(sigma - eps * direction)
+            numeric = (up[0] - down[0]) / (2 * eps)
+            assert gradient[index] == pytest.approx(numeric, rel=1e-4, abs=1e-4)
+            # R − I is the same gradient as a matrix, scaled by Σp/N
+            along = np.real(np.trace(delta @ direction)) * likelihood.total / p.sum()
+            assert along == pytest.approx(numeric, rel=1e-4, abs=1e-4)
+            numeric_column = -(likelihood.derivatives(up[1], directions)[0]
+                               - likelihood.derivatives(down[1], directions)[0]) / (2 * eps)
+            np.testing.assert_allclose(curvature[:, index], numeric_column, rtol=1e-4,
+                                       atol=1e-4 * np.abs(curvature).max())
 
     def test_round_trip_error_shrinks_with_counts(self):
         truth = bp.model_state(0.03, 0.05, 0.1)
@@ -252,14 +232,105 @@ class TestReconstructMle:
         with pytest.raises(InputError):
             bp.reconstruct_mle(records)
 
-    def test_solver_failure_raises(self, monkeypatch):
-        import scipy.optimize
-        from types import SimpleNamespace
+    def test_iteration_cap_raises(self, monkeypatch):
+        import biphoton.polarization as pol
 
-        def failing_minimize(fun, x0, **kwargs):
-            return SimpleNamespace(x=x0, success=False, nit=7, message="ABNORMAL_TERMINATION")
-
-        monkeypatch.setattr(scipy.optimize, "minimize", failing_minimize)
-        records = expected_records(werner(0.04), mean_counts=10**4)
-        with pytest.raises(ConvergenceError, match="7 iterations: ABNORMAL_TERMINATION"):
+        # a rank-deficient maximum, which takes the diluted steps thousands of trials
+        records = bp.simulate_tomography(werner(0.01), bp.full_settings(), 10_000, seed=1)
+        monkeypatch.setattr(pol, "MLE_MAX_ITERATIONS", 100)
+        with pytest.raises(ConvergenceError, match=r"in 100 iterations$"):
             bp.reconstruct_mle(records)
+
+    def test_returns_the_best_state_evaluated(self, monkeypatch):
+        # a trial that lowers LL is never accepted, so no evaluated state beats the result
+        import biphoton.polarization as pol
+
+        records = bp.simulate_tomography(werner(0.028), bp.full_settings(), 10_000, seed=2)
+        evaluated = []
+        real_call = pol._Likelihood.__call__
+
+        def spy(self, sigma):
+            evaluated.append(real_call(self, sigma)[0])
+            return real_call(self, sigma)
+
+        monkeypatch.setattr(pol._Likelihood, "__call__", spy)
+        rho = bp.reconstruct_mle(records).rho
+        assert len(evaluated) > 100
+        final = log_likelihood(records, rho)
+        assert final >= max(evaluated) - 1e-12 * abs(final)
+
+
+def lbfgsb_log_likelihood(records) -> float:
+    """LL at the optimum of the L-BFGS-B solver that ``reconstruct_mle`` used before.
+
+    ρ = TT†/Tr(TT†) over the 16 real parameters of a lower-triangular T,
+    with the analytic gradient and the options of that solver.
+    """
+    from scipy.optimize import minimize
+
+    projectors = np.array([projector(r.setting_a, r.setting_b) for r in records])
+    counts = np.array([float(r.counts) for r in records])
+    total, sum_projectors = counts.sum(), projectors.sum(axis=0)
+    rows, cols = np.tril_indices(4, k=-1)
+
+    def triangular(t):
+        T = np.zeros((4, 4), dtype=complex)
+        T[np.diag_indices(4)] = t[:4]
+        T[rows, cols] = t[4::2] + 1j * t[5::2]
+        return T
+
+    def negative_ll_and_grad(t):
+        T = triangular(t)
+        A = T @ T.conj().T
+        norm = float(np.real(np.trace(A)))
+        rho = A / norm
+        probabilities = np.clip(np.real(np.einsum("kij,ji->k", projectors, rho)), 1e-12, None)
+        sum_p = probabilities.sum()
+        ll = float(counts @ np.log(probabilities) - total * np.log(sum_p))
+        weight = np.einsum("k,kij->ij", counts / probabilities, projectors)
+        weight = weight - (total / sum_p) * sum_projectors
+        G = (weight - float(np.real(np.einsum("jk,kj->", rho, weight))) * np.eye(4)) / norm
+        GT = G @ T
+        grad = np.concatenate([2.0 * np.real(np.diag(GT)),
+                               np.ravel([2.0 * np.real(GT[rows, cols]),
+                                         2.0 * np.imag(GT[rows, cols])], order="F")])
+        return -ll, -grad
+
+    t0 = np.r_[np.full(4, 0.5), np.zeros(12)]
+    result = minimize(negative_ll_and_grad, t0, jac=True, method="L-BFGS-B",
+                      options={"maxiter": 100_000, "gtol": 1e-8, "ftol": 1e-14})
+    return -float(result.fun)
+
+
+def log_likelihood(records, rho) -> float:
+    counts = np.array([float(r.counts) for r in records])
+    p = np.array([np.real(np.trace(projector(r.setting_a, r.setting_b) @ rho))
+                  for r in records])
+    seen = counts > 0
+    return float(counts[seen] @ np.log(p[seen]) - counts.sum() * np.log(p.sum()))
+
+
+#: every tomography case of the tier-1 suite, and the pure singlet at 10⁶ counts,
+#: as (id, model_state arguments, mean counts, seed or None for noiseless records)
+TIER1_TOMOGRAPHY = (
+    [("noiseless-singlet", (0.0,), 10**6, None), ("noiseless-werner", (0.04,), 10**6, None),
+     ("noiseless-werner-1e4", (0.04,), 10**4, None), ("cli-round-trip", (0.028,), 20_000, 11)]
+    + [(f"poisson-werner-{seed}", (0.04,), 10_000, seed) for seed in range(20)]
+    + [(f"acceptance-{seed}", (4.0 * 0.021 / 3.0,), 10_000, seed) for seed in range(20)]
+    + [(f"knobs-{counts}-{seed}", (0.03, 0.05, 0.1), counts, seed)
+       for counts in (10**3, 10**4, 10**5) for seed in range(3)]
+    + [(f"pure-singlet-1e6-{seed}", (0.0,), 10**6, seed) for seed in (1, 2, 3)]
+)
+
+
+@pytest.mark.parametrize("knobs, mean_counts, seed", [case[1:] for case in TIER1_TOMOGRAPHY],
+                         ids=[case[0] for case in TIER1_TOMOGRAPHY])
+def test_likelihood_at_least_lbfgsb(knobs, mean_counts, seed):
+    truth = bp.model_state(*knobs)
+    if seed is None:
+        records = expected_records(truth, mean_counts)
+    else:
+        records = bp.simulate_tomography(truth, bp.full_settings(), mean_counts, seed=seed)
+    ll = log_likelihood(records, bp.reconstruct_mle(records).rho)
+    reference = lbfgsb_log_likelihood(records)
+    assert ll >= reference - 1e-9 * abs(reference)

@@ -210,3 +210,41 @@ class TestDiagnostics:
             seed=61,
         )
         assert abs(bp.time_bin_correlation(histogram)) < 0.06
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.array([[30, 12, 45, 8], [22, 40, 17, 31], [15, 9, 28, 36]]),  # 3×4
+        np.array([[30, 12], [18, 41]]),  # one degree of freedom: Yates' correction
+        np.array([[30, 12, 45, 8]]),  # one row: no degree of freedom
+    ],
+    ids=["r-by-c", "two-by-two", "one-row"],
+)
+def test_chi2_matches_scipy_contingency(table):
+    from scipy.stats import chi2_contingency
+
+    from biphoton.spectrometer import _merge_small
+
+    statistic, dof, p_value = bp.chi2_independence(table)
+    ref_statistic, ref_p, ref_dof, _ = chi2_contingency(_merge_small(table, 5.0))
+    assert dof == ref_dof
+    assert statistic == pytest.approx(ref_statistic, rel=1e-10, abs=1e-300)
+    assert p_value == pytest.approx(ref_p, rel=1e-10)
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 3.5, 40.0, 1200.0])
+@pytest.mark.parametrize("ratio", [0.01, 0.5, 0.99, 1.0, 1.5, 3.0])
+def test_upper_gamma_matches_scipy_chi2_survival(a, ratio):
+    # both branches: the series below x = a + 1 and the continued fraction above it
+    from scipy.stats import chi2
+
+    from biphoton.spectrometer import _upper_gamma_q
+
+    x = a * ratio
+    assert _upper_gamma_q(a, x) == pytest.approx(chi2.sf(2.0 * x, 2.0 * a), rel=1e-10)
+
+
+def test_chi2_rejects_an_empty_histogram():
+    with pytest.raises(InputError, match="counts"):
+        bp.chi2_independence(np.zeros((6, 6), dtype=np.int64))
