@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Scan heralded purity versus pump bandwidth for the default crystal.
 
-Writes a CSV of (fwhm_nm, purity) and prints the golden-section optimum.
+Writes a CSV of (fwhm_nm, purity) and prints the optimum.
 
 Usage: python scripts/pump_bandwidth_scan.py [--points 256] [--out scan.csv]
 """
@@ -34,7 +34,7 @@ def main() -> int:
     best, best_purity = bp.optimize_pump_bandwidth(
         config.crystal, 785.0, tuple(args.window), grid
     )
-    print(f"golden-section optimum: {best:.3f} nm (purity {best_purity:.4f})")
+    print(f"optimum: {best:.3f} nm (purity {best_purity:.4f})")
 
     with open(args.out, "w") as handle:
         handle.write("fwhm_nm,purity\n")

@@ -40,6 +40,8 @@ from .units import (
 )
 
 NORMALIZATION_TOL = 1e-9
+_SQRT_EPS = math.sqrt(np.finfo(float).eps)
+_GOLDEN_FRACTION = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -517,20 +519,31 @@ def optimize_pump_bandwidth(
     repetition_rate_mhz: float = 81.0,
     tolerance_nm: float = 0.02,
 ) -> tuple[float, float]:
-    """Golden-section maximization of unfiltered Schmidt purity.
+    """Maximize unfiltered Schmidt purity over the pump intensity FWHM.
 
     Returns (best intensity FWHM in nm, purity there). A five-point
     coarse scan must place the maximum strictly inside the window,
-    otherwise a SearchError carrying the scan trace is raised. The crystal
-    factor φ is computed once; each width then costs one pump envelope and
-    one Gram purity. Every width writes its amplitude and Gram into the same
-    two N² buffers, so the search allocates them once: freed and reallocated
-    per width, they would be handed back to the operating system and
-    faulted in again on some heap layouts.
+    otherwise a SearchError carrying the scan trace is raised. Brent's
+    method (parabolic interpolation with golden-section fallback; R. P.
+    Brent, Algorithms for Minimization without Derivatives, 1973) then
+    starts at the best coarse width, inside the bracket of its two coarse
+    neighbours, and stops by scipy ``fminbound``'s absolute rule with
+    ``xatol = tolerance_nm``. On the paper's crystal over a 2–12 nm window
+    a search evaluates 11 or 12 widths, the coarse five included. The
+    result is the best width evaluated, so its purity is never below any
+    coarse-scan purity.
+
+    The crystal factor φ is computed once; each width then costs one pump
+    envelope and one Gram purity. Every width writes its amplitude and Gram
+    into the same two N² buffers, so the search allocates them once: freed
+    and reallocated per width, they would be handed back to the operating
+    system and faulted in again on some heap layouts.
     """
     lo, hi = search_window_nm
-    if not 0.0 < lo < hi:
-        raise InputError("search window must be a positive, increasing interval")
+    if not 0.0 < lo < hi < math.inf:
+        raise InputError("search window must be a positive, finite, increasing interval")
+    if not 0.0 < tolerance_nm < math.inf:
+        raise InputError(f"tolerance_nm must be positive and finite, got {tolerance_nm!r}")
     phi = _crystal_factor(crystal, grid)
     f, gram = np.empty_like(phi), np.empty_like(phi)
 
@@ -551,19 +564,52 @@ def optimize_pump_bandwidth(
             f"no interior purity maximum bracketed in [{lo:g}, {hi:g}] nm", trace=trace
         )
 
+    # x is the best width so far, w the second best and v the previous w. s
+    # is the last step; a parabolic step must be shorter than half of e, the
+    # step before it (after a golden-section step, the side of the bracket
+    # that step divided). The parabola's vertex does not depend on the sign
+    # of the function, so purities enter unnegated.
     a, b = trace[best_idx - 1][0], trace[best_idx + 1][0]
-    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    f_c, f_d = purity_at(c), purity_at(d)
-    while b - a > tolerance_nm:
-        if f_c > f_d:
-            b, d, f_d = d, c, f_c
-            c = b - inv_phi * (b - a)
-            f_c = purity_at(c)
+    x, fx = trace[best_idx]
+    w, fw, v, fv = x, fx, x, fx
+    s = e = 0.0
+    while True:
+        m = 0.5 * (a + b)
+        tol1 = tolerance_nm / 3.0 + _SQRT_EPS * abs(x)
+        if abs(x - m) <= 2.0 * tol1 - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            e_before, e = e, s
+            if abs(p) < abs(0.5 * q * e_before) and q * (a - x) < p < q * (b - x):
+                golden = False
+                s = p / q
+                if x + s - a < 2.0 * tol1 or b - (x + s) < 2.0 * tol1:
+                    s = math.copysign(tol1, m - x)
+        if golden:
+            e = (a if x >= m else b) - x
+            s = _GOLDEN_FRACTION * e
+        u = x + math.copysign(max(abs(s), tol1), s)
+        fu = purity_at(u)
+        if fu >= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            a, c, f_c = c, d, f_d
-            d = a + inv_phi * (b - a)
-            f_d = purity_at(d)
-    best = c if f_c >= f_d else d
-    return float(best), float(max(f_c, f_d))
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu

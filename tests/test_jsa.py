@@ -570,6 +570,19 @@ class TestMarginals:
             bp.marginal_spectrum(paper_jsa, "herald")
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Record every call the jsa module makes to its function ``name`` from now on."""
+    calls = []
+    original = getattr(jsa_mod, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(jsa_mod, name, counted)
+    return calls
+
+
 class TestOptimizePumpBandwidth:
     def test_paper_optimum(self, default_config):
         grid = bp.FrequencyGrid(points_per_axis=256)
@@ -617,14 +630,7 @@ class TestOptimizePumpBandwidth:
 
     def test_crystal_factor_computed_once(self, default_config, monkeypatch):
         grid = bp.FrequencyGrid(points_per_axis=128)
-        calls = []
-        original = jsa_mod.phasematching_function
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(jsa_mod, "phasematching_function", counted)
+        calls = count_calls(monkeypatch, "phasematching_function")
         best, purity = bp.optimize_pump_bandwidth(
             default_config.crystal, 785.0, (2.0, 12.0), grid
         )
@@ -633,11 +639,88 @@ class TestOptimizePumpBandwidth:
         pump = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=best)
         assert abs(purity - svd_purity(bp.compute_jsa(pump, default_config.crystal, grid))) < 1e-12
 
-    def test_window_without_interior_maximum(self, default_config):
+    def test_window_without_interior_maximum(self, default_config, monkeypatch):
         grid = bp.FrequencyGrid(points_per_axis=128)
+        grams = count_calls(monkeypatch, "_gram")
         with pytest.raises(SearchError) as excinfo:
             bp.optimize_pump_bandwidth(default_config.crystal, 785.0, (0.2, 2.0), grid)
         assert len(excinfo.value.trace) == 5
+        assert len(grams) == 5
+
+    def test_gram_budget(self, default_config, monkeypatch):
+        # five coarse widths, then Brent's method: 11 or 12 Gram products, not
+        # the 19 a golden-section search from the coarse bracket takes
+        grid = bp.FrequencyGrid(points_per_axis=128)
+        grams = count_calls(monkeypatch, "_gram")
+        bp.optimize_pump_bandwidth(default_config.crystal, 785.0, (2.0, 12.0), grid)
+        assert len(grams) <= 12
+
+    # the default window and two jittered as in the benchmark; (1.98, 11.96)
+    # takes 12 Gram products, the others 11
+    @pytest.mark.parametrize("window", [(2.0, 12.0), (1.9284, 11.9124), (1.98, 11.96)])
+    def test_matches_scipy_bounded_search(self, default_config, window):
+        from scipy.optimize import minimize_scalar
+
+        grid = bp.FrequencyGrid(points_per_axis=128)
+        tol = 0.02
+
+        def purity_at(fwhm):
+            pump = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=fwhm)
+            return bp.schmidt_decompose(bp.compute_jsa(pump, default_config.crystal, grid)).purity
+
+        coarse = np.linspace(*window, 5)
+        coarse_purities = [purity_at(w) for w in coarse]
+        k = int(np.argmax(coarse_purities))
+        reference = minimize_scalar(lambda w: -purity_at(w), method="bounded",
+                                    bounds=(coarse[k - 1], coarse[k + 1]),
+                                    options={"xatol": tol})
+        best, purity = bp.optimize_pump_bandwidth(
+            default_config.crystal, 785.0, window, grid, tolerance_nm=tol
+        )
+        assert abs(best - reference.x) <= 2 * tol
+        assert purity >= max(coarse_purities)
+        assert abs(purity - purity_at(best)) < 1e-12
+
+    @pytest.mark.parametrize("window, tolerance", [
+        ((2.0, 12.0), 0.0),
+        ((2.0, 12.0), -0.01),
+        ((2.0, 12.0), np.nan),
+        ((2.0, 12.0), np.inf),
+        ((2.0, np.inf), 0.02),
+        ((np.nan, 12.0), 0.02),
+        ((0.0, 12.0), 0.02),
+        ((12.0, 2.0), 0.02),
+    ])
+    def test_bad_window_or_tolerance_rejected_first(self, default_config, monkeypatch,
+                                                    window, tolerance):
+        def crystal_factor(*args, **kwargs):
+            raise AssertionError("crystal factor computed before the input check")
+
+        monkeypatch.setattr(jsa_mod, "_crystal_factor", crystal_factor)
+        with pytest.raises(InputError, match="search window|tolerance_nm"):
+            bp.optimize_pump_bandwidth(default_config.crystal, 785.0, window,
+                                       bp.FrequencyGrid(points_per_axis=32),
+                                       tolerance_nm=tolerance)
+
+    def test_non_positive_tolerance_returns(self):
+        # a tolerance of zero or below can never meet the stopping rule, so
+        # the search runs unpatched in a child that a timeout can end
+        code = ("import biphoton as bp\n"
+                "from biphoton.errors import InputError\n"
+                "cfg = bp.default_config()\n"
+                "grid = bp.FrequencyGrid(points_per_axis=32)\n"
+                "for tol in (0.0, -0.01):\n"
+                "    try:\n"
+                "        bp.optimize_pump_bandwidth(cfg.crystal, 785.0, (2.0, 12.0), grid,\n"
+                "                                   tolerance_nm=tol)\n"
+                "    except InputError:\n"
+                "        print('rejected')\n")
+        src = str(Path(bp.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60, check=True)
+        assert proc.stdout.split() == ["rejected", "rejected"]
 
 
 class TestInvariantsProperty:
