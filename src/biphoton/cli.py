@@ -7,8 +7,8 @@ spectro simulate, efficiency. Global flags: --config, --out, --seed,
 with an InputError naming it. Every output file embeds the config digest.
 Reruns with identical (config, seed) write byte-identical CSVs. The JSON
 reports are byte-identical at a fixed BLAS thread count; with another
-thread count the Schmidt coefficients in schmidt_report.json and the
-visibility in hom_report.json can move in their last digits.
+thread count only the Schmidt coefficients in schmidt_report.json can move
+in their last digits.
 
 The two JSA CSVs are formatted in blocks of rows by up to MAX_CSV_WORKERS
 forked worker processes, one per CPU available to the process, while this

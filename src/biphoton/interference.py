@@ -14,7 +14,7 @@ import numpy as np
 
 from ._contracts import built_valid, check_density_matrix
 from .errors import AxisMismatchError, DegenerateInputError, InputError
-from .jsa import FilterSpec, JointAmplitude, _gram
+from .jsa import FilterSpec, JointAmplitude, _gram, _real_dot, _sum_sq
 
 
 @dataclass
@@ -34,7 +34,7 @@ class SpectralState:
 
     @property
     def purity(self) -> float:
-        return float(np.real(np.vdot(self.density, self.density)))
+        return _sum_sq(self.density)
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,13 @@ def _check_shared_axis(a: SpectralState, b: SpectralState) -> None:
 
 
 def hom_visibility(a: SpectralState, b: SpectralState) -> float:
-    """Interference visibility Tr(ρ_a ρ_b), clamped to [0, 1]."""
+    """Interference visibility Tr(ρ_a ρ_b), clamped to [0, 1].
+
+    Re Tr(ρ_a ρ_b) is summed by numpy's own loop, not BLAS, so it does not
+    depend on the BLAS thread count.
+    """
     _check_shared_axis(a, b)
-    overlap = float(np.real(np.vdot(b.density, a.density)))
+    overlap = _real_dot(a.density, b.density)
     return min(1.0, max(0.0, overlap))
 
 

@@ -24,6 +24,7 @@ FWHM at the pump center.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -406,18 +407,44 @@ def _gram(f: np.ndarray, out=None) -> np.ndarray:
     With V = F viewed as reals (re, im interleaved per column), Re FF† = VVᵀ,
     which numpy runs as one BLAS syrk, and Im FF† = P − Pᵀ with
     P = Im F·(Re F)ᵀ, one real gemm: half the flops of the complex product.
-    VVᵀ reuses the buffer of P, and the contiguous copies of Re F and Im F
-    are freed before the Gram is allocated, so at most three real N² arrays
-    are alive beside F. A non-contiguous F, such as the transposed idler
+    The two products run at once: a worker thread forms P while this thread
+    forms VVᵀ, and the worker is joined, its error re-raised, before the
+    Gram is assembled, so no thread outlives the call. Each product is the
+    same BLAS call on the same operands as when the two run in turn, so the
+    Gram is bit-identical to a sequential one. The worker allocates
+    nothing: the contiguous copies of Re F and Im F and the buffer of P are
+    made here, because glibc serves each new thread from a malloc arena of
+    its own, which keeps what it frees apart from this thread's and so grows
+    the resident set. The copies are freed before the Gram is allocated, so
+    at most four real N² arrays are alive beside F: P, VVᵀ and either the
+    two copies or the Gram. A non-contiguous F, such as the transposed idler
     arm, is copied contiguous first, which costs one N² complex temporary
     more. The Gram is written into ``out`` when given.
     """
     f = np.ascontiguousarray(f, dtype=complex)
     v = f.view(np.float64)
-    work = np.ascontiguousarray(f.imag) @ np.ascontiguousarray(f.real).T
+    re, im = np.ascontiguousarray(f.real), np.ascontiguousarray(f.imag)
+    work = np.empty((len(f), len(f)))
+    errors = []
+
+    def gemm(re_t):
+        try:
+            np.matmul(im, re_t, out=work)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=gemm, args=(re.T,))
+    worker.start()
+    try:
+        real = np.matmul(v, v.T)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+    del re, im
     gram = np.empty((len(f), len(f)), dtype=complex) if out is None else out
     np.subtract(work, work.T, out=gram.imag)
-    gram.real = np.matmul(v, v.T, out=work)
+    gram.real = real
     return gram
 
 
@@ -431,16 +458,26 @@ def _gram_purity(f: np.ndarray, gram: np.ndarray) -> float:
 
 
 def _sum_sq(f: np.ndarray) -> float:
-    """Σ|f|² as one dot of the float64 view of f (re and im interleaved).
+    """Σ|f|², the real dot of f with itself (see ``_real_dot``)."""
+    return _real_dot(f, f)
 
-    A C- or F-contiguous f, such as a transposed amplitude, is read in
-    place; another layout is copied first. numpy's own einsum loop forms the
-    dot, not a BLAS ddot: BLAS splits a long dot over its threads, so its
-    sum would depend on the thread count, and the normalized amplitudes
-    written to CSV must not. NaN or inf in f gives NaN or inf.
+
+def _real_dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Re Σ a·b̄ = Re vdot(b, a) as one dot of the float64 views (re and im interleaved).
+
+    For a Hermitian b, as a density matrix, this is Re Tr(a·b). Of a with
+    itself (Σ|a|²), a C- or F-contiguous a, such as a transposed amplitude,
+    is read in place; otherwise both are read in C order, copied first if
+    they are not C-contiguous. numpy's own einsum loop forms the dot, not a
+    BLAS ddot: BLAS splits a long dot over its threads, so its sum would
+    depend on the thread count, and the normalized amplitudes written to
+    CSV and the HOM visibility must not. NaN or inf gives NaN or inf.
     """
-    v = np.ravel(np.asarray(f, dtype=complex), order="K").view(np.float64)
-    return float(np.einsum("i,i->", v, v))
+    if b is a:
+        va = vb = np.ravel(np.asarray(a, dtype=complex), order="K").view(np.float64)
+    else:
+        va, vb = (np.ravel(np.asarray(x, dtype=complex)).view(np.float64) for x in (a, b))
+    return float(np.einsum("i,i->", va, vb))
 
 
 @dataclass(frozen=True)

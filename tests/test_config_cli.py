@@ -317,10 +317,10 @@ class TestCliContracts:
         assert len(header_cells) == len(first_row)
 
 
-def _python(*args):
-    """Run a fresh interpreter that imports this checkout's biphoton."""
+def _python(*args, **env_vars):
+    """Run a fresh interpreter that imports this checkout's biphoton, with ``env_vars`` set."""
     src = str(Path(bp.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env_vars, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     return subprocess.run([sys.executable, *map(str, args)], env=env, capture_output=True,
                           text=True, timeout=120)
@@ -597,6 +597,19 @@ def test_failed_pooled_write_leaves_no_worker(tmp_path, capsys, monkeypatch, def
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "InputError"
     assert "jsa_intensity.csv" in record["message"]
+
+
+def test_hom_report_independent_of_blas_thread_count(tmp_path):
+    # The default 512² grid, with one delay: OpenBLAS splits a complex dot over
+    # its threads at this length, but not on a 256² grid or smaller.
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        proc = _python("-m", "biphoton.cli", "--out", out, "hom", "--filter-nm", "8",
+                       "--delays=0:0:1", OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        reports.append((out / "hom_report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 #: characters of well-formed counts, budget and tomography files, so that

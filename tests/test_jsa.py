@@ -1,6 +1,8 @@
 import os
 import subprocess
 import sys
+import threading
+import time
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -327,6 +329,77 @@ class TestGramPurity:
         gram = _gram(f)
         assert np.max(np.abs(gram - f @ f.conj().T)) <= 1e-15 * np.sum(np.abs(f) ** 2)
         assert np.array_equal(gram, gram.conj().T)
+        # the two products formed at once give the bits of the two formed in turn
+        assert np.array_equal(gram, sequential_gram(f))
+        out = np.empty_like(gram)
+        assert _gram(f, out=out) is out
+        assert np.array_equal(out, gram)
+
+
+def sequential_gram(f):
+    """Reference FF†: the gemm and the syrk of ``_gram``, one after the other in one thread."""
+    f = np.ascontiguousarray(f, dtype=complex)
+    v = f.view(np.float64)
+    work = np.ascontiguousarray(f.imag) @ np.ascontiguousarray(f.real).T
+    gram = np.empty((len(f), len(f)), dtype=complex)
+    np.subtract(work, work.T, out=gram.imag)
+    gram.real = np.matmul(v, v.T, out=work)
+    return gram
+
+
+def off_main_thread(monkeypatch, action):
+    """Replace np.matmul by one that first runs ``action()`` when called off the main thread."""
+    matmul = np.matmul
+
+    def patched(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            action()
+        return matmul(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", patched)
+
+
+class TestThreadedGram:
+    @pytest.mark.parametrize(
+        "call", ["_gram", "gram_purity", "heralded_spectral_state", "optimize_pump_bandwidth"]
+    )
+    def test_no_thread_outlives_the_call(self, default_config, monkeypatch, call):
+        # the worker's product sleeps first, so a worker left unjoined is still
+        # alive, and its product unfinished, when the call returns
+        off_main_thread(monkeypatch, lambda: time.sleep(0.02))
+        grid = bp.FrequencyGrid(points_per_axis=64)
+        jsa = bp.compute_jsa(default_config.pump, default_config.crystal, grid)
+        herald_filter = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
+        run = {
+            "_gram": lambda: _gram(jsa.amplitudes),
+            "gram_purity": lambda: gram_purity(jsa),
+            "heralded_spectral_state": lambda: [
+                bp.heralded_spectral_state(jsa, arm, herald_filter=flt)
+                for arm in ("signal", "idler") for flt in (None, herald_filter)
+            ],
+            "optimize_pump_bandwidth": lambda: bp.optimize_pump_bandwidth(
+                default_config.crystal, 785.0, (2.0, 12.0), grid
+            ),
+        }[call]
+        before = threading.active_count()
+        result = run()
+        assert threading.active_count() == before
+        if call == "_gram":
+            assert np.array_equal(result, sequential_gram(jsa.amplitudes))
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        class WorkerError(Exception):
+            pass
+
+        def fail():
+            raise WorkerError("worker product failed")
+
+        off_main_thread(monkeypatch, fail)
+        f = np.random.default_rng(5).normal(size=(32, 64)).view(complex)
+        before = threading.active_count()
+        with pytest.raises(WorkerError, match="worker product failed"):
+            _gram(f)
+        assert threading.active_count() == before
 
 
 class TestSumSq:
