@@ -4,6 +4,12 @@ Heralding one arm of a joint amplitude and tracing the other leaves a
 mixed single-photon spectral state ρ; the interference visibility between
 two independently heralded photons is the state overlap Tr(ρ_a ρ_b), and
 the coincidence dip is traced out by a relative-delay phase.
+
+The heralded state's N² element-wise stages (the herald filter and
+ρ = G / Re Tr G) run in two row halves at once, the first on a short-lived
+worker thread that allocates nothing and calls numpy only; the overlap
+Tr(ρ_a ρ_b) stays one einsum dot over the whole matrix, so its bits do not
+depend on the thread or CPU count.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ import numpy as np
 from ._contracts import built_valid, check_density_matrix
 from .errors import AxisMismatchError, DegenerateInputError, InputError
 from .jsa import FilterSpec, JointAmplitude, _gram, _real_dot, _sum_sq
+from .phasematch import _in_row_halves
 
 
 @dataclass
@@ -71,7 +78,9 @@ def heralded_spectral_state(
     amplitude share one Gram product (the Gram stays cached on the
     amplitude, N²·16 bytes); the idler arm and a herald filter form their
     own with the same ``_gram``. The density never shares memory with the
-    cached Gram.
+    cached Gram. The herald filter's √T scaling and the division by the
+    trace run in two row halves at once, each element as in one pass, so
+    the bits do not depend on the split; the trace is summed whole.
     """
     if not jsa.normalized:
         raise InputError("heralded_spectral_state requires a normalized joint amplitude")
@@ -87,15 +96,20 @@ def heralded_spectral_state(
     else:
         raise InputError(f"heralded_arm must be 'signal' or 'idler', got {heralded_arm!r}")
     if herald_filter is not None:
-        f = f * np.sqrt(herald_filter.transmission(herald_lam))[None, :]
+        amp = np.sqrt(herald_filter.transmission(herald_lam))
+        unfiltered = f
+        f = np.empty(f.shape, dtype=np.result_type(f, 1.0))
+        _in_row_halves(lambda rows: np.multiply(unfiltered[rows], amp, out=f[rows]), len(f))
     # f is the amplitude matrix itself only on the unfiltered signal arm, whose
-    # FF† the amplitude caches; ``gram / trace`` is a fresh array either way.
+    # FF† the amplitude caches; the density is a fresh array either way.
     gram = jsa.gram if f is jsa.amplitudes else _gram(f)
     trace = float(np.real(np.trace(gram)))
     if not trace > 0.0:  # NaN-safe
         raise DegenerateInputError("heralded state has zero or non-finite trace")
+    density = np.empty(gram.shape, dtype=complex)
+    _in_row_halves(lambda rows: np.divide(gram[rows], trace, out=density[rows]), len(density))
     # FF† over its real trace is Hermitian, PSD and unit-trace by construction.
-    return built_valid(SpectralState, omegas=omegas, density=gram / trace)
+    return built_valid(SpectralState, omegas=omegas, density=density)
 
 
 def _check_shared_axis(a: SpectralState, b: SpectralState) -> None:

@@ -9,11 +9,24 @@ and spread over the N² points by a zero-copy Hankel view; only k_s and k_i
 and the sinc itself are per-axis or per-point. The phase-matching
 amplitude takes one sin and one cos of x = ΔK·L/2 per point, written into
 one complex array. Every Σ|f|² (norms, survivals, purity sums) is one dot
-of the array's float64 view. Schmidt analysis of the
-discretised amplitude yields the heralded spectral purity, computed in the
-Gram form without an SVD from the amplitude's cached FF† (formed in real
-arithmetic, and reused by the signal-arm herald); the Schmidt coefficients
-run the SVD only when they are first read.
+of the array's float64 view.
+
+The N² element-by-element stages run in two row halves at once, the first
+on a short-lived worker thread (``phasematch._in_row_halves``): the phase
+mismatch and φ, α·φ and the division by the norm, the filters' √T
+scalings and final division, and the Gram's real and imaginary copies and
+assembly. Each element goes through the same operations in the same order
+as in one pass, so the bits do not depend on the split. The reductions
+stay single passes over the whole array, because their summation order
+fixes their bits: the Σ|f|² dots, the filter's column sums and the sign
+check's min and max. Workers allocate nothing (every buffer is made on the
+calling thread) and call numpy only, never a biphoton function.
+
+Schmidt analysis of the discretised amplitude yields the heralded spectral
+purity, computed in the Gram form without an SVD from the amplitude's
+cached FF† (formed in real arithmetic, and reused by the signal-arm
+herald); the Schmidt coefficients run the SVD only when they are first
+read.
 
 Bandwidth convention: pump bandwidth is the intensity FWHM in nm; the
 envelope exp(−(ωs+ωi−ωp)²/σ²) uses the amplitude 1/e half width
@@ -24,7 +37,6 @@ FWHM at the pump center.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -32,7 +44,14 @@ import numpy as np
 
 from ._contracts import built_valid
 from .errors import DegenerateInputError, EmptyResultError, InputError, SearchError
-from .phasematch import CrystalSpec, PumpSpec, phase_mismatch, spread_sums
+from .phasematch import (
+    CrystalSpec,
+    PumpSpec,
+    _in_row_halves,
+    _in_two,
+    phase_mismatch,
+    spread_sums,
+)
 from .units import (
     angular_frequency_to_nm,
     fwhm_nm_to_fwhm_omega,
@@ -145,9 +164,11 @@ class JointAmplitude:
     by ``_gram`` (real BLAS, exactly Hermitian), cached read-only, and
     shared by the Schmidt purity and the signal-arm herald, so each
     amplitude pays one Gram product for both. The cache costs N²·16 bytes
-    while the amplitude lives (4 MB at 512², 16 MB at 1024²).
+    while the amplitude lives (4 MB at 512², 16 MB at 1024²). ``intensity``
+    |f|² is cached read-only the same way (N²·8 bytes), so the CSV and both
+    marginals of one amplitude share one pass.
     The fields cannot be reassigned, and ``amplitudes`` must not be mutated
-    in place, or the cached Gram goes stale.
+    in place, or the cached Gram and intensity go stale.
     """
 
     grid: FrequencyGrid
@@ -171,9 +192,11 @@ class JointAmplitude:
     def total_probability(self) -> float:
         return _sum_sq(self.amplitudes) * self.grid.cell_area
 
-    @property
+    @cached_property
     def intensity(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
+        intensity = np.abs(self.amplitudes) ** 2
+        intensity.setflags(write=False)
+        return intensity
 
     @cached_property
     def gram(self) -> np.ndarray:
@@ -266,21 +289,31 @@ def phasematching_function(omega_s, omega_i, crystal: CrystalSpec, sums=None):
 
     One pass each of sin x and cos x: φ = cos x·sinc x − i·sin x·sinc x with
     sinc x = sin x / x, and exactly 1 where x == 0. Both parts are written
-    into one complex array; a scalar input gives a scalar. ``sums`` are a
-    grid's sum frequencies, as in ``unpoled_mismatch``.
+    into one complex array, in two row halves at once; a scalar input gives
+    a scalar. ``sums`` are a grid's sum frequencies, as in
+    ``unpoled_mismatch``.
     """
     dk = phase_mismatch(crystal, omega_s, omega_i, sums)
     x = np.atleast_1d(dk)  # phase_mismatch returns a fresh array: scaled in place
-    x *= crystal.length_um / 2.0
+    half_length = crystal.length_um / 2.0
     phi = np.empty(x.shape, dtype=complex)
-    np.cos(x, out=phi.real)
-    sinc = np.sin(x)
-    np.negative(sinc, out=phi.imag)
-    zero = x == 0.0
-    sinc[zero] = x[zero] = 1.0  # 1/1 where x == 0: no 0/0, no warning
-    sinc /= x
-    phi.real *= sinc
-    phi.imag *= sinc
+    sinc = np.empty(x.shape)
+    zero = np.empty(x.shape, dtype=bool)
+
+    def fill(rows):
+        xr, sr, zr, pr = x[rows], sinc[rows], zero[rows], phi[rows]
+        np.multiply(xr, half_length, out=xr)
+        np.cos(xr, out=pr.real)
+        np.sin(xr, out=sr)
+        np.negative(sr, out=pr.imag)
+        np.equal(xr, 0.0, out=zr)
+        np.copyto(sr, 1.0, where=zr)  # 1/1 where x == 0: no 0/0, no warning
+        np.copyto(xr, 1.0, where=zr)
+        np.divide(sr, xr, out=sr)
+        np.multiply(pr.real, sr, out=pr.real)
+        np.multiply(pr.imag, sr, out=pr.imag)
+
+    _in_row_halves(fill, len(x))
     return phi if np.ndim(dk) else phi[0]
 
 
@@ -301,14 +334,17 @@ def _crystal_factor(crystal: CrystalSpec, grid: FrequencyGrid) -> np.ndarray:
 def _joint(pump: PumpSpec, phi: np.ndarray, grid: FrequencyGrid, out=None) -> JointAmplitude:
     """Normalized N·α·φ for a crystal factor from ``_crystal_factor``.
 
-    The amplitude is written into ``out`` when given, else into a new array.
+    The amplitude is written into ``out`` when given, else into a new array;
+    the product and the division run in two row halves at once.
     """
-    f = np.multiply(spread_sums(_envelope(grid.sum_omegas, pump)), phi, out=out)
+    alpha = spread_sums(_envelope(grid.sum_omegas, pump))
+    f = np.empty(phi.shape, dtype=complex) if out is None else out
+    _in_row_halves(lambda rows: np.multiply(alpha[rows], phi[rows], out=f[rows]), len(f))
     norm = math.sqrt(_sum_sq(f) * grid.cell_area)
     if not 0.0 < norm < math.inf:  # NaN-safe
         raise DegenerateInputError("joint amplitude vanishes or is not finite on the grid")
     # Divided in place by the norm just summed, so unit norm without a second pass.
-    f /= norm
+    _in_row_halves(lambda rows: np.divide(f[rows], norm, out=f[rows]), len(f))
     return built_valid(JointAmplitude, grid=grid, amplitudes=f)
 
 
@@ -335,7 +371,9 @@ def apply_filter(
     filtered amplitude of a unit-norm input, so a filter that transmits 1
     everywhere returns the input amplitudes unchanged, bit for bit. An input with
     ``normalized=False`` is divided by its recomputed norm
-    √(Σ|f|²·Δωs·Δωi) instead, so the output is normalized either way.
+    √(Σ|f|²·Δωs·Δωi) instead, so the output is normalized either way. The
+    √T scalings and the division run in two row halves at once; the sums
+    stay whole.
 
     Raises:
         DegenerateInputError: the input has zero or non-finite weight.
@@ -345,27 +383,33 @@ def apply_filter(
     if not 0.0 < base < math.inf:  # NaN-safe
         raise DegenerateInputError("joint amplitude with zero or non-finite weight")
     survival_s = survival_i = None
-    if signal_filter is None:
-        f = jsa.amplitudes.copy()
-    else:
-        amp_s = np.sqrt(signal_filter.transmission(jsa.grid.signal_wavelengths_nm))
-        f = jsa.amplitudes * amp_s[:, None]
+    # f is the one filtered copy: each √T scaling writes it from the amplitude
+    # scaled so far, and the norm divides it in place.
+    a = scaled = jsa.amplitudes
+    f = np.empty(a.shape, dtype=np.result_type(a, 1.0))
+    if signal_filter is not None:
+        amp_s = np.sqrt(signal_filter.transmission(jsa.grid.signal_wavelengths_nm))[:, None]
+        _in_row_halves(lambda rows: np.multiply(a[rows], amp_s[rows], out=f[rows]), len(f))
         survival_s = _sum_sq(f) / base
-    # f is the one filtered copy; the idler filter and the norm scale it in place.
+        scaled = f
     if idler_filter is not None:
         t_i = idler_filter.transmission(jsa.grid.idler_wavelengths_nm)
         # Σ_k T_k·Σ_j |f_jk|² from the column sums of the unfiltered |f|²
         # (re and im columns of the float64 view), with no filtered copy.
-        v = np.ascontiguousarray(jsa.amplitudes, dtype=complex).view(np.float64)
+        v = np.ascontiguousarray(a, dtype=complex).view(np.float64)
         columns = np.einsum("jc,jc->c", v, v)
         survival_i = float(t_i @ (columns[0::2] + columns[1::2]) / base)
-        f *= np.sqrt(t_i)[None, :]
+        amp_i = np.sqrt(t_i)
+        _in_row_halves(lambda rows: np.multiply(scaled[rows], amp_i, out=f[rows]), len(f))
+    elif signal_filter is None:
+        np.copyto(f, a)
     kept = _sum_sq(f)
     total = kept / base
     if not total > 0.0:  # NaN-safe
         raise EmptyResultError("filter pass-band does not overlap the grid")
     # Unit norm: the input's own (checked) norm, or the one just summed.
-    f /= math.sqrt(total) if jsa.normalized else math.sqrt(kept * jsa.grid.cell_area)
+    norm = math.sqrt(total) if jsa.normalized else math.sqrt(kept * jsa.grid.cell_area)
+    _in_row_halves(lambda rows: np.divide(f[rows], norm, out=f[rows]), len(f))
     return built_valid(
         JointAmplitude,
         grid=jsa.grid,
@@ -407,44 +451,38 @@ def _gram(f: np.ndarray, out=None) -> np.ndarray:
     With V = F viewed as reals (re, im interleaved per column), Re FF† = VVᵀ,
     which numpy runs as one BLAS syrk, and Im FF† = P − Pᵀ with
     P = Im F·(Re F)ᵀ, one real gemm: half the flops of the complex product.
-    The two products run at once: a worker thread forms P while this thread
-    forms VVᵀ, and the worker is joined, its error re-raised, before the
-    Gram is assembled, so no thread outlives the call. Each product is the
-    same BLAS call on the same operands as when the two run in turn, so the
-    Gram is bit-identical to a sequential one. The worker allocates
-    nothing: the contiguous copies of Re F and Im F and the buffer of P are
-    made here, because glibc serves each new thread from a malloc arena of
-    its own, which keeps what it frees apart from this thread's and so grows
-    the resident set. The copies are freed before the Gram is allocated, so
-    at most four real N² arrays are alive beside F: P, VVᵀ and either the
-    two copies or the Gram. A non-contiguous F, such as the transposed idler
-    arm, is copied contiguous first, which costs one N² complex temporary
-    more. The Gram is written into ``out`` when given.
+    The two products run at once (``phasematch._in_two``): a worker thread
+    forms P while this thread forms VVᵀ. Each product is the same BLAS call
+    on the same operands as when the two run in turn, so the Gram is
+    bit-identical to a sequential one. The contiguous copies of Re F and
+    Im F, and the assembly Im G = P − Pᵀ, Re G = VVᵀ, run in two row halves
+    at once. Every buffer, P's and VVᵀ's included, is made here, so the
+    worker allocates nothing. The copies are freed before the Gram is
+    allocated, so at most four real N² arrays are alive beside F: P, VVᵀ
+    and either the two copies or the Gram. A non-contiguous F, such as the
+    transposed idler arm, is copied contiguous first, which costs one N²
+    complex temporary more. The Gram is written into ``out`` when given.
     """
     f = np.ascontiguousarray(f, dtype=complex)
     v = f.view(np.float64)
-    re, im = np.ascontiguousarray(f.real), np.ascontiguousarray(f.imag)
-    work = np.empty((len(f), len(f)))
-    errors = []
+    n = len(f)
+    re, im = np.empty(f.shape), np.empty(f.shape)
 
-    def gemm(re_t):
-        try:
-            np.matmul(im, re_t, out=work)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
+    def split(rows):
+        np.copyto(re[rows], f[rows].real)
+        np.copyto(im[rows], f[rows].imag)
 
-    worker = threading.Thread(target=gemm, args=(re.T,))
-    worker.start()
-    try:
-        real = np.matmul(v, v.T)
-    finally:
-        worker.join()
-    if errors:
-        raise errors[0]
+    _in_row_halves(split, n)
+    p, real = np.empty((n, n)), np.empty((n, n))
+    _in_two(lambda product: np.matmul(*product), (im, re.T, p), (v, v.T, real))
     del re, im
-    gram = np.empty((len(f), len(f)), dtype=complex) if out is None else out
-    np.subtract(work, work.T, out=gram.imag)
-    gram.real = real
+    gram = np.empty((n, n), dtype=complex) if out is None else out
+
+    def assemble(rows):
+        np.subtract(p[rows], p.T[rows], out=gram[rows].imag)
+        np.copyto(gram[rows].real, real[rows])
+
+    _in_row_halves(assemble, n)
     return gram
 
 

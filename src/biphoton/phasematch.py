@@ -10,11 +10,21 @@ design point.
 Root finding uses plain bisection on fixed, documented windows: the
 dispersion curves are smooth and monotonic there and bisection needs no
 derivatives.
+
+On a grid, the N² element-by-element work (k_p − k_s − k_i and the grating
+term here, x = ΔK·L/2, cos, sin and sinc in ``jsa.phasematching_function``)
+runs in two row halves at once with ``_in_row_halves``; the sign check's
+min and max stay single passes over the whole array. Each element goes
+through the same operations in the same order as in one pass, so the bits
+do not depend on the split. The Sellmeier evaluations stay on the calling
+thread.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,25 +108,81 @@ def spread_sums(values: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(values, (len(values) + 1) // 2)
 
 
+def _in_two(work, first, second) -> None:
+    """Run ``work(first)`` on a short-lived worker thread and ``work(second)`` here.
+
+    The only function in biphoton that starts a thread. The worker is joined,
+    and its error re-raised here, before this returns, so no thread outlives
+    the call. It runs in a copy of this thread's context, so an ``np.errstate``
+    in force here holds there too. ``work`` calls numpy only, writing into
+    buffers the caller made: it makes no array of its own (numpy's few casting
+    buffers aside), because glibc serves each new thread from a malloc arena
+    of its own, which keeps what it frees apart and so grows the resident
+    set; and it calls no biphoton function, so the
+    benchmark's layer tracer, which keeps one span stack per process, sees
+    every layer on the calling thread.
+    """
+    errors = []
+
+    def run():
+        try:
+            work(first)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+    worker.start()
+    try:
+        work(second)
+    finally:
+        worker.join()
+    if errors:
+        raise errors[0]
+
+
+def _in_row_halves(work, n_rows: int) -> None:
+    """``work(rows)`` for the first half of ``n_rows`` rows on a worker, the second here.
+
+    ``rows`` is a slice along the first axis (see ``_in_two``). An
+    element-wise stage split this way gives the bits of one pass over the
+    whole array; a reduction must stay whole, as its summation order fixes
+    its bits.
+    """
+    half = n_rows // 2
+    _in_two(work, slice(0, half), slice(half, n_rows))
+
+
 def unpoled_mismatch(axes: CrystalAxes, omega_s, omega_i, temperature_c: float, sums=None):
     """k_p(ωs+ωi) − k_s(ωs) − k_i(ωi) without the grating term, rad/µm.
 
     ``sums`` serves a grid: ωs an N-point column and ωi an N-point row with
     one shared step, and ``sums`` the 2N − 1 sums ωs[j] + ωi[k] indexed by
     j + k. k_p is then evaluated on those sums alone and spread over the
-    N × N points by ``spread_sums``. Without it, k_p is evaluated at
-    ωs + ωi on every point.
+    N × N points by ``spread_sums``, and the N² differences are formed in
+    two row halves at once. Without it, k_p is evaluated at ωs + ωi on every
+    point.
     """
     if sums is None:
         lam_p = angular_frequency_to_nm(np.asarray(omega_s) + np.asarray(omega_i))
-        k_p = wavenumber(axes.pump, lam_p, temperature_c)
-    else:
-        k_p = spread_sums(wavenumber(axes.pump, angular_frequency_to_nm(sums), temperature_c))
-    return (
-        k_p
-        - wavenumber(axes.signal, angular_frequency_to_nm(omega_s), temperature_c)
-        - wavenumber(axes.idler, angular_frequency_to_nm(omega_i), temperature_c)
+        return (
+            wavenumber(axes.pump, lam_p, temperature_c)
+            - wavenumber(axes.signal, angular_frequency_to_nm(omega_s), temperature_c)
+            - wavenumber(axes.idler, angular_frequency_to_nm(omega_i), temperature_c)
+        )
+    k_p = spread_sums(wavenumber(axes.pump, angular_frequency_to_nm(sums), temperature_c))
+    k_s, k_i = (
+        np.broadcast_to(wavenumber(sset, angular_frequency_to_nm(omega), temperature_c),
+                        k_p.shape)
+        for sset, omega in ((axes.signal, omega_s), (axes.idler, omega_i))
     )
+    dk0 = np.empty(k_p.shape)
+
+    def subtract(rows):
+        np.subtract(k_p[rows], k_s[rows], out=dk0[rows])
+        np.subtract(dk0[rows], k_i[rows], out=dk0[rows])
+
+    _in_row_halves(subtract, len(dk0))
+    return dk0
 
 
 def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i, sums=None):
@@ -125,7 +191,7 @@ def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i, sums=None):
     Accepts scalars or arrays in rad/fs, or a grid's axes with its sum
     frequencies ``sums`` (see ``unpoled_mismatch``); dispersion range errors
     propagate. In the Λ → ∞ limit the result reduces to the unpoled
-    mismatch.
+    mismatch. The grating term is added in two row halves at once.
 
     Raises:
         InputError: the unpoled mismatch is positive at some points and
@@ -140,9 +206,14 @@ def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i, sums=None):
             "rad/um); the compensating grating order is ambiguous"
         )
     # one order for the whole call: exact zeros take the order of the other
-    # points, and an all-zero mismatch the order of a positive one
+    # points, and an all-zero mismatch the order of a positive one; dk0 − g
+    # and dk0 + (−g) round alike
     grating = 2.0 * np.pi / crystal.expanded_poling_period_um
-    return dk0 + grating if lo < 0.0 else dk0 - grating
+    if not lo < 0.0:
+        grating = -grating
+    dk = np.atleast_1d(dk0)  # unpoled_mismatch returns a fresh array: shifted in place
+    _in_row_halves(lambda rows: np.add(dk[rows], grating, out=dk[rows]), len(dk))
+    return dk if np.ndim(dk0) else dk[0]
 
 
 def _check_energy_conservation(lambda_p_nm, lambda_s_nm, lambda_i_nm):

@@ -1,4 +1,6 @@
+import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,8 +17,8 @@ import biphoton as bp
 from biphoton.errors import DegenerateInputError, EmptyResultError, InputError, SearchError
 from biphoton import jsa as jsa_mod
 from biphoton.jsa import _gram, _sum_sq, gram_purity, pump_sigma
-from biphoton.phasematch import phase_mismatch
-from biphoton.units import nm_to_angular_frequency
+from biphoton.phasematch import phase_mismatch, spread_sums
+from biphoton.units import angular_frequency_to_nm, nm_to_angular_frequency
 from conftest import svd_purity
 
 PUMP = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=5.35)
@@ -306,6 +308,13 @@ class TestGramPurity:
         with pytest.raises(DegenerateInputError):
             gram_purity(zero)
 
+    def test_cached_intensity_is_read_only(self, paper_jsa):
+        intensity = paper_jsa.intensity
+        assert intensity is paper_jsa.intensity
+        assert np.array_equal(intensity, np.abs(paper_jsa.amplitudes) ** 2)
+        with pytest.raises(ValueError):
+            intensity[0, 0] = 0.0
+
     def test_cached_gram_is_read_only_and_amplitude_frozen(self, default_config, small_grid):
         cfg = default_config
         jsa = bp.compute_jsa(cfg.pump, cfg.crystal, small_grid)
@@ -347,16 +356,18 @@ def sequential_gram(f):
     return gram
 
 
-def off_main_thread(monkeypatch, action):
-    """Replace np.matmul by one that first runs ``action()`` when called off the main thread."""
-    matmul = np.matmul
+def off_main_thread(monkeypatch, action, names=("matmul",)):
+    """Replace each numpy function in ``names`` by one that first runs ``action()`` off the
+    main thread."""
+    for name in names:
+        original = getattr(np, name)
 
-    def patched(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            action()
-        return matmul(*args, **kwargs)
+        def patched(*args, original=original, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                action()
+            return original(*args, **kwargs)
 
-    monkeypatch.setattr(np, "matmul", patched)
+        monkeypatch.setattr(np, name, patched)
 
 
 class TestThreadedGram:
@@ -400,6 +411,202 @@ class TestThreadedGram:
         with pytest.raises(WorkerError, match="worker product failed"):
             _gram(f)
         assert threading.active_count() == before
+
+
+def sequential_jsa(pump, crystal, grid):
+    """Reference f: every N² stage of ``compute_jsa`` in one pass, on one thread."""
+    nm = angular_frequency_to_nm
+    axes, t = crystal.axes, crystal.temperature_c
+    dk0 = (
+        spread_sums(bp.wavenumber(axes.pump, nm(grid.sum_omegas), t))
+        - bp.wavenumber(axes.signal, nm(grid.signal_omegas[:, None]), t)
+        - bp.wavenumber(axes.idler, nm(grid.idler_omegas[None, :]), t)
+    )
+    grating = 2.0 * np.pi / crystal.expanded_poling_period_um
+    x = dk0 + grating if np.min(dk0) < 0.0 else dk0 - grating
+    x *= crystal.length_um / 2.0
+    phi = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=phi.real)
+    sinc = np.sin(x)
+    np.negative(sinc, out=phi.imag)
+    zero = x == 0.0
+    sinc[zero] = x[zero] = 1.0
+    sinc /= x
+    phi.real *= sinc
+    phi.imag *= sinc
+    f = spread_sums(jsa_mod._envelope(grid.sum_omegas, pump)) * phi
+    f /= math.sqrt(_sum_sq(f) * grid.cell_area)
+    return f
+
+
+def sequential_filter(jsa, signal_filter, idler_filter):
+    """Reference ``apply_filter`` amplitudes: each √T scaling and the division in one pass."""
+    base = _sum_sq(jsa.amplitudes)
+    f = jsa.amplitudes.copy()
+    if signal_filter is not None:
+        f = f * np.sqrt(signal_filter.transmission(jsa.grid.signal_wavelengths_nm))[:, None]
+    if idler_filter is not None:
+        f *= np.sqrt(idler_filter.transmission(jsa.grid.idler_wavelengths_nm))[None, :]
+    kept = _sum_sq(f)
+    f /= math.sqrt(kept / base) if jsa.normalized else math.sqrt(kept * jsa.grid.cell_area)
+    return f
+
+
+def sequential_herald(jsa, arm, herald_filter):
+    """Reference heralded density: filter, ``sequential_gram`` and G / Re Tr G in one pass."""
+    f, herald_lam = {
+        "signal": (jsa.amplitudes, jsa.grid.idler_wavelengths_nm),
+        "idler": (jsa.amplitudes.T, jsa.grid.signal_wavelengths_nm),
+    }[arm]
+    if herald_filter is not None:
+        f = f * np.sqrt(herald_filter.transmission(herald_lam))[None, :]
+    gram = sequential_gram(f)
+    return gram / float(np.real(np.trace(gram)))
+
+
+FILTER_8NM = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
+#: one JSA, filter and herald each, the stages split into row halves
+ROW_HALF_CALLS = {
+    "compute_jsa": lambda cfg, jsa: bp.compute_jsa(cfg.pump, cfg.crystal, jsa.grid),
+    "apply_filter": lambda cfg, jsa: bp.apply_filter(jsa, FILTER_8NM, FILTER_8NM),
+    "heralded_spectral_state": lambda cfg, jsa: bp.heralded_spectral_state(
+        jsa, "idler", herald_filter=FILTER_8NM
+    ),
+}
+
+
+class TestRowHalves:
+    """The N² stages split into two row halves give the bits of one pass, on one thread."""
+
+    @pytest.fixture(scope="class", params=[64, 1024], ids=["64", "1024"])
+    def grids(self, request):
+        n = request.param
+        return [
+            bp.FrequencyGrid(points_per_axis=n),
+            bp.FrequencyGrid(points_per_axis=n, center_signal_nm=1550.0, center_idler_nm=1590.0),
+        ]
+
+    def test_compute_jsa_matches_one_pass(self, default_config, grids):
+        cfg = default_config
+        for grid in grids:
+            jsa = bp.compute_jsa(cfg.pump, cfg.crystal, grid)
+            assert np.array_equal(jsa.amplitudes, sequential_jsa(cfg.pump, cfg.crystal, grid))
+
+    def test_joint_into_buffer_matches_one_pass(self, default_config, grids):
+        # the amplitudes optimize_pump_bandwidth writes into its one buffer per width
+        cfg, grid = default_config, grids[0]
+        phi = jsa_mod._crystal_factor(cfg.crystal, grid)
+        out = np.empty_like(phi)
+        for fwhm in (2.0, 5.35, 12.0):
+            pump = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=fwhm)
+            assert jsa_mod._joint(pump, phi, grid, out=out).amplitudes is out
+            assert np.array_equal(out, sequential_jsa(pump, cfg.crystal, grid))
+
+    def test_apply_filter_matches_one_pass(self, default_config, grids):
+        cfg, grid = default_config, grids[0]
+        jsa = bp.compute_jsa(cfg.pump, cfg.crystal, grid)
+        raw = bp.JointAmplitude(grid=grid, amplitudes=3.0 * jsa.amplitudes, normalized=False)
+        for amplitude, signal_filter, idler_filter in (
+            (jsa, FILTER_8NM, FILTER_8NM),
+            (jsa, FILTER_8NM, None),
+            (jsa, None, FILTER_8NM),
+            (jsa, None, None),
+            (raw, FILTER_8NM, FILTER_8NM),
+        ):
+            filtered = bp.apply_filter(amplitude, signal_filter, idler_filter)
+            assert np.array_equal(
+                filtered.amplitudes, sequential_filter(amplitude, signal_filter, idler_filter)
+            )
+
+    def test_heralded_state_matches_one_pass(self, default_config, grids):
+        cfg, grid = default_config, grids[0]
+        jsa = bp.compute_jsa(cfg.pump, cfg.crystal, grid)
+        for arm, herald_filter in (("signal", None), ("idler", None), ("signal", FILTER_8NM)):
+            state = bp.heralded_spectral_state(jsa, arm, herald_filter=herald_filter)
+            assert np.array_equal(state.density, sequential_herald(jsa, arm, herald_filter))
+
+    @pytest.mark.parametrize("call", sorted(ROW_HALF_CALLS))
+    def test_no_thread_outlives_the_call(self, default_config, paper_jsa, monkeypatch, call):
+        # every stage's last step divides; the worker's division sleeps first,
+        # so a worker left unjoined is still alive when the call returns
+        off_main_thread(monkeypatch, lambda: time.sleep(0.02), names=["divide"])
+        before = threading.active_count()
+        ROW_HALF_CALLS[call](default_config, paper_jsa)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("call", sorted(ROW_HALF_CALLS))
+    def test_worker_error_reaches_the_caller(self, default_config, paper_jsa, monkeypatch, call):
+        class WorkerError(Exception):
+            pass
+
+        def fail():
+            raise WorkerError("worker half failed")
+
+        off_main_thread(monkeypatch, fail, names=["multiply", "divide"])
+        before = threading.active_count()
+        with pytest.raises(WorkerError, match="worker half failed"):
+            ROW_HALF_CALLS[call](default_config, paper_jsa)
+        assert threading.active_count() == before
+
+    def test_worker_half_keeps_the_callers_errstate(self, default_config, monkeypatch):
+        # x = inf in one row only: cos(inf) is invalid in that row's half alone
+        for row in (0, 3):
+            mismatch = np.full((4, 4), 1e-3)
+            mismatch[row, 1] = np.inf
+            monkeypatch.setattr(jsa_mod, "phase_mismatch", lambda *args, m=mismatch: m.copy())
+            with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+                bp.phasematching_function(None, None, default_config.crystal)
+
+    @pytest.mark.parametrize("half", ["worker", "caller"])
+    def test_sign_change_inside_one_half_is_rejected(self, default_config, monkeypatch, half):
+        # dk0[j, k] = −k_s[j]: negative on every row but two of one half, so
+        # that half alone holds both signs
+        n = 64
+        k_s = np.full((n, 1), 2.0e-3)
+        rows = slice(10, 12) if half == "worker" else slice(n - 12, n - 10)
+        k_s[rows] = [[-1.0e-3], [-3.0e-3]]
+
+        def wavenumber(sset, wavelength_nm, temperature_c):
+            shape = np.shape(wavelength_nm)
+            return k_s.copy() if shape == (n, 1) else np.zeros(shape)
+
+        monkeypatch.setattr(bp.phasematch, "wavenumber", wavenumber)
+        dk0 = -k_s
+        message = (
+            f"unpoled mismatch changes sign within one call ({np.min(dk0):.3e} to "
+            f"{np.max(dk0):.3e} rad/um); the compensating grating order is ambiguous"
+        )
+        assert "-2.000e-03 to 3.000e-03" in message
+        cfg = default_config
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            bp.compute_jsa(cfg.pump, cfg.crystal, bp.FrequencyGrid(points_per_axis=n))
+
+    def test_traced_functions_run_on_the_main_thread(self, default_config, paper_jsa, monkeypatch):
+        # the benchmark's layer tracer keeps one span stack per process, so no
+        # public function it times may run on a worker
+        calls = []
+
+        def on_main_thread(func):
+            def guarded(*args, **kwargs):
+                assert threading.current_thread() is threading.main_thread(), func.__name__
+                calls.append(func.__name__)
+                return func(*args, **kwargs)
+
+            return guarded
+
+        originals = {
+            id(func): func
+            for func in (bp.dispersion.wavenumber, bp.phasematch.unpoled_mismatch,
+                         bp.phasematch.phase_mismatch, jsa_mod.pump_envelope)
+        }
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "biphoton" or module_name.startswith("biphoton."):
+                for attr, value in list(vars(module).items()):
+                    if id(value) in originals and originals[id(value)] is value:
+                        monkeypatch.setattr(module, attr, on_main_thread(value))
+        for call in ROW_HALF_CALLS.values():
+            call(default_config, paper_jsa)
+        assert {"wavenumber", "unpoled_mismatch", "phase_mismatch"} <= set(calls)
 
 
 class TestSumSq:
