@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Purity versus heralding survival as the bandpass filter narrows.
+"""Purity versus single-arm filter survival as the bandpass filter narrows.
 
 Sweeps Gaussian filter widths on both arms of the default source and
-reports spectral purity, per-arm survival, and the predicted two-source
-visibility including the multi-pair bound.
+reports spectral purity, the per-arm survival (the share of |f|² that one
+arm's filter alone transmits, not a Klyshko heralding efficiency), and the
+predicted two-source visibility including the multi-pair bound.
 
 Usage: python scripts/filter_tradeoff.py [--pair-probability 0.0015]
 """

@@ -137,13 +137,16 @@ def hom_curve(a: SpectralState, b: SpectralState, delays_fs) -> HomCurve:
     D(τ) = diag(e^{iωτ}); the baseline is ½ for delays far beyond the
     coherence time, and the τ = 0 value is ½(1 − visibility). On a grid
     with spacing Δω, P(τ) repeats with period 2π/Δω, so a delay with
-    |τ| > π/Δω raises InputError instead of returning a false revival dip.
+    |τ| > π/Δω raises InputError rather than show a false revival dip; so
+    do a NaN or infinite delay and an empty list.
     """
     _check_shared_axis(a, b)
     delays = np.asarray(delays_fs, dtype=float)
+    if delays.size == 0 or not np.all(np.isfinite(delays)):
+        raise InputError("hom_curve needs at least one delay, and every delay finite")
     if len(a.omegas) > 1:
         limit = np.pi / abs(a.omegas[1] - a.omegas[0])
-        if np.any(np.abs(delays) > limit):
+        if not np.all(np.abs(delays) <= limit):
             raise InputError(
                 f"|delay| must not exceed pi/d_omega = {limit:.1f} fs on this grid; "
                 f"P(tau) repeats every {2.0 * limit:.1f} fs"

@@ -22,11 +22,10 @@ fixes their bits: the Σ|f|² dots, the filter's column sums and the sign
 check's min and max. Workers allocate nothing (every buffer is made on the
 calling thread) and call numpy only, never a biphoton function.
 
-Schmidt analysis of the discretised amplitude yields the heralded spectral
-purity, computed in the Gram form without an SVD from the amplitude's
-cached FF† (formed in real arithmetic, and reused by the signal-arm
-herald); the Schmidt coefficients run the SVD only when they are first
-read.
+Schmidt analysis reads every number from the amplitude's cached Gram FF†
+(formed in real arithmetic, and reused by the signal-arm herald): the
+heralded spectral purity at once, and the Schmidt coefficients, its
+eigenvalues, on first read.
 
 Bandwidth convention: pump bandwidth is the intensity FWHM in nm; the
 envelope exp(−(ωs+ωi−ωp)²/σ²) uses the amplitude 1/e half width
@@ -37,7 +36,7 @@ FWHM at the pump center.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -162,7 +161,7 @@ class JointAmplitude:
 
     ``gram`` is FF† over the signal index, unscaled: formed on first read
     by ``_gram`` (real BLAS, exactly Hermitian), cached read-only, and
-    shared by the Schmidt purity and the signal-arm herald, so each
+    shared by the Schmidt spectrum and the signal-arm herald, so each
     amplitude pays one Gram product for both. The cache costs N²·16 bytes
     while the amplitude lives (4 MB at 512², 16 MB at 1024²). ``intensity``
     |f|² is cached read-only the same way (N²·8 bytes), so the CSV and both
@@ -236,29 +235,30 @@ class FilterSpec:
 
 @dataclass(frozen=True)
 class SchmidtSpectrum:
-    """Schmidt analysis of one joint amplitude matrix.
+    """Schmidt analysis of one joint amplitude matrix F, kept as its Gram FF†.
 
-    The constructor takes only the amplitude matrix and derives ``purity`` =
-    Σλ_k² from it in the Gram form, raising ``DegenerateInputError`` on zero
-    or non-finite weight. ``coefficients`` — the λ_k, descending and summing
-    to one — are computed by an SVD on first read and cached. The spectrum
-    holds a reference to the amplitude matrix, not a copy, so the amplitudes
-    must not be mutated in place before ``coefficients`` is read.
+    The constructor forms FF† once with ``_gram`` and keeps it (read-only),
+    not F. ``purity`` = Σλ_k² = ‖FF†‖²_F / ‖F‖⁴_F is derived at once, raising
+    ``DegenerateInputError`` on zero or non-finite weight. ``coefficients``,
+    the λ_k descending and summing to one, are the eigenvalues of FF† (the
+    σ_k² of F) over their sum: one ``eigvalsh`` on first read, then cached.
     """
 
-    amplitudes: np.ndarray = field(repr=False)
+    amplitudes: InitVar[np.ndarray]
+    gram: np.ndarray = field(init=False, repr=False)
     purity: float = field(init=False)
 
-    def __post_init__(self):
-        if np.ndim(self.amplitudes) != 2:
+    def __post_init__(self, amplitudes):
+        if np.ndim(amplitudes) != 2:
             raise InputError("Schmidt analysis needs a 2-D amplitude matrix")
-        object.__setattr__(self, "purity", _gram_purity(self.amplitudes, _gram(self.amplitudes)))
+        object.__setattr__(self, "gram", _gram(amplitudes))
+        self.gram.setflags(write=False)
+        object.__setattr__(self, "purity", _gram_purity(amplitudes, self.gram))
 
     @cached_property
     def coefficients(self) -> np.ndarray:
-        # σ²/Σσ² from the singular values: non-negative, descending and summing
-        # to one by construction, so not re-checked.
-        weights = np.linalg.svd(self.amplitudes, compute_uv=False) ** 2
+        # eigvalsh is ascending and may give −1e-17 for a zero eigenvalue: clipped
+        weights = np.maximum(np.linalg.eigvalsh(self.gram)[::-1], 0.0)
         return weights / weights.sum()
 
     @property
@@ -421,26 +421,23 @@ def apply_filter(
 def schmidt_decompose(jsa: JointAmplitude) -> SchmidtSpectrum:
     """Schmidt spectrum of a normalized amplitude: purity now, λ_k on first read.
 
-    The coefficients λ_k = σ_k²/Σσ² come from the singular values, which
-    numpy returns in descending order; ties keep their original index, which
-    makes golden tests deterministic.
+    The spectrum keeps the amplitude's own read-only ``jsa.gram``: no new memory.
     """
     if not np.any(jsa.amplitudes):
         raise DegenerateInputError("all-zero joint amplitude has no Schmidt spectrum")
     if not jsa.normalized:
         raise InputError("schmidt_decompose requires a normalized joint amplitude")
-    # The purity the constructor would derive, read off the amplitude's cached Gram.
-    return built_valid(SchmidtSpectrum, amplitudes=jsa.amplitudes, purity=gram_purity(jsa))
+    # The Gram and purity the constructor would derive, read off the amplitude.
+    return built_valid(SchmidtSpectrum, gram=jsa.gram, purity=gram_purity(jsa))
 
 
 def gram_purity(jsa: JointAmplitude) -> float:
-    """Schmidt purity Σλ_k² as ‖FF†‖²_F / ‖F‖⁴_F, without an SVD.
+    """Schmidt purity Σλ_k² as ‖FF†‖²_F / ‖F‖⁴_F.
 
     This is ``schmidt_decompose(jsa).purity``. FF† is ``jsa.gram``, formed
-    once per amplitude and cached there (N²·16 bytes), so a later signal-arm
-    ``heralded_spectral_state`` of the same amplitude reuses it; only the
-    Schmidt coefficients themselves need the SVD, which ``SchmidtSpectrum``
-    runs on first read.
+    once per amplitude and cached there (N²·16 bytes), so the Schmidt
+    coefficients and a later signal-arm ``heralded_spectral_state`` of the
+    same amplitude read the same product.
     """
     return _gram_purity(jsa.amplitudes, jsa.gram)
 

@@ -57,6 +57,12 @@ def random_density_matrix(rng: np.random.Generator, n: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def svd_coefficients(jsa) -> np.ndarray:
+    """σ²/Σσ² from numpy's own SVD: the reference the Gram's eigenvalues must match."""
+    weights = np.linalg.svd(jsa.amplitudes, compute_uv=False) ** 2
+    return weights / weights.sum()
+
+
 def svd_purity(jsa) -> float:
     """Σλ² from the singular values: the reference the Gram form must match."""
-    return float(np.sum(bp.schmidt_decompose(jsa).coefficients ** 2))
+    return float(np.sum(svd_coefficients(jsa) ** 2))

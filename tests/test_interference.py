@@ -238,6 +238,9 @@ class TestHomCurve:
         for delay in (35000.0, -1.001 * limit):
             with pytest.raises(InputError, match=f"{limit:.1f} fs"):
                 bp.hom_curve(state, state, [0.0, delay])
+        for delays in ([], [0.0, np.nan], [0.0, np.inf], [-np.inf]):
+            with pytest.raises(InputError):
+                bp.hom_curve(state, state, delays)
 
     def test_curve_lengths_validated(self):
         with pytest.raises(InputError):

@@ -19,7 +19,7 @@ from biphoton import jsa as jsa_mod
 from biphoton.jsa import _gram, _sum_sq, gram_purity, pump_sigma
 from biphoton.phasematch import phase_mismatch, spread_sums
 from biphoton.units import angular_frequency_to_nm, nm_to_angular_frequency
-from conftest import svd_purity
+from conftest import svd_coefficients, svd_purity
 
 PUMP = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=5.35)
 
@@ -296,6 +296,8 @@ class TestGramPurity:
         )
         for jsa in (paper_jsa, filtered_jsa, separable, entangled):
             assert abs(gram_purity(jsa) - svd_purity(jsa)) < 1e-12
+            leading = bp.schmidt_decompose(jsa).coefficients[:8]
+            assert np.max(np.abs(leading - svd_coefficients(jsa)[:8])) < 1e-12
             assert bp.schmidt_decompose(jsa).purity == gram_purity(jsa)
             assert bp.SchmidtSpectrum(amplitudes=jsa.amplitudes).purity == gram_purity(jsa)
         assert gram_purity(separable) > 0.99
@@ -752,6 +754,7 @@ class TestSchmidtDecompose:
         f /= np.sqrt(np.sum(np.abs(f) ** 2) * small_grid.cell_area)
         spectrum = bp.schmidt_decompose(bp.JointAmplitude(grid=small_grid, amplitudes=f))
         assert spectrum.coefficients[0] == pytest.approx(1.0, abs=1e-12)
+        assert np.all(spectrum.coefficients >= 0.0)  # the Gram's zero eigenvalues are clipped
         assert spectrum.purity == pytest.approx(1.0, abs=1e-12)
 
     def test_two_equal_modes(self, small_grid):
@@ -777,27 +780,38 @@ class TestSchmidtDecompose:
         with pytest.raises(InputError):
             bp.schmidt_decompose(jsa)
 
-    def test_svd_runs_only_when_coefficients_read(self, paper_jsa, monkeypatch):
+    def test_eigvalsh_runs_only_when_coefficients_read(self, paper_jsa, monkeypatch):
         calls = []
-        original = np.linalg.svd
+        original = np.linalg.eigvalsh
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def counted(a, *args, **kwargs):
+            calls.append(a)
+            return original(a, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", counted)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         spectrum = bp.schmidt_decompose(paper_jsa)
         assert spectrum.purity * spectrum.schmidt_number == pytest.approx(1.0, abs=1e-12)
         assert calls == []
         first = spectrum.coefficients
         assert spectrum.coefficients is first
-        assert len(calls) == 1
+        assert len(calls) == 1 and calls[0] is paper_jsa.gram
+
+    def test_coefficients_unaffected_by_later_amplitude_mutation(self, default_config, small_grid):
+        cfg = default_config
+        jsa = bp.compute_jsa(cfg.pump, cfg.crystal, small_grid)
+        fresh = bp.SchmidtSpectrum(amplitudes=jsa.amplitudes.copy()).coefficients
+        spectrum = bp.schmidt_decompose(jsa)
+        assert not any(value is jsa.amplitudes for value in vars(spectrum).values())
+        jsa.amplitudes[...] = 0.0
+        assert np.array_equal(spectrum.coefficients, fresh)
 
     def test_constructor_derives_purity(self):
         rng = np.random.default_rng(5)
         f = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         spectrum = bp.SchmidtSpectrum(amplitudes=f)
         assert spectrum.purity == pytest.approx(np.sum(spectrum.coefficients**2), abs=1e-12)
+        assert not any(np.shares_memory(value, f) for value in vars(spectrum).values()
+                       if isinstance(value, np.ndarray))
         with pytest.raises(TypeError):
             bp.SchmidtSpectrum(amplitudes=f, purity=7.0)
 
