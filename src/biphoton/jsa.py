@@ -446,26 +446,29 @@ def _gram(f: np.ndarray, out=None) -> np.ndarray:
     """FF† of a complex matrix in real arithmetic, exactly Hermitian.
 
     With V = F viewed as reals (re, im interleaved per column), Re FF† = VVᵀ,
-    which numpy runs as one BLAS syrk, and Im FF† = P − Pᵀ with
-    P = Im F·(Re F)ᵀ, one real gemm: half the flops of the complex product.
-    The two products run at once (``phasematch._in_two``): a worker thread
-    forms P while this thread forms VVᵀ. Each product is the same BLAS call
-    on the same operands as when the two run in turn, so the Gram is
-    bit-identical to a sequential one. The contiguous copies of Re F and
-    Im F, and the assembly Im G = P − Pᵀ, Re G = VVᵀ, run in two row halves
-    at once. Every buffer, P's and VVᵀ's included, is made here, so the
-    worker allocates nothing. The copies are freed before the Gram is
-    allocated, so at most four real N² arrays are alive beside F: P, VVᵀ
-    and either the two copies or the Gram. A non-contiguous F, such as the
-    transposed idler arm, is copied contiguous first, which costs one N²
-    complex temporary more. The Gram is written into ``out`` when given.
+    one BLAS syrk, and Im FF† = P − Pᵀ with P = Im F·(Re F)ᵀ, one real gemm:
+    half the flops of the complex product. The two products run at once
+    (``phasematch._in_two``), P on a worker thread and VVᵀ here, each the
+    same BLAS call on the same operands as in turn, so the Gram is
+    bit-identical to a sequential one. The copies of Re F and Im F (after a
+    real or non-contiguous F, such as the idler arm's transpose, is copied
+    into a contiguous complex buffer) and the assembly Im G = P − Pᵀ,
+    Re G = VVᵀ run in two row halves at once. Every buffer is made here, so
+    the worker allocates nothing. The copies are freed before the Gram is
+    allocated, so beside F and any complex buffer at most four real N²
+    arrays are alive: P, VVᵀ and either the two copies or the Gram, which is
+    written into ``out`` when given.
     """
-    f = np.ascontiguousarray(f, dtype=complex)
+    f = source = np.asarray(f)
+    if source.dtype != complex or not source.flags.c_contiguous:
+        f = np.empty(source.shape, dtype=complex)
     v = f.view(np.float64)
     n = len(f)
     re, im = np.empty(f.shape), np.empty(f.shape)
 
     def split(rows):
+        if f is not source:
+            np.copyto(f[rows], source[rows])
         np.copyto(re[rows], f[rows].real)
         np.copyto(im[rows], f[rows].imag)
 

@@ -600,16 +600,18 @@ def test_failed_pooled_write_leaves_no_worker(tmp_path, capsys, monkeypatch, def
 
 
 def test_hom_report_independent_of_blas_thread_count(tmp_path):
-    # The default 512² grid, with one delay: OpenBLAS splits a complex dot over
-    # its threads at this length, but not on a 256² grid or smaller.
-    reports = []
+    # The default 512² grid: OpenBLAS splits a complex dot over its threads at
+    # this length, but not on a 256² grid or smaller. The 601-delay curve is
+    # compared too: its diagonal sums and phase contraction are numpy loops.
+    outputs = []
     for threads in ("1", "2"):
         out = tmp_path / f"threads{threads}"
         proc = _python("-m", "biphoton.cli", "--out", out, "hom", "--filter-nm", "8",
-                       "--delays=0:0:1", OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+                       "--delays=-3000:3000:10", OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads)
         assert proc.returncode == 0, proc.stderr
-        reports.append((out / "hom_report.json").read_bytes())
-    assert reports[0] == reports[1]
+        outputs.append([(out / name).read_bytes() for name in ("hom_report.json", "hom_curve.csv")])
+    assert outputs[0] == outputs[1]
 
 
 #: characters of well-formed counts, budget and tomography files, so that

@@ -1,3 +1,6 @@
+import dataclasses
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -203,17 +206,25 @@ class TestHomCurve:
             0.5 * (1.0 - visibility), abs=1e-9
         )
 
-    def test_against_quadrature_oracle(self, filtered_jsa):
-        # independent dense double-sum at five delays
-        state = bp.heralded_spectral_state(filtered_jsa, "signal")
+    def test_against_quadrature_oracle(self, default_config, filtered_jsa, eight_nm_filter):
+        # independent dense double-sum at five delays, for identical states and
+        # for two unequal pairs: the same source 5 K warmer, and the idler arm
+        signal = bp.heralded_spectral_state(filtered_jsa, "signal")
+        cfg = default_config
+        warmer = dataclasses.replace(cfg.crystal, temperature_c=cfg.crystal.temperature_c + 5.0)
+        warm_jsa = bp.apply_filter(bp.compute_jsa(cfg.pump, warmer, cfg.grid),
+                                   eight_nm_filter, eight_nm_filter)
+        pairs = [(signal, signal), (signal, bp.heralded_spectral_state(warm_jsa, "signal")),
+                 (signal, bp.heralded_spectral_state(filtered_jsa, "idler"))]
         delays = [0.0, 150.0, 300.0, 600.0, 1200.0]
-        curve = bp.hom_curve(state, state, delays)
-        rho = state.density
-        omegas = state.omegas
-        for delay, probability in zip(delays, curve.coincidence_probability):
-            phases = np.exp(1j * (omegas[None, :] - omegas[:, None]) * delay)
-            overlap = np.real(np.sum(rho * rho.T * phases))
-            assert probability == pytest.approx(0.5 * (1 - overlap), abs=1e-12)
+        omegas = signal.omegas
+        for a, b in pairs:
+            curve = bp.hom_curve(a, b, delays)
+            for delay, probability in zip(delays, curve.coincidence_probability):
+                phases = np.exp(1j * (omegas[None, :] - omegas[:, None]) * delay)
+                overlap = np.real(np.sum(a.density * b.density.T * phases))
+                assert probability == pytest.approx(0.5 * (1 - overlap), abs=1e-12)
+        assert bp.hom_visibility(*pairs[1]) < bp.hom_visibility(*pairs[0]) - 5e-4  # unequal
 
     def test_filtered_dip_width_near_filter_conjugate(self, filtered_jsa):
         state = bp.heralded_spectral_state(filtered_jsa, "signal")
@@ -242,13 +253,35 @@ class TestHomCurve:
             with pytest.raises(InputError):
                 bp.hom_curve(state, state, delays)
 
+    def test_non_uniform_axis_rejected(self):
+        state = make_state(np.geomspace(1.0, 1.2, 8), np.eye(8, dtype=complex) / 8)
+        with pytest.raises(InputError, match="uniform"):
+            bp.hom_curve(state, state, [0.0])
+
+    def test_single_point_axis(self):
+        state = make_state(np.array([1.2]), np.ones((1, 1), dtype=complex))
+        curve = bp.hom_curve(state, state, [-50.0, 0.0, 50.0])
+        assert np.array_equal(curve.coincidence_probability, np.zeros(3))
+
+    def test_phase_blocks_bound_memory(self, default_config):
+        # 20,000 delays on 128² heralds: the whole delays × (2N − 1) phase
+        # array would take about 80 MB, each block of phases at most N² entries
+        cfg = default_config
+        jsa = bp.compute_jsa(cfg.pump, cfg.crystal, bp.FrequencyGrid(points_per_axis=128))
+        a, b = (bp.heralded_spectral_state(jsa, arm) for arm in ("signal", "idler"))
+        limit = np.pi / (a.omegas[1] - a.omegas[0])
+        delays = np.linspace(-limit, limit, 20_000)
+        tracemalloc.start()
+        try:
+            bp.hom_curve(a, b, delays)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
     def test_curve_lengths_validated(self):
         with pytest.raises(InputError):
-            bp.HomCurve(
-                delays_fs=np.array([0.0, 1.0]),
-                coincidence_probability=np.array([0.5]),
-                visibility=0.5,
-            )
+            bp.HomCurve(delays_fs=np.array([0.0, 1.0]), coincidence_probability=np.array([0.5]))
 
 
 class TestMultipairBound:
