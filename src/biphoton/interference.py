@@ -6,10 +6,11 @@ two independently heralded photons is the state overlap Tr(ρ_a ρ_b), and
 the coincidence dip P(τ) sums the 2N − 1 diagonals of ρ_a ∘ ρ_bᵀ, each with
 its relative-delay phase.
 
-The heralded state's N² element-wise stages (the herald filter and
-ρ = G / Re Tr G) run in two row halves at once, the first on a short-lived
-worker thread; the overlap and the curve's sums are numpy's own loops, not
-BLAS, so their bits do not depend on the thread or CPU count.
+The heralded state's N² element-wise stages (the herald filter with its
+flush of sub-2⁻⁵¹¹ parts, and ρ = G / Re Tr G) run in two row halves at
+once, the first on a short-lived worker thread; the overlap and the
+curve's sums are numpy's own loops, not BLAS, so their bits do not depend
+on the thread or CPU count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._contracts import built_valid, check_density_matrix
 from .errors import AxisMismatchError, DegenerateInputError, InputError
-from .jsa import FilterSpec, JointAmplitude, _gram, _real_dot, _sum_sq
+from .jsa import FilterSpec, JointAmplitude, _gram, _real_dot, _scale_and_flush, _sum_sq
 from .phasematch import _in_row_halves
 
 
@@ -74,9 +75,12 @@ def heralded_spectral_state(
     amplitude share one Gram product (the Gram stays cached on the
     amplitude, N²·16 bytes); the idler arm and a herald filter form their
     own with the same ``_gram``. The density never shares memory with the
-    cached Gram. The herald filter's √T scaling and the division by the
-    trace run in two row halves at once, each element as in one pass, so
-    the bits do not depend on the split; the trace is summed whole.
+    cached Gram. A herald filter scales a private copy of the amplitude and
+    sets its parts below 2⁻⁵¹¹ in magnitude to +0.0, as ``apply_filter``
+    does, so its Gram does no subnormal arithmetic. The scaling and flush,
+    and the division by the trace, run in two row halves at once, each
+    element as in one pass, so the bits do not depend on the split; the
+    trace is summed whole.
     """
     if not jsa.normalized:
         raise InputError("heralded_spectral_state requires a normalized joint amplitude")
@@ -95,7 +99,7 @@ def heralded_spectral_state(
         amp = np.sqrt(herald_filter.transmission(herald_lam))
         unfiltered = f
         f = np.empty(f.shape, dtype=np.result_type(f, 1.0))
-        _in_row_halves(lambda rows: np.multiply(unfiltered[rows], amp, out=f[rows]), len(f))
+        _scale_and_flush(np.multiply, unfiltered, amp, f)
     # f is the amplitude matrix itself only on the unfiltered signal arm, whose
     # FF† the amplitude caches; the density is a fresh array either way.
     gram = jsa.gram if f is jsa.amplitudes else _gram(f)

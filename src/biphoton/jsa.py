@@ -14,13 +14,24 @@ of the array's float64 view.
 The N² element-by-element stages run in two row halves at once, the first
 on a short-lived worker thread (``phasematch._in_row_halves``): the phase
 mismatch and φ, α·φ and the division by the norm, the filters' √T
-scalings and final division, and the Gram's real and imaginary copies and
-assembly. Each element goes through the same operations in the same order
-as in one pass, so the bits do not depend on the split. The reductions
-stay single passes over the whole array, because their summation order
-fixes their bits: the Σ|f|² dots, the filter's column sums and the sign
-check's min and max. Workers allocate nothing (every buffer is made on the
-calling thread) and call numpy only, never a biphoton function.
+scalings and final division and flush, and the Gram's real and imaginary
+copies and assembly. Each element goes through the same operations in the
+same order as in one pass, so the bits do not depend on the split. The
+reductions stay single passes over the whole array, because their
+summation order fixes their bits: the Σ|f|² dots, the filter's column sums
+and the sign check's min and max. Workers allocate nothing (every buffer
+is made on the calling thread) and call numpy only, never a biphoton
+function.
+
+A filtered amplitude (``apply_filter``, and a herald filter's copy in
+``interference.heralded_spectral_state``) has every real or imaginary part
+below √tiny = 2⁻⁵¹¹ in magnitude set to +0.0. A product of two remaining
+parts is then 0 or a normal double, so its Gram does no subnormal
+arithmetic, which costs a microcode assist per multiply-add: behind
+narrow Gaussian filters √T drives parts down to 1e-323, and the 512² Gram
+took 2–4× as long. Such a part's square is below the smallest normal
+double, so the intensity could not hold it as a normal number anyway. An
+unfiltered ``compute_jsa`` amplitude is not flushed.
 
 Schmidt analysis reads every number from the amplitude's cached Gram FF†
 (formed in real arithmetic, and reused by the signal-arm herald): the
@@ -59,6 +70,8 @@ from .units import (
 )
 
 NORMALIZATION_TOL = 1e-9
+#: √tiny = 2⁻⁵¹¹: a product of two parts at or above it in magnitude is a normal double.
+_FLUSH_BELOW = np.sqrt(np.finfo(np.float64).tiny)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _GOLDEN_FRACTION = (3.0 - math.sqrt(5.0)) / 2.0
 
@@ -368,12 +381,18 @@ def apply_filter(
     pair (heralding-loss metadata consumed by the efficiency budget).
 
     A normalized input is rescaled by 1/√(survival.total), the norm of the
-    filtered amplitude of a unit-norm input, so a filter that transmits 1
-    everywhere returns the input amplitudes unchanged, bit for bit. An input with
-    ``normalized=False`` is divided by its recomputed norm
-    √(Σ|f|²·Δωs·Δωi) instead, so the output is normalized either way. The
-    √T scalings and the division run in two row halves at once; the sums
-    stay whole.
+    filtered amplitude of a unit-norm input. An input with ``normalized=False``
+    is divided by its recomputed norm √(Σ|f|²·Δωs·Δωi) instead, so the
+    output is normalized either way. After the division every real or
+    imaginary part below 2⁻⁵¹¹ in magnitude is set to +0.0
+    (``_scale_and_flush``), so the output's Gram does no subnormal
+    arithmetic; the survivals and norms are summed before that and keep
+    their bits. A filter that transmits 1 everywhere returns the input
+    amplitudes bit for bit only when no part of them is below 2⁻⁵¹¹, as on
+    every ``compute_jsa`` output of the default profile. On the default
+    grid, Gaussian filters narrower than about 5.5 nm on both arms flush
+    parts. The √T scalings, the division and the flush run in two row
+    halves at once; the sums stay whole.
 
     Raises:
         DegenerateInputError: the input has zero or non-finite weight.
@@ -409,7 +428,7 @@ def apply_filter(
         raise EmptyResultError("filter pass-band does not overlap the grid")
     # Unit norm: the input's own (checked) norm, or the one just summed.
     norm = math.sqrt(total) if jsa.normalized else math.sqrt(kept * jsa.grid.cell_area)
-    _in_row_halves(lambda rows: np.divide(f[rows], norm, out=f[rows]), len(f))
+    _scale_and_flush(np.divide, f, norm, f)
     return built_valid(
         JointAmplitude,
         grid=jsa.grid,
@@ -484,6 +503,29 @@ def _gram(f: np.ndarray, out=None) -> np.ndarray:
 
     _in_row_halves(assemble, n)
     return gram
+
+
+def _scale_and_flush(scale, a: np.ndarray, b, out: np.ndarray) -> None:
+    """``scale(a, b, out=out)``, then every part of ``out`` below 2⁻⁵¹¹ set to +0.0.
+
+    ``scale`` is a numpy ufunc, ``b`` a scalar or a row broadcast along each
+    row of ``a``, and ``out`` C-contiguous. Each real and imaginary part of a
+    complex ``out`` (each entry of a real one) with magnitude below
+    √tiny = 2⁻⁵¹¹ becomes +0.0; NaN and inf stay. The module docstring says
+    why. Both steps run in two row halves at once, on bool buffers made here.
+    """
+    v = out.view(out.real.dtype)
+    below, above = np.empty(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
+
+    def work(rows):
+        scale(a[rows], b, out=out[rows])
+        vr, br, ar = v[rows], below[rows], above[rows]
+        np.less(vr, _FLUSH_BELOW, out=br)
+        np.greater(vr, -_FLUSH_BELOW, out=ar)
+        np.logical_and(br, ar, out=br)
+        np.copyto(vr, 0.0, where=br)
+
+    _in_row_halves(work, len(out))
 
 
 def _gram_purity(f: np.ndarray, gram: np.ndarray) -> float:

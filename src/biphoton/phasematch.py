@@ -36,7 +36,7 @@ from .errors import (
     NoSolutionError,
     UndefinedOrientationError,
 )
-from .units import angular_frequency_to_nm, nm_to_angular_frequency
+from .units import angular_frequency_to_nm, fwhm_nm_to_fwhm_omega, nm_to_angular_frequency
 
 #: Energy-conservation tolerance on 1/λp − 1/λs − 1/λi, 1/nm.
 ENERGY_TOLERANCE_PER_NM = 1e-9
@@ -47,7 +47,12 @@ GVM_SEARCH_WINDOW_NM = (1400.0, 1700.0)
 
 @dataclass(frozen=True)
 class PumpSpec:
-    """Pulsed pump description; bandwidth is the intensity FWHM in nm."""
+    """Pulsed pump description; bandwidth is the intensity FWHM in nm.
+
+    ``pulse_duration_fs``, when given, must not be below the transform limit
+    of a Gaussian pulse with that bandwidth, 4 ln 2 / FWHM_ω (169.5 fs at
+    5.35 nm and 785 nm). No computation reads it.
+    """
 
     center_wavelength_nm: float
     intensity_fwhm_bandwidth_nm: float
@@ -61,8 +66,18 @@ class PumpSpec:
                 raise InputError(f"pump {name} must be positive and finite")
         if self.intensity_fwhm_bandwidth_nm >= self.center_wavelength_nm:
             raise InputError("pump bandwidth must be smaller than the center wavelength")
-        if self.pulse_duration_fs is not None and not 0.0 < self.pulse_duration_fs < math.inf:
-            raise InputError("pump pulse_duration_fs must be positive and finite when given")
+        duration = self.pulse_duration_fs
+        if duration is not None:
+            if not 0.0 < duration < math.inf:
+                raise InputError("pump pulse_duration_fs must be positive and finite when given")
+            limit = 4.0 * math.log(2.0) / fwhm_nm_to_fwhm_omega(
+                self.intensity_fwhm_bandwidth_nm, self.center_wavelength_nm
+            )
+            if duration < limit:
+                raise InputError(
+                    f"pump pulse_duration_fs {duration!r} is below the transform limit "
+                    f"{limit:.1f} fs of its bandwidth"
+                )
 
     @property
     def pulse_period_ns(self) -> float:

@@ -398,6 +398,8 @@ def _with_input(command, path):
          "ConfigError"),
         ([*CONFIG, "design"], MINIMAL + "grid: {points_per_axis: 64.9}\n", "ConfigError"),
         ([*CONFIG, "design"], MINIMAL + "seed: 1.5\n", "ConfigError"),
+        ([*CONFIG, "design"], MINIMAL.replace("5.35}", "5.35, pulse_duration_fs: 100.0}"),
+         "InputError"),
         (REGISTRY, "sets: 5\n", "ConfigError"),
         (REGISTRY, "sets: [1]\n", "ConfigError"),
         (REGISTRY, f"sets: [{CONSTANT_SET}, thermal: [1]}}]\n", "ConfigError"),
@@ -424,7 +426,8 @@ def _with_input(command, path):
         "config-filters-list", "config-seed-not-a-number", "config-bin-size-not-a-number",
         "config-dispersion-file-not-a-string", "config-dispersion-file-is-a-directory",
         "config-is-a-directory", "config-unknown-key", "config-fractional-points",
-        "config-fractional-seed", "registry-sets-not-a-list", "registry-set-not-a-mapping",
+        "config-fractional-seed", "config-pulse-below-transform-limit",
+        "registry-sets-not-a-list", "registry-set-not-a-mapping",
         "registry-thermal-not-a-mapping", "design-out-is-a-file", "jsa-out-is-a-file",
         "tomo-out-under-a-file", "spectro-out-under-a-file",
         "jsa-out-is-a-file-before-the-jsa", "hom-out-is-a-file-before-the-herald",

@@ -279,6 +279,36 @@ class TestHomCurve:
             tracemalloc.stop()
         assert peak < 4e6
 
+    def test_curve_and_visibility_call_no_blas(self, filtered_jsa, monkeypatch):
+        """``hom_curve`` and ``hom_visibility`` reach no BLAS contraction.
+
+        BLAS splits a long contraction over its threads, so its sum would depend
+        on the thread count. numpy's contraction functions raise here, and
+        ``np.einsum`` fails if asked to optimize, which may hand it to BLAS. The
+        ``@`` operator calls no module attribute, so this test cannot see it.
+        """
+        a, b = (bp.heralded_spectral_state(filtered_jsa, arm) for arm in ("signal", "idler"))
+        expected = bp.hom_curve(a, b, np.linspace(-3000.0, 3000.0, 601))
+        expected_visibility = bp.hom_visibility(a, b)
+
+        def no_blas(*args, **kwargs):
+            raise AssertionError("BLAS contraction called")
+
+        for name in ("dot", "matmul", "vdot", "inner", "tensordot"):
+            monkeypatch.setattr(np, name, no_blas)
+        einsum = np.einsum
+
+        def einsum_without_optimize(*args, **kwargs):
+            assert not kwargs.get("optimize"), "einsum asked to optimize"
+            return einsum(*args, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", einsum_without_optimize)
+        curve = bp.hom_curve(a, b, expected.delays_fs)
+        visibility = bp.hom_visibility(a, b)
+        monkeypatch.undo()
+        assert np.array_equal(curve.coincidence_probability, expected.coincidence_probability)
+        assert visibility == expected_visibility
+
     def test_curve_lengths_validated(self):
         with pytest.raises(InputError):
             bp.HomCurve(delays_fs=np.array([0.0, 1.0]), coincidence_probability=np.array([0.5]))

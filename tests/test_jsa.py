@@ -441,8 +441,21 @@ def sequential_jsa(pump, crystal, grid):
     return f
 
 
-def sequential_filter(jsa, signal_filter, idler_filter):
-    """Reference ``apply_filter`` amplitudes: each √T scaling and the division in one pass."""
+#: √tiny: filtered amplitude parts below it in magnitude are set to +0.0
+TINY_ROOT = 2.0**-511
+
+
+def flush_tiny(f):
+    """Reference flush: each real and imaginary part of f below 2⁻⁵¹¹ in magnitude is +0.0."""
+    f = np.ascontiguousarray(f)
+    v = f.view(np.float64)
+    v[np.abs(v) < TINY_ROOT] = 0.0
+    return f
+
+
+def sequential_filter(jsa, signal_filter, idler_filter, flush=True):
+    """Reference ``apply_filter`` amplitudes: each √T scaling, the division and the flush
+    in one pass."""
     base = _sum_sq(jsa.amplitudes)
     f = jsa.amplitudes.copy()
     if signal_filter is not None:
@@ -451,22 +464,25 @@ def sequential_filter(jsa, signal_filter, idler_filter):
         f *= np.sqrt(idler_filter.transmission(jsa.grid.idler_wavelengths_nm))[None, :]
     kept = _sum_sq(f)
     f /= math.sqrt(kept / base) if jsa.normalized else math.sqrt(kept * jsa.grid.cell_area)
-    return f
+    return flush_tiny(f) if flush else f
 
 
 def sequential_herald(jsa, arm, herald_filter):
-    """Reference heralded density: filter, ``sequential_gram`` and G / Re Tr G in one pass."""
+    """Reference heralded density: filter and flush, ``sequential_gram`` and G / Re Tr G in
+    one pass."""
     f, herald_lam = {
         "signal": (jsa.amplitudes, jsa.grid.idler_wavelengths_nm),
         "idler": (jsa.amplitudes.T, jsa.grid.signal_wavelengths_nm),
     }[arm]
     if herald_filter is not None:
-        f = f * np.sqrt(herald_filter.transmission(herald_lam))[None, :]
+        f = flush_tiny(f * np.sqrt(herald_filter.transmission(herald_lam))[None, :])
     gram = sequential_gram(f)
     return gram / float(np.real(np.trace(gram)))
 
 
 FILTER_8NM = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
+#: narrow enough that the filtered amplitude has parts below 2⁻⁵¹¹ on every grid here
+FILTER_2_81NM = bp.FilterSpec(center_nm=1570.0, fwhm_nm=2.81)
 #: one JSA, filter and herald each, the stages split into row halves
 ROW_HALF_CALLS = {
     "compute_jsa": lambda cfg, jsa: bp.compute_jsa(cfg.pump, cfg.crystal, jsa.grid),
@@ -514,18 +530,33 @@ class TestRowHalves:
             (jsa, None, FILTER_8NM),
             (jsa, None, None),
             (raw, FILTER_8NM, FILTER_8NM),
+            (jsa, FILTER_2_81NM, FILTER_2_81NM),
         ):
             filtered = bp.apply_filter(amplitude, signal_filter, idler_filter)
             assert np.array_equal(
                 filtered.amplitudes, sequential_filter(amplitude, signal_filter, idler_filter)
             )
+        # the 2.81 nm case flushes parts in both row halves
+        v = sequential_filter(jsa, FILTER_2_81NM, FILTER_2_81NM, flush=False).view(np.float64)
+        flushed = (v != 0.0) & (np.abs(v) < TINY_ROOT)
+        assert np.any(flushed[: len(v) // 2]) and np.any(flushed[len(v) // 2:])
 
     def test_heralded_state_matches_one_pass(self, default_config, grids):
         cfg, grid = default_config, grids[0]
         jsa = bp.compute_jsa(cfg.pump, cfg.crystal, grid)
-        for arm, herald_filter in (("signal", None), ("idler", None), ("signal", FILTER_8NM)):
-            state = bp.heralded_spectral_state(jsa, arm, herald_filter=herald_filter)
-            assert np.array_equal(state.density, sequential_herald(jsa, arm, herald_filter))
+        filtered = bp.apply_filter(jsa, FILTER_2_81NM, FILTER_2_81NM)
+        for amplitude, arm, herald_filter in (
+            (jsa, "signal", None),
+            (jsa, "idler", None),
+            (jsa, "signal", FILTER_8NM),
+            (jsa, "signal", FILTER_2_81NM),
+            (jsa, "idler", FILTER_2_81NM),
+            (filtered, "signal", FILTER_2_81NM),
+        ):
+            state = bp.heralded_spectral_state(amplitude, arm, herald_filter=herald_filter)
+            assert np.array_equal(
+                state.density, sequential_herald(amplitude, arm, herald_filter)
+            )
 
     @pytest.mark.parametrize("call", sorted(ROW_HALF_CALLS))
     def test_no_thread_outlives_the_call(self, default_config, paper_jsa, monkeypatch, call):
@@ -745,6 +776,44 @@ class TestApplyFilter:
 
     def test_renormalized(self, filtered_jsa):
         assert abs(filtered_jsa.total_probability() - 1.0) < 1e-9
+
+
+class TestTinyFlush:
+    """Filtered parts below 2⁻⁵¹¹ become +0.0, so no Gram product is subnormal."""
+
+    def test_threshold_is_strict_and_keeps_non_finite(self):
+        below = np.nextafter(TINY_ROOT, 0.0)
+        parts = np.array([TINY_ROOT, -TINY_ROOT, below, -below, 5e-324, -0.0, 0.0,
+                          np.nan, np.inf, -np.inf, 1.0, -1e-200, 1e-150])
+        out = np.empty_like(parts)[None, :]
+        jsa_mod._scale_and_flush(np.multiply, parts[None, :], 1.0, out)
+        expected = np.where(np.abs(parts) < TINY_ROOT, 0.0, parts)
+        assert np.array_equal(out[0], expected, equal_nan=True)
+        assert not np.any(np.signbit(out[0][expected == 0.0]))  # +0.0, not −0.0
+
+    @pytest.mark.parametrize("fwhm", [2.0, 2.81, 3.94])
+    def test_narrow_filters_flush_and_keep_their_figures(self, paper_jsa, monkeypatch, fwhm):
+        spec = bp.FilterSpec(center_nm=1570.0, fwhm_nm=fwhm)
+        filtered = bp.apply_filter(paper_jsa, spec, spec)
+        v = filtered.amplitudes.view(np.float64)
+        assert not np.any((v != 0.0) & (np.abs(v) < TINY_ROOT))
+        # the unflushed reference: a zero threshold flushes nothing
+        with monkeypatch.context() as patch:
+            patch.setattr(jsa_mod, "_FLUSH_BELOW", 0.0)
+            unflushed = bp.apply_filter(paper_jsa, spec, spec)
+        reference = sequential_filter(paper_jsa, spec, spec, flush=False)
+        assert np.array_equal(unflushed.amplitudes, reference)
+        assert np.any(reference.view(np.float64)[np.abs(v) == 0.0])  # the case flushes
+        assert filtered.survival == unflushed.survival
+        purity = jsa_mod._gram_purity(reference, _gram(reference))
+        assert bp.schmidt_decompose(filtered).purity == purity
+
+    @pytest.mark.parametrize("filters", ["8nm", "none"])
+    def test_wide_or_no_filter_flushes_nothing(self, paper_jsa, filters):
+        spec = FILTER_8NM if filters == "8nm" else None
+        filtered = bp.apply_filter(paper_jsa, spec, spec)
+        assert np.array_equal(filtered.amplitudes,
+                              sequential_filter(paper_jsa, spec, spec, flush=False))
 
 
 class TestSchmidtDecompose:

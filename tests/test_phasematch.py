@@ -245,6 +245,13 @@ class TestSpecs:
         with pytest.raises(InputError):
             bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=800.0)
 
+    def test_pulse_shorter_than_transform_limit_rejected(self):
+        # 4 ln 2 / FWHM_ω is 169.5 fs for 5.35 nm at 785 nm, so the profile's 170 fs passes
+        spec = {"center_wavelength_nm": 785.0, "intensity_fwhm_bandwidth_nm": 5.35}
+        assert bp.PumpSpec(**spec, pulse_duration_fs=170.0).pulse_duration_fs == 170.0
+        with pytest.raises(InputError, match="transform limit 169.5 fs"):
+            bp.PumpSpec(**spec, pulse_duration_fs=169.0)
+
     def test_crystal_validation(self, ktp):
         with pytest.raises(InputError):
             bp.CrystalSpec(axes=ktp, length_mm=0.0, poling_period_um=46.15)
