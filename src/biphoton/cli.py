@@ -10,18 +10,15 @@ reports are byte-identical at a fixed BLAS thread count; with another
 thread count only the Schmidt coefficients in schmidt_report.json can move
 in their last digits.
 
-The two JSA CSVs are formatted in blocks of rows by up to MAX_CSV_WORKERS
-forked worker processes, one per CPU available to the process, while this
-process decomposes the amplitude. The blocks are written in order, so the
-bytes do not depend on the worker count. With one CPU, or where ``fork`` is
-not available, the same block formatter runs in the process itself.
+The two JSA CSVs are written in blocks of rows, each block formatted at
+once by a numpy kernel (``_floatrepr``) whose text is byte-identical to
+``repr`` of each float. It runs in this process, after the decomposition.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -36,12 +33,6 @@ from .efficiency import CountSummary, LossBudget, klyshko, predict_heralding
 from .errors import BiphotonError, DegenerateInputError, InputError
 from .jsa import FilterSpec
 from .phasematch import gvm_angle, gvm_degenerate_wavelength, solve_poling_period
-
-
-#: most worker processes that format the JSA CSVs
-MAX_CSV_WORKERS = 4
-#: rows of a JSA CSV formatted by one worker task
-CSV_BLOCK_ROWS = 64
 
 
 @contextmanager
@@ -70,47 +61,6 @@ def _write_csv(path: Path, rows, header: str, comments: list[str], fmt=repr) -> 
     scalar would print as ``np.float64(...)``, so callers pass lists.
     """
     _write_lines(path, header, comments, (",".join(map(fmt, row)) + "\n" for row in rows))
-
-
-def _csv_block(block: np.ndarray) -> str:
-    """The CSV lines of a 2-D float64 block, each cell the ``repr`` of its float."""
-    return "".join(",".join(map(repr, row)) + "\n" for row in block.tolist())
-
-
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _row_blocks(array: np.ndarray) -> list[np.ndarray]:
-    return [array[k:k + CSV_BLOCK_ROWS] for k in range(0, len(array), CSV_BLOCK_ROWS)]
-
-
-@contextmanager
-def _csv_formatter():
-    """A function from a 2-D float64 array to its CSV lines, as text chunks in row order.
-
-    Each call hands the array's blocks of ``CSV_BLOCK_ROWS`` rows to up to
-    ``MAX_CSV_WORKERS`` forked workers at once, so this process can compute
-    while they format. With one CPU, or without ``fork``, ``_csv_block``
-    runs here as the chunks are read. Leaving the context, whether the text
-    was written or not, joins every worker.
-    """
-    import multiprocessing
-
-    workers = min(MAX_CSV_WORKERS, _available_cpus())
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        yield lambda array: map(_csv_block, _row_blocks(array))
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        yield lambda array: pool.map(_csv_block, _row_blocks(array))
-    finally:
-        pool.shutdown(cancel_futures=True)
 
 
 def _read_input(path) -> str:
@@ -203,37 +153,34 @@ def cmd_design(args, config: RunConfig) -> int:
 
 
 def cmd_jsa(args, config: RunConfig) -> int:
+    # imported here: building its tables would cost every other subcommand 3 ms
+    from ._floatrepr import csv_chunks
+
     out = _out_dir(config)
     amplitude = _jsa(args, config)
     comments = _grid_comments(config)
     n = config.grid.points_per_axis
-    with _csv_formatter() as csv_lines:
-        # the float64 view of a complex row interleaves re/im per idler index
-        amplitudes_csv = csv_lines(
-            np.ascontiguousarray(amplitude.amplitudes, dtype=np.complex128).view(np.float64)
-        )
-        intensity_csv = csv_lines(amplitude.intensity)
+    survival = amplitude.survival
+    spectrum = jsa_mod.schmidt_decompose(amplitude)
+    marg_s = jsa_mod.marginal_spectrum(amplitude, "signal")
+    marg_i = jsa_mod.marginal_spectrum(amplitude, "idler")
+    report = {
+        "config_digest": config_digest(config),
+        "purity": spectrum.purity,
+        "schmidt_number": spectrum.schmidt_number,
+        "leading_coefficients": [float(c) for c in spectrum.coefficients[:8]],
+        "marginal_fwhm_nm": {"signal": marg_s.fwhm_nm, "idler": marg_i.fwhm_nm},
+        "filter_survival": None
+        if survival is None
+        else {"signal": survival.signal, "idler": survival.idler, "total": survival.total},
+    }
 
-        # decomposed here while the workers format
-        survival = amplitude.survival
-        spectrum = jsa_mod.schmidt_decompose(amplitude)
-        marg_s = jsa_mod.marginal_spectrum(amplitude, "signal")
-        marg_i = jsa_mod.marginal_spectrum(amplitude, "idler")
-        report = {
-            "config_digest": config_digest(config),
-            "purity": spectrum.purity,
-            "schmidt_number": spectrum.schmidt_number,
-            "leading_coefficients": [float(c) for c in spectrum.coefficients[:8]],
-            "marginal_fwhm_nm": {"signal": marg_s.fwhm_nm, "idler": marg_i.fwhm_nm},
-            "filter_survival": None
-            if survival is None
-            else {"signal": survival.signal, "idler": survival.idler, "total": survival.total},
-        }
-
-        header = ",".join(part for k in range(n) for part in (f"re_idler{k}", f"im_idler{k}"))
-        _write_lines(out / "jsa_amplitudes.csv", header, comments, amplitudes_csv)
-        header_i = ",".join(f"idler{k}" for k in range(n))
-        _write_lines(out / "jsa_intensity.csv", header_i, comments, intensity_csv)
+    # the float64 view of a complex row interleaves re/im per idler index
+    parts = np.ascontiguousarray(amplitude.amplitudes, dtype=np.complex128).view(np.float64)
+    header = ",".join(part for k in range(n) for part in (f"re_idler{k}", f"im_idler{k}"))
+    _write_lines(out / "jsa_amplitudes.csv", header, comments, csv_chunks(parts))
+    header_i = ",".join(f"idler{k}" for k in range(n))
+    _write_lines(out / "jsa_intensity.csv", header_i, comments, csv_chunks(amplitude.intensity))
     _write_json(out / "schmidt_report.json", report)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -239,9 +239,12 @@ class FilterSpec:
     def transmission(self, wavelength_nm) -> np.ndarray:
         lam = np.asarray(wavelength_nm, dtype=float)
         if self.shape == "gaussian":
-            return self.peak_transmission * np.exp(
-                -4.0 * np.log(2.0) * (lam - self.center_nm) ** 2 / self.fwhm_nm**2
-            )
+            # below about 1e-154 nm, fwhm² is subnormal or zero: off-centre points
+            # then overflow to −inf, a transmission of 0, without a warning
+            with np.errstate(divide="ignore", over="ignore"):
+                return self.peak_transmission * np.exp(
+                    -4.0 * np.log(2.0) * (lam - self.center_nm) ** 2 / self.fwhm_nm**2
+                )
         inside = np.abs(lam - self.center_nm) <= self.fwhm_nm / 2.0
         return self.peak_transmission * inside.astype(float)
 

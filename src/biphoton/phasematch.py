@@ -161,8 +161,12 @@ def _in_row_halves(work, n_rows: int) -> None:
     ``rows`` is a slice along the first axis (see ``_in_two``). An
     element-wise stage split this way gives the bits of one pass over the
     whole array; a reduction must stay whole, as its summation order fixes
-    its bits.
+    its bits. Fewer than two rows (a scalar ``phase_mismatch``) run here
+    alone, with no thread.
     """
+    if n_rows < 2:
+        work(slice(0, n_rows))
+        return
     half = n_rows // 2
     _in_two(work, slice(0, half), slice(half, n_rows))
 

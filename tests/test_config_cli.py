@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -380,6 +381,9 @@ def _with_input(command, path):
         (["hom", "--delays=nan:0:1"], None, "InputError"),
         (["hom", "--delays=0:inf:1"], None, "InputError"),
         (["hom", "--filter-nm", "nan"], None, "InputError"),
+        (["jsa", "compute", "--filter-nm", "1e-160"], None, "EmptyResultError"),
+        (["jsa", "compute", "--filter-nm", "1e-300"], None, "EmptyResultError"),
+        (["hom", "--filter-nm", "1e-300"], None, "EmptyResultError"),
         ([*CONFIG, "hom"], NAN_PUMP_BANDWIDTH, "InputError"),
         ([*CONFIG, "spectro", "simulate", "--pairs", "1000"], NAN_PUMP_BANDWIDTH,
          "InputError"),
@@ -420,6 +424,8 @@ def _with_input(command, path):
         "spectro-pairs-past-int64", "negative-global-seed", "negative-spectro-seed",
         "negative-config-seed", "tomo-phase-error-nan", "tomo-fractional-count", "tomo-missing-in",
         "hom-delay-past-revival", "hom-delay-nan", "hom-delay-inf", "hom-filter-nan",
+        "jsa-filter-fwhm-squared-subnormal", "jsa-filter-fwhm-squared-zero",
+        "hom-filter-fwhm-squared-zero",
         "config-nan-bandwidth-hom", "config-nan-bandwidth-spectro",
         "hom-delay-count-past-int64", "hom-delay-count-past-memory",
         "config-top-level-list", "config-grid-list", "config-spectrometer-list",
@@ -484,7 +490,8 @@ def test_non_finite_spec_fields_rejected(ktp, spec, fields):
 
 #: runs biphoton.cli.main on each argv list of the JSON in argv[1] with scipy
 #: unimportable; prints the loaded scipy, multiprocessing and concurrent modules
-#: after ``import biphoton.cli`` and again after the commands
+#: after ``import biphoton.cli`` and again after the commands (no subcommand
+#: starts a process)
 WITHOUT_SCIPY = (
     "import json, sys\n"
     "class NoScipy:\n"
@@ -529,10 +536,7 @@ def test_subcommands_run_without_scipy(tmp_path, default_config, commands):
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     after_import, after_commands = json.loads(lines[0]), json.loads(lines[-1])
-    assert after_import == []
-    # only the JSA CSV writer starts a process pool
-    pool = ["multiprocessing", "concurrent"] if commands[0][-1] == "compute" else []
-    assert [m for m in after_commands if m.split(".")[0] not in pool] == []
+    assert after_import == after_commands == []
 
 
 def test_jsa_csv_tokens_are_float_reprs(tmp_path, capsys, default_config):
@@ -559,44 +563,49 @@ def test_jsa_csv_tokens_are_float_reprs(tmp_path, capsys, default_config):
         assert [l.split(",") for l in lines[1:]] == rows
 
 
-def test_pooled_jsa_csvs_match_in_process_bytes(tmp_path, capsys, monkeypatch,
-                                                default_config):
-    import multiprocessing
-
-    from biphoton import cli
-
-    small = config_to_dict(default_config)
-    small["grid"]["points_per_axis"] = 128  # two blocks of cli.CSV_BLOCK_ROWS rows
-    cfg_path = tmp_path / "small.yaml"
-    cfg_path.write_text(yaml.safe_dump(small))
-    names = ("jsa_amplitudes.csv", "jsa_intensity.csv", "schmidt_report.json")
-    written = {}
-    # this machine's CPUs, four workers whatever the machine has, and in-process
-    for cpus in (None, 4, 1):
-        if cpus is not None:
-            monkeypatch.setattr(cli, "_available_cpus", lambda cpus=cpus: cpus)
-        out = tmp_path / f"cpus{cpus}"
-        assert main(["--config", str(cfg_path), "--out", str(out),
-                     "jsa", "compute", "--filter-nm", "8"]) == 0
-        assert multiprocessing.active_children() == []
-        written[cpus] = [(out / name).read_bytes() for name in names]
-    capsys.readouterr()
-    assert written[None] == written[4] == written[1]
+def repr_csv(path, header, comments, array):
+    """Reference writer of a JSA CSV: each float as its ``repr``, row by row."""
+    with open(path, "w") as out:
+        out.write("".join(f"# {c}\n" for c in comments) + header + "\n")
+        for row in array.tolist():
+            out.write(",".join(map(repr, row)) + "\n")
 
 
-def test_failed_pooled_write_leaves_no_worker(tmp_path, capsys, monkeypatch, default_config):
-    import multiprocessing
-
+@pytest.mark.parametrize("filter_nm", [None, 8.0, 3.0], ids=["unfiltered", "8nm", "3nm"])
+def test_jsa_csvs_match_repr_writer(tmp_path, capsys, default_config, filter_nm):
     from biphoton import cli
 
     small = config_to_dict(default_config)
     small["grid"]["points_per_axis"] = 128
     cfg_path = tmp_path / "small.yaml"
     cfg_path.write_text(yaml.safe_dump(small))
+    argv = ["--config", str(cfg_path), "--out", str(tmp_path / "cli"), "jsa", "compute"]
+    if filter_nm is not None:
+        argv += ["--filter-nm", str(filter_nm)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    cfg = bp.load_config(cfg_path)
+    f = cli._jsa(argparse.Namespace(filter_nm=filter_nm), cfg).amplitudes
+    n = len(f)
+    comments = cli._grid_comments(cfg)
+    reference = tmp_path / "reference"
+    reference.mkdir()
+    repr_csv(reference / "jsa_amplitudes.csv",
+             ",".join(f"re_idler{k},im_idler{k}" for k in range(n)), comments,
+             f.view(np.float64))
+    repr_csv(reference / "jsa_intensity.csv", ",".join(f"idler{k}" for k in range(n)),
+             comments, np.abs(f) ** 2)
+    for name in ("jsa_amplitudes.csv", "jsa_intensity.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (reference / name).read_bytes()
+
+
+def test_failed_jsa_csv_write_exits_one(tmp_path, capsys, default_config):
+    small = config_to_dict(default_config)
+    small["grid"]["points_per_axis"] = 128
+    cfg_path = tmp_path / "small.yaml"
+    cfg_path.write_text(yaml.safe_dump(small))
     (tmp_path / "jsa_intensity.csv").mkdir()  # the second CSV cannot be opened
-    monkeypatch.setattr(cli, "_available_cpus", lambda: 4)
     assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 1
-    assert multiprocessing.active_children() == []
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "InputError"
     assert "jsa_intensity.csv" in record["message"]

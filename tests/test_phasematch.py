@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -104,6 +106,23 @@ class TestPhaseMismatch:
         omegas = nm_to_angular_frequency(np.array([1550.0, 1570.0, 1590.0]))
         values = bp.phase_mismatch(crystal, omegas, omegas[::-1])
         assert values.shape == (3,)
+
+    def test_scalar_call_starts_no_thread(self, ktp, monkeypatch):
+        class NoThread:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a scalar call started a thread")
+
+        crystal = paper_crystal(ktp)
+        omega = nm_to_angular_frequency(1570.0)
+        expected = (bp.phase_mismatch(crystal, omega, omega),
+                    bp.phasematching_function(omega, omega, crystal))
+        monkeypatch.setattr(phasematch, "threading", SimpleNamespace(Thread=NoThread))
+        mismatch = bp.phase_mismatch(crystal, omega, omega)
+        phi = bp.phasematching_function(omega, omega, crystal)
+        assert np.ndim(mismatch) == np.ndim(phi) == 0
+        assert (mismatch, phi) == expected
+        with pytest.raises(AssertionError, match="started a thread"):
+            bp.phase_mismatch(crystal, np.full(2, omega), np.full(2, omega))
 
     def test_thermal_expansion_off_is_bit_identical(self):
         flat_a = bp.constant_index_set("fa", 1.9)
