@@ -12,7 +12,10 @@ in their last digits.
 
 The two JSA CSVs are written in blocks of rows, each block formatted at
 once by a numpy kernel (``_floatrepr``) whose text is byte-identical to
-``repr`` of each float. It runs in this process, after the decomposition.
+``repr`` of each float. It runs in this process: the amplitudes CSV
+beside the eigen-solve of the Schmidt coefficients, which runs on a worker
+thread (``phasematch._in_two``) after the Gram and purity are formed here,
+and the intensity CSV after the worker is joined.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .config import RunConfig, check_seed, config_digest, default_config, load_c
 from .efficiency import CountSummary, LossBudget, klyshko, predict_heralding
 from .errors import BiphotonError, DegenerateInputError, InputError
 from .jsa import FilterSpec
-from .phasematch import gvm_angle, gvm_degenerate_wavelength, solve_poling_period
+from .phasematch import _in_two, gvm_angle, gvm_degenerate_wavelength, solve_poling_period
 
 
 @contextmanager
@@ -162,6 +165,17 @@ def cmd_jsa(args, config: RunConfig) -> int:
     n = config.grid.points_per_axis
     survival = amplitude.survival
     spectrum = jsa_mod.schmidt_decompose(amplitude)
+
+    # the float64 view of a complex row interleaves re/im per idler index
+    parts = np.ascontiguousarray(amplitude.amplitudes, dtype=np.complex128).view(np.float64)
+    header = ",".join(part for k in range(n) for part in (f"re_idler{k}", f"im_idler{k}"))
+    # The eigen-solve behind the coefficients releases the GIL: it runs on the
+    # worker while this thread formats the amplitudes, which holds the GIL.
+    _in_two(
+        lambda job: job(),
+        lambda: spectrum.coefficients,
+        lambda: _write_lines(out / "jsa_amplitudes.csv", header, comments, csv_chunks(parts)),
+    )
     marg_s = jsa_mod.marginal_spectrum(amplitude, "signal")
     marg_i = jsa_mod.marginal_spectrum(amplitude, "idler")
     report = {
@@ -174,11 +188,6 @@ def cmd_jsa(args, config: RunConfig) -> int:
         if survival is None
         else {"signal": survival.signal, "idler": survival.idler, "total": survival.total},
     }
-
-    # the float64 view of a complex row interleaves re/im per idler index
-    parts = np.ascontiguousarray(amplitude.amplitudes, dtype=np.complex128).view(np.float64)
-    header = ",".join(part for k in range(n) for part in (f"re_idler{k}", f"im_idler{k}"))
-    _write_lines(out / "jsa_amplitudes.csv", header, comments, csv_chunks(parts))
     header_i = ",".join(f"idler{k}" for k in range(n))
     _write_lines(out / "jsa_intensity.csv", header_i, comments, csv_chunks(amplitude.intensity))
     _write_json(out / "schmidt_report.json", report)

@@ -399,7 +399,8 @@ def apply_filter(
 
     Raises:
         DegenerateInputError: the input has zero or non-finite weight.
-        EmptyResultError: a filter removes all spectral weight.
+        EmptyResultError: a filter removes all spectral weight; the message says
+            whether its pass-band is off the grid or far narrower than its step.
     """
     base = _sum_sq(jsa.amplitudes)
     if not 0.0 < base < math.inf:  # NaN-safe
@@ -428,7 +429,7 @@ def apply_filter(
     kept = _sum_sq(f)
     total = kept / base
     if not total > 0.0:  # NaN-safe
-        raise EmptyResultError("filter pass-band does not overlap the grid")
+        raise EmptyResultError(_no_weight_message(jsa.grid, signal_filter, idler_filter))
     # Unit norm: the input's own (checked) norm, or the one just summed.
     norm = math.sqrt(total) if jsa.normalized else math.sqrt(kept * jsa.grid.cell_area)
     _scale_and_flush(np.divide, f, norm, f)
@@ -438,6 +439,26 @@ def apply_filter(
         amplitudes=f,
         survival=FilterSurvival(signal=survival_s, idler=survival_i, total=total),
     )
+
+
+def _no_weight_message(grid: FrequencyGrid, signal_filter, idler_filter) -> str:
+    """Why no weight survives the filters: a pass-band narrower than the grid or off it."""
+    for arm, spec, lam in (
+        ("signal", signal_filter, grid.signal_wavelengths_nm),
+        ("idler", idler_filter, grid.idler_wavelengths_nm),
+    ):
+        if spec is None or np.any(spec.transmission(lam) > 0.0):
+            continue
+        ascending = lam[::-1]
+        if ascending[0] <= spec.center_nm <= ascending[-1]:
+            k = np.clip(np.searchsorted(ascending, spec.center_nm), 1, len(lam) - 1)
+            step = ascending[k] - ascending[k - 1]
+            return (
+                f"{arm} filter transmits nothing at any grid point: its FWHM of "
+                f"{spec.fwhm_nm!r} nm is far below the grid step of {step:.4g} nm "
+                f"at its {spec.center_nm!r} nm centre"
+            )
+    return "filter pass-band does not overlap the grid"
 
 
 def schmidt_decompose(jsa: JointAmplitude) -> SchmidtSpectrum:

@@ -3,6 +3,8 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 import biphoton as bp
 from biphoton.cli import main, read_tomography_records
 from biphoton.config import config_to_dict
-from biphoton.errors import ConfigError, InputError
+from biphoton.errors import ConfigError, DegenerateInputError, InputError
 
 #: a two-set registry with constant indices, enough to bind the KTP axis names
 CONSTANT_REGISTRY = {
@@ -599,16 +601,111 @@ def test_jsa_csvs_match_repr_writer(tmp_path, capsys, default_config, filter_nm)
         assert (tmp_path / "cli" / name).read_bytes() == (reference / name).read_bytes()
 
 
-def test_failed_jsa_csv_write_exits_one(tmp_path, capsys, default_config):
+def _small_config(tmp_path, default_config):
+    """The default profile on a 128² grid, written to ``tmp_path``."""
     small = config_to_dict(default_config)
     small["grid"]["points_per_axis"] = 128
     cfg_path = tmp_path / "small.yaml"
     cfg_path.write_text(yaml.safe_dump(small))
+    return cfg_path
+
+
+def test_failed_jsa_csv_write_exits_one(tmp_path, capsys, default_config):
+    cfg_path = _small_config(tmp_path, default_config)
     (tmp_path / "jsa_intensity.csv").mkdir()  # the second CSV cannot be opened
+    threads = threading.active_count()
     assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 1
+    assert threading.active_count() == threads
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "InputError"
     assert "jsa_intensity.csv" in record["message"]
+
+
+def test_failed_amplitude_csv_beside_eigen_solve_exits_one(tmp_path, capsys, default_config,
+                                                          monkeypatch):
+    # the amplitude CSV fails while the worker still runs the (slowed) eigen-solve
+    eigvalsh = np.linalg.eigvalsh
+
+    def slow(gram):
+        time.sleep(0.2)
+        return eigvalsh(gram)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", slow)
+    cfg_path = _small_config(tmp_path, default_config)
+    (tmp_path / "jsa_amplitudes.csv").mkdir()
+    threads = threading.active_count()
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 1
+    assert threading.active_count() == threads
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "InputError"
+    assert "jsa_amplitudes.csv" in record["message"]
+    assert not (tmp_path / "schmidt_report.json").exists()
+
+
+def test_failed_eigen_solve_exits_one_without_report(tmp_path, capsys, default_config,
+                                                    monkeypatch):
+    def fail(gram):
+        raise DegenerateInputError("eigen-solve failed")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    cfg_path = _small_config(tmp_path, default_config)
+    threads = threading.active_count()
+    assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 1
+    assert threading.active_count() == threads
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err) == {"error": "DegenerateInputError",
+                                        "message": "eigen-solve failed"}
+    assert not (tmp_path / "schmidt_report.json").exists()
+
+
+@pytest.mark.parametrize("filter_nm", [None, 8.0], ids=["unfiltered", "8nm"])
+def test_schmidt_report_matches_eigen_solve_on_calling_thread(tmp_path, capsys, monkeypatch,
+                                                              default_config, filter_nm):
+    from biphoton import cli
+
+    solved_on = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(gram):
+        solved_on.append(threading.current_thread())
+        return eigvalsh(gram)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    argv = ["--out", str(tmp_path / "cli"), "jsa", "compute"]
+    if filter_nm is not None:
+        argv += ["--filter-nm", str(filter_nm)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert len(solved_on) == 1 and solved_on[0] is not threading.current_thread()
+    monkeypatch.undo()
+
+    amplitude = cli._jsa(argparse.Namespace(filter_nm=filter_nm), default_config)
+    spectrum = bp.schmidt_decompose(amplitude)
+    weights = np.maximum(np.linalg.eigvalsh(amplitude.gram)[::-1], 0.0)
+    survival = amplitude.survival
+    fwhm = {arm: bp.marginal_spectrum(amplitude, arm).fwhm_nm for arm in ("signal", "idler")}
+    report = {
+        "config_digest": bp.config_digest(default_config),
+        "purity": spectrum.purity,
+        "schmidt_number": spectrum.schmidt_number,
+        "leading_coefficients": (weights / weights.sum())[:8].tolist(),
+        "marginal_fwhm_nm": fwhm,
+        "filter_survival": None if survival is None else {
+            "signal": survival.signal, "idler": survival.idler, "total": survival.total},
+    }
+    expected = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "cli" / "schmidt_report.json").read_text() == expected
+
+
+def test_filter_narrower_than_grid_step_named_by_cli(tmp_path, capsys):
+    # the 1e-160 nm filter is centred on the grid, so it is not off the grid
+    assert main(["--out", str(tmp_path), "jsa", "compute", "--filter-nm", "1e-160"]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "EmptyResultError",
+        "message": "signal filter transmits nothing at any grid point: its FWHM of 1e-160 nm "
+                   "is far below the grid step of 0.2352 nm at its 1570.0 nm centre",
+    }
 
 
 def test_hom_report_independent_of_blas_thread_count(tmp_path):

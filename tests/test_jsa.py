@@ -761,6 +761,33 @@ class TestApplyFilter:
         with pytest.raises(EmptyResultError):
             bp.apply_filter(paper_jsa, far, None)
 
+    @pytest.mark.parametrize(
+        "arm, spec, message",
+        [
+            ("signal", bp.FilterSpec(center_nm=1200.0, fwhm_nm=5.0),
+             "filter pass-band does not overlap the grid"),
+            ("idler", bp.FilterSpec(center_nm=1650.0, fwhm_nm=1.0, shape="rectangular"),
+             "filter pass-band does not overlap the grid"),
+            # the nearest default-grid point lies 0.062 nm from 1570 nm
+            ("signal", bp.FilterSpec(center_nm=1570.0, fwhm_nm=1e-3),
+             "signal filter transmits nothing at any grid point: its FWHM of 0.001 nm is "
+             "far below the grid step of 0.2352 nm at its 1570.0 nm centre"),
+            ("idler", bp.FilterSpec(center_nm=1570.0, fwhm_nm=0.01, shape="rectangular"),
+             "idler filter transmits nothing at any grid point: its FWHM of 0.01 nm is "
+             "far below the grid step of 0.2352 nm at its 1570.0 nm centre"),
+            # just inside the grid's 1630 nm end
+            ("signal", bp.FilterSpec(center_nm=1630.0 - 1e-9, fwhm_nm=1e-12),
+             "signal filter transmits nothing at any grid point: its FWHM of 1e-12 nm is "
+             "far below the grid step of 0.2535 nm at its 1629.999999999 nm centre"),
+        ],
+        ids=["off-grid", "off-grid-idler", "narrow", "narrow-idler", "narrow-at-end"],
+    )
+    def test_empty_filter_message_names_the_cause(self, paper_jsa, arm, spec, message):
+        filters = (spec, None) if arm == "signal" else (None, spec)
+        with pytest.raises(EmptyResultError) as caught:
+            bp.apply_filter(paper_jsa, *filters)
+        assert str(caught.value) == message
+
     def test_filtering_monotone_for_narrow_gaussians(self, paper_jsa, paper_schmidt):
         base = paper_schmidt.purity
         for width in (6.0, 8.0, 10.0):
