@@ -16,6 +16,12 @@ once by a numpy kernel (``_floatrepr``) whose text is byte-identical to
 beside the eigen-solve of the Schmidt coefficients, which runs on a worker
 thread (``phasematch._in_two``) after the Gram and purity are formed here,
 and the intensity CSV after the worker is joined.
+
+Start-up is part of every run's cost, so each subcommand loads only what
+it runs: ``interference`` is imported by ``hom``, ``polarization`` by
+``tomo`` and ``efficiency`` by ``efficiency``, inside the command; the
+others load none of the three. Every YAML input (config, dispersion
+registry, loss budget) is parsed by ``dispersion.read_yaml``.
 """
 
 from __future__ import annotations
@@ -26,16 +32,21 @@ import sys
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 import yaml
 
-from . import interference, jsa as jsa_mod, polarization, spectrometer
-from .config import RunConfig, check_seed, config_digest, default_config, load_config
-from .efficiency import CountSummary, LossBudget, klyshko, predict_heralding
-from .errors import BiphotonError, DegenerateInputError, InputError
+from . import jsa as jsa_mod, spectrometer
+from .config import RunConfig, _spec, check_seed, config_digest, default_config, load_config
+from .dispersion import read_yaml
+from .errors import BiphotonError, ConfigError, DegenerateInputError, InputError
 from .jsa import FilterSpec
 from .phasematch import _in_two, gvm_angle, gvm_degenerate_wavelength, solve_poling_period
+
+if TYPE_CHECKING:
+    from . import polarization
+    from .efficiency import CountSummary
 
 
 @contextmanager
@@ -76,10 +87,10 @@ def _write_json(path: Path, payload: dict) -> None:
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _grid_comments(config: RunConfig) -> list[str]:
+def _grid_comments(config: RunConfig, digest: str) -> list[str]:
     g = config.grid
     return [
-        f"config_digest: {config_digest(config)}",
+        f"config_digest: {digest}",
         f"grid_center_signal_nm: {g.center_signal_nm}",
         f"grid_center_idler_nm: {g.center_idler_nm}",
         f"grid_half_span_nm: {g.half_span_nm}",
@@ -161,7 +172,8 @@ def cmd_jsa(args, config: RunConfig) -> int:
 
     out = _out_dir(config)
     amplitude = _jsa(args, config)
-    comments = _grid_comments(config)
+    digest = config_digest(config)
+    comments = _grid_comments(config, digest)
     n = config.grid.points_per_axis
     survival = amplitude.survival
     spectrum = jsa_mod.schmidt_decompose(amplitude)
@@ -179,7 +191,7 @@ def cmd_jsa(args, config: RunConfig) -> int:
     marg_s = jsa_mod.marginal_spectrum(amplitude, "signal")
     marg_i = jsa_mod.marginal_spectrum(amplitude, "idler")
     report = {
-        "config_digest": config_digest(config),
+        "config_digest": digest,
         "purity": spectrum.purity,
         "schmidt_number": spectrum.schmidt_number,
         "leading_coefficients": [float(c) for c in spectrum.coefficients[:8]],
@@ -223,6 +235,8 @@ def _parse_delays(spec: str) -> np.ndarray:
 
 
 def cmd_hom(args, config: RunConfig) -> int:
+    from . import interference
+
     delays = _parse_delays(args.delays)
     out = _out_dir(config)
     # the amplitude and its cached Gram are dropped once the herald is formed
@@ -230,14 +244,15 @@ def cmd_hom(args, config: RunConfig) -> int:
     visibility = interference.hom_visibility(state, state)
     curve = interference.hom_curve(state, state, delays)
 
+    digest = config_digest(config)
     _write_csv(
         out / "hom_curve.csv",
         zip(curve.delays_fs.tolist(), curve.coincidence_probability.tolist()),
         "delay_fs,coincidence_probability",
-        _grid_comments(config),
+        _grid_comments(config, digest),
     )
     report = {
-        "config_digest": config_digest(config),
+        "config_digest": digest,
         "visibility_spectral": visibility,
     }
     if args.pair_probability is not None:
@@ -256,6 +271,8 @@ def cmd_hom(args, config: RunConfig) -> int:
 
 
 def cmd_tomo_simulate(args, config: RunConfig) -> int:
+    from . import polarization
+
     state = polarization.model_state(
         depolarization=args.depolarization,
         amplitude_imbalance=args.imbalance,
@@ -280,6 +297,8 @@ def cmd_tomo_simulate(args, config: RunConfig) -> int:
 
 
 def read_tomography_records(path: str | Path) -> list[polarization.TomographyRecord]:
+    from . import polarization
+
     records = []
     for line in _read_input(path).splitlines():
         line = line.strip()
@@ -305,6 +324,8 @@ def read_tomography_records(path: str | Path) -> list[polarization.TomographyRec
 
 
 def cmd_tomo_reconstruct(args, config: RunConfig) -> int:
+    from . import polarization
+
     records = read_tomography_records(args.in_file)
     out_path = _out_path(args.out_file, config, "tomography_state.json")
     state = polarization.reconstruct_mle(records)
@@ -368,6 +389,8 @@ def cmd_spectro(args, config: RunConfig) -> int:
 
 
 def _read_counts_csv(path: str | Path) -> CountSummary:
+    from .efficiency import CountSummary
+
     for line in _read_input(path).splitlines():
         line = line.strip()
         if not line or line.startswith("#") or line.startswith("singles_signal"):
@@ -389,6 +412,8 @@ def _read_counts_csv(path: str | Path) -> CountSummary:
 
 
 def cmd_efficiency(args, config: RunConfig) -> int:
+    from .efficiency import LossBudget, klyshko, predict_heralding
+
     report: dict = {"config_digest": config_digest(config)}
     if args.counts is not None:
         counts = _read_counts_csv(args.counts)
@@ -400,8 +425,8 @@ def cmd_efficiency(args, config: RunConfig) -> int:
         report["klyshko_idler"] = eta_idler
     if args.budget is not None:
         try:
-            budget = LossBudget(**(yaml.safe_load(_read_input(args.budget)) or {}))
-        except (TypeError, yaml.YAMLError) as exc:
+            budget = _spec(LossBudget, read_yaml(_read_input(args.budget)), "budget")
+        except (ConfigError, yaml.YAMLError) as exc:
             raise InputError(f"bad loss budget {args.budget}: {exc}") from exc
         report["predicted_heralding"] = predict_heralding(budget)
     if args.counts is None and args.budget is None:

@@ -5,7 +5,8 @@ default profile encodes the reference source parameters (785 nm pump,
 5.35 nm bandwidth, 2 mm crystal, 46.15 µm poling, 81 MHz, 512² grid).
 Each YAML section is read into the spec dataclass that holds it: the keys
 are the dataclass fields, an absent key takes the field default, and an
-unknown key or a value that the field's type would change is a ConfigError.
+unknown key, a boolean, or a value that the field's type would change is a
+ConfigError.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import yaml
 
-from .dispersion import CrystalAxes, builtin_registry, load_registry
+from .dispersion import CrystalAxes, builtin_registry, load_registry, read_yaml
 from .errors import ConfigError, InputError
 from .jsa import FilterSpec, FrequencyGrid
 from .phasematch import CrystalSpec, PumpSpec
@@ -58,7 +59,8 @@ def check_seed(seed: int) -> None:
 
 #: converter for each field annotation. Float fields coerce, because PyYAML
 #: reads exponent forms without a dot, such as 6e1, as strings; int and str
-#: fields reject any value that the conversion would change.
+#: fields reject any value that the conversion would change, and no field
+#: takes a boolean (YAML's true, on, yes), which float() would read as 1.0.
 _CONVERT = {"float": float, "int": int, "str": str}
 
 
@@ -70,7 +72,7 @@ def _convert(annotation: str, value, key: str):
         converted = _CONVERT[kind](value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
-    if kind != "float" and (converted != value or isinstance(value, bool)):
+    if isinstance(value, bool) or (kind != "float" and converted != value):
         raise ConfigError(f"bad value for {key}: {value!r} is not of type {kind}")
     return converted
 
@@ -167,7 +169,7 @@ def load_config(path: str | Path, dispersion_file: str | Path | None = None) -> 
     if not path.exists():
         raise ConfigError(f"config file does not exist: {path}")
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = read_yaml(path.read_text())
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"failed to parse {path}: {exc}") from exc
     return _config_from_dict(raw, path.parent, dispersion_file)
@@ -176,7 +178,7 @@ def load_config(path: str | Path, dispersion_file: str | Path | None = None) -> 
 def default_config(dispersion_file: str | Path | None = None) -> RunConfig:
     """The shipped default profile (reference source parameters)."""
     text = resources.files("biphoton.data").joinpath("default_profile.yaml").read_text()
-    return _config_from_dict(yaml.safe_load(text), Path(), dispersion_file)
+    return _config_from_dict(read_yaml(text), Path(), dispersion_file)
 
 
 def _fields(spec) -> dict:

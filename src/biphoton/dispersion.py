@@ -222,11 +222,21 @@ def _thermal_from_dict(d: dict) -> ThermalModel:
     )
 
 
+#: libyaml's parser where PyYAML was built with it, else PyYAML's pure-Python
+#: one; both feed the same safe constructor and resolver
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
+def read_yaml(text: str):
+    """The document ``text`` as ``yaml.safe_load`` reads it; every YAML input enters here."""
+    return yaml.load(text, Loader=_YAML_LOADER)
+
+
 def load_registry(path: str | Path) -> DispersionRegistry:
     """Load a registry from a YAML file (schema documented in the data dir)."""
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = read_yaml(path.read_text())
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"failed to read dispersion file {path}: {exc}") from exc
     return _registry_from_dict(raw, origin=str(path))
@@ -267,7 +277,7 @@ def builtin_registry() -> DispersionRegistry:
     global _builtin_cache
     if _builtin_cache is None:
         text = resources.files("biphoton.data").joinpath("ktp_dispersion.yaml").read_text()
-        _builtin_cache = _registry_from_dict(yaml.safe_load(text), origin="builtin registry")
+        _builtin_cache = _registry_from_dict(read_yaml(text), origin="builtin registry")
     return _builtin_cache
 
 

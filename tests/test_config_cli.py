@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton as bp
+from biphoton import dispersion
 from biphoton.cli import main, read_tomography_records
 from biphoton.config import config_to_dict
 from biphoton.errors import ConfigError, DegenerateInputError, InputError
@@ -133,9 +135,15 @@ class TestConfig:
             ("pump: {center_wavelength_nm: 785.0, intensity_fwhm_bandwidth_nm: 5.35}\n"
              "crystal: {poling_period_um: 46.15}\n",
              r"^missing required field crystal\.length_mm$"),
+            (MINIMAL.replace("5.35}", "5.35, repetition_rate_mhz: true}"),
+             r"pump\.repetition_rate_mhz: True is not of type float$"),
+            (MINIMAL + "grid: {points_per_axis: yes}\n",
+             r"grid\.points_per_axis: True is not of type int$"),
+            (MINIMAL + "filters: {idler: {center_nm: 1570.0, fwhm_nm: 8.0, shape: off}}\n",
+             r"filters\.idler\.shape: False is not of type str$"),
         ],
         ids=["unknown-crystal-key", "unknown-filter-arm", "fractional-points", "fractional-seed",
-             "missing-length"],
+             "missing-length", "bool-float", "bool-int", "bool-str"],
     )
     def test_rejection_names_the_field(self, tmp_path, text, match):
         path = tmp_path / "run.yaml"
@@ -295,6 +303,15 @@ class TestCliContracts:
         assert report["klyshko_signal"] == pytest.approx(24300.0 / 38000.0)
         assert report["predicted_heralding"] == pytest.approx(0.6375)
 
+    def test_budget_exponent_without_dot_is_a_float(self, tmp_path, capsys):
+        # the budget is read as a config section is: PyYAML's string '6e-1' is 0.6
+        budget_path = tmp_path / "budget.yaml"
+        budget_path.write_text("detector_efficiency: 6e-1\n")
+        assert main(["--out", str(tmp_path), "efficiency", "--budget", str(budget_path)]) == 0
+        capsys.readouterr()
+        report = json.loads((tmp_path / "efficiency.json").read_text())
+        assert report["predicted_heralding"] == 0.6
+
     def test_efficiency_requires_input(self, tmp_path, capsys):
         assert main(["--out", str(tmp_path), "efficiency"]) == 1
         capsys.readouterr()
@@ -367,6 +384,8 @@ def _with_input(command, path):
     [
         (BUDGET, "detector_efficiency: 0.85\nlaser_magic: 0.5\n", "InputError"),
         (BUDGET, "detector_efficiency: [0.85\n", "InputError"),
+        (BUDGET, "detector_efficiency: true\n", "InputError"),
+        (BUDGET, "detector_efficiency: abc\n", "InputError"),
         (COUNTS, "38000.0,n/a,24300.0\n", "InputError"),
         (COUNTS, "singles_signal,singles_idler,coincidences\n0.0,0.0,0.0\n",
          "DegenerateInputError"),
@@ -406,6 +425,11 @@ def _with_input(command, path):
         ([*CONFIG, "design"], MINIMAL + "seed: 1.5\n", "ConfigError"),
         ([*CONFIG, "design"], MINIMAL.replace("5.35}", "5.35, pulse_duration_fs: 100.0}"),
          "InputError"),
+        ([*CONFIG, "design"], MINIMAL.replace("5.35}", "5.35, repetition_rate_mhz: true}"),
+         "ConfigError"),
+        ([*CONFIG, "design"],
+         MINIMAL + "filters: {signal: {center_nm: 1570.0, fwhm_nm: 8.0, peak_transmission: on}}\n",
+         "ConfigError"),
         (REGISTRY, "sets: 5\n", "ConfigError"),
         (REGISTRY, "sets: [1]\n", "ConfigError"),
         (REGISTRY, f"sets: [{CONSTANT_SET}, thermal: [1]}}]\n", "ConfigError"),
@@ -421,7 +445,8 @@ def _with_input(command, path):
         ([NO_PHYSICS, *RECORDS, "--out", UNDER_IN], VALID_RECORDS, "InputError"),
     ],
     ids=[
-        "budget-unknown-key", "budget-not-yaml", "counts-not-numeric",
+        "budget-unknown-key", "budget-not-yaml", "budget-bool", "budget-not-a-number",
+        "counts-not-numeric",
         "counts-zero-singles", "counts-nan-singles", "tomo-mean-counts-past-poisson-limit",
         "spectro-pairs-past-int64", "negative-global-seed", "negative-spectro-seed",
         "negative-config-seed", "tomo-phase-error-nan", "tomo-fractional-count", "tomo-missing-in",
@@ -435,6 +460,7 @@ def _with_input(command, path):
         "config-dispersion-file-not-a-string", "config-dispersion-file-is-a-directory",
         "config-is-a-directory", "config-unknown-key", "config-fractional-points",
         "config-fractional-seed", "config-pulse-below-transform-limit",
+        "config-bool-rate", "config-bool-transmission",
         "registry-sets-not-a-list", "registry-set-not-a-mapping",
         "registry-thermal-not-a-mapping", "design-out-is-a-file", "jsa-out-is-a-file",
         "tomo-out-under-a-file", "spectro-out-under-a-file",
@@ -458,6 +484,66 @@ def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error)
     record = json.loads(lines[0])
     assert record["error"] == error
     assert record["message"]
+
+
+def _yaml_texts() -> list[str]:
+    """The shipped YAML files and every YAML text that this file gives biphoton."""
+    data = resources.files("biphoton.data")
+    rows = test_bad_input_exits_one_with_json_record.pytestmark[0].args[1]
+    rejections = TestConfig.test_rejection_names_the_field.pytestmark[0].args[1]
+    return [
+        data.joinpath("default_profile.yaml").read_text(),
+        data.joinpath("ktp_dispersion.yaml").read_text(),
+        MINIMAL,
+        yaml.safe_dump(CONSTANT_REGISTRY),
+        *(text for text, _ in rejections),
+        *(content for _, content, _ in rows if content is not None),
+    ]
+
+
+@pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+@pytest.mark.parametrize("text", _yaml_texts())
+def test_libyaml_and_pure_python_parsers_agree(text):
+    read = []
+    for loader in (yaml.SafeLoader, yaml.CSafeLoader):
+        try:
+            read.append(repr(yaml.load(text, Loader=loader)))  # repr: nan equals nan
+        except yaml.YAMLError:
+            read.append("YAMLError")
+    assert read[0] == read[1]
+
+
+@pytest.mark.parametrize("variant", PINNED_DIGESTS)
+def test_config_digest_pinned_under_pure_python_parser(tmp_path, monkeypatch, variant):
+    made = []
+
+    class PurePython(yaml.SafeLoader):
+        def __init__(self, stream):
+            made.append(stream)
+            super().__init__(stream)
+
+    monkeypatch.setattr(dispersion, "_YAML_LOADER", PurePython)
+    monkeypatch.setattr(dispersion, "_builtin_cache", None)  # the shipped registry too
+    test_config_digest_pinned_and_round_trips(tmp_path, bp.default_config(), variant)
+    assert made
+
+
+def test_parser_follows_libyaml_availability(tmp_path, capsys):
+    assert dispersion._YAML_LOADER is (
+        yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    forced = (
+        "import sys, yaml\n"
+        "yaml.__with_libyaml__ = False\n"
+        "from biphoton import cli, dispersion\n"
+        "assert dispersion._YAML_LOADER is yaml.SafeLoader\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    proc = _python("-c", forced, "--out", tmp_path / "pure", "design")
+    assert proc.returncode == 0, proc.stderr
+    assert main(["--out", str(tmp_path / "default"), "design"]) == 0
+    capsys.readouterr()
+    assert ((tmp_path / "pure" / "design.json").read_bytes()
+            == (tmp_path / "default" / "design.json").read_bytes())
 
 
 NAN, INF = float("nan"), float("inf")
@@ -589,7 +675,7 @@ def test_jsa_csvs_match_repr_writer(tmp_path, capsys, default_config, filter_nm)
     cfg = bp.load_config(cfg_path)
     f = cli._jsa(argparse.Namespace(filter_nm=filter_nm), cfg).amplitudes
     n = len(f)
-    comments = cli._grid_comments(cfg)
+    comments = cli._grid_comments(cfg, bp.config_digest(cfg))
     reference = tmp_path / "reference"
     reference.mkdir()
     repr_csv(reference / "jsa_amplitudes.csv",
