@@ -830,3 +830,87 @@ def test_malformed_input_files_exit_cleanly(tmp_path_factory, command, content):
         assert exc.code == 2
     else:
         assert code in (0, 1)
+
+
+def _design_text(r):
+    return ["design report",
+            f"  poling_period_um   {r['poling_period_um']:.4f}",
+            f"  gvm_wavelength_nm  {r['gvm_wavelength_nm']:.2f}",
+            f"  gvm_angle_deg      {r['gvm_angle_deg']:.3f}"]
+
+
+def _jsa_text(r):
+    lines = ["joint spectral amplitude report",
+             f"  purity           {r['purity']:.4f}",
+             f"  schmidt_number   {r['schmidt_number']:.4f}",
+             f"  fwhm_signal_nm   {r['marginal_fwhm_nm']['signal']:.2f}",
+             f"  fwhm_idler_nm    {r['marginal_fwhm_nm']['idler']:.2f}"]
+    if r["filter_survival"] is not None:
+        lines.append(f"  filter_survival  {r['filter_survival']['total']:.4f}")
+    return lines
+
+
+def _hom_text(r):
+    lines = [f"hom visibility {r['visibility_spectral']:.4f}"]
+    if "visibility_total" in r:
+        lines += [f"  multipair bound {r['multipair_bound']:.4f}",
+                  f"  total           {r['visibility_total']:.4f}"]
+    return lines
+
+
+#: the three figures that ``tomo reconstruct`` prints, of the six in its report
+TOMO_FIGURES = ("fidelity_singlet", "purity", "tangle")
+
+
+def _tomo_text(r):
+    return ["reconstructed state"] + [f"  {k:<16} {r[k]:.4f}" for k in TOMO_FIGURES]
+
+
+def _efficiency_text(r):
+    return [f"  {k} {v:.4f}" for k, v in sorted(r.items()) if k != "config_digest"]
+
+
+@pytest.mark.parametrize(
+    "argv, report_name, text",
+    [
+        (["design"], "design.json", _design_text),
+        (["jsa", "compute"], "schmidt_report.json", _jsa_text),
+        (["jsa", "compute", "--filter-nm", "8"], "schmidt_report.json", _jsa_text),
+        (["hom"], "hom_report.json", _hom_text),
+        (["hom", "--pair-probability", "0.0015"], "hom_report.json", _hom_text),
+        (["tomo", "reconstruct", "--in", "{records}"], "tomography_state.json", _tomo_text),
+        (["efficiency", "--counts", "{counts}", "--budget", "{budget}"], "efficiency.json",
+         _efficiency_text),
+    ],
+    ids=["design", "jsa", "jsa-8nm", "hom", "hom-pair-probability", "tomo-reconstruct",
+         "efficiency"],
+)
+def test_stdout_states_the_report(tmp_path, capsys, default_config, argv, report_name, text):
+    # text stdout is the command's summary of its report file, --json stdout the
+    # report itself (tomo reconstruct: its three figures), on a 64² grid
+    small = config_to_dict(default_config)
+    small["grid"]["points_per_axis"] = 64
+    config_path = tmp_path / "small.yaml"
+    config_path.write_text(yaml.safe_dump(small))
+    places = {"records": tmp_path / "records.csv", "counts": tmp_path / "counts.csv",
+              "budget": tmp_path / "budget.yaml"}
+    places["counts"].write_text("singles_signal,singles_idler,coincidences\n"
+                                "38000.0,41000.0,24300.0\n")
+    places["budget"].write_text("detector_efficiency: 0.85\nfiber_coupling: 0.9\n")
+    assert main(["--out", str(tmp_path), "tomo", "simulate", "--out",
+                 str(places["records"])]) == 0
+    capsys.readouterr()
+    command = [arg.format(**places) for arg in argv]
+    stdouts, reports = {}, {}
+    for mode in ("text", "json"):
+        out = tmp_path / mode
+        flags = ["--json"] if mode == "json" else []
+        assert main(["--config", str(config_path), "--out", str(out), *flags, *command]) == 0
+        stdouts[mode] = capsys.readouterr().out
+        reports[mode] = (out / report_name).read_text()
+    assert reports["text"] == reports["json"]
+    report = json.loads(reports["text"])
+    assert stdouts["text"] == "".join(f"{line}\n" for line in text(report))
+    if report_name == "tomography_state.json":
+        report = {k: report[k] for k in TOMO_FIGURES}
+    assert stdouts["json"] == json.dumps(report, indent=2, sort_keys=True) + "\n"
