@@ -17,6 +17,11 @@ beside the eigen-solve of the Schmidt coefficients, which runs on a worker
 thread (``phasematch._in_two``) after the Gram and purity are formed here,
 and the intensity CSV after the worker is joined.
 
+Each format has one home here: ``_report`` writes every report JSON and
+prints it under ``--json`` or else the command's text lines,
+``_write_lines`` writes every CSV under the comments that ``_comments``
+builds, and ``_data_lines`` yields the data lines of every CSV input.
+
 Start-up is part of every run's cost, so each subcommand loads only what
 it runs: ``interference`` is imported by ``hom``, ``polarization`` by
 ``tomo`` and ``efficiency`` by ``efficiency``, inside the command; the
@@ -61,20 +66,25 @@ def _os_error_as_input(what: str):
 def _write_lines(path: Path, header: str, comments: list[str], lines) -> None:
     """Write the comments, the header and then each text chunk of ``lines``.
 
-    Streamed chunk by chunk, so no whole-file string is held.
+    Streamed chunk by chunk, so no whole-file string is held. Callers format
+    their own rows: ``repr`` of a Python number (from ``ndarray.tolist()``) is
+    its shortest round-trip text, where a numpy scalar's is ``np.float64(...)``.
     """
     with _os_error_as_input(f"cannot write {path}"), path.open("w") as out:
         out.write("".join(f"# {c}\n" for c in comments) + header + "\n")
         out.writelines(lines)
 
 
-def _write_csv(path: Path, rows, header: str, comments: list[str], fmt=repr) -> None:
-    """Write ``rows`` of Python numbers (``ndarray.tolist()``), each cell as ``fmt(cell)``.
+def _comments(digest: str, **fields) -> list[str]:
+    """CSV header comments: the config digest, then ``key: value`` per field in order."""
+    return [f"config_digest: {digest}", *(f"{key}: {value}" for key, value in fields.items())]
 
-    ``repr`` of a Python float is its shortest round-trip form; a numpy
-    scalar would print as ``np.float64(...)``, so callers pass lists.
-    """
-    _write_lines(path, header, comments, (",".join(map(fmt, row)) + "\n" for row in rows))
+
+def _grid_comments(config: RunConfig, digest: str) -> list[str]:
+    g = config.grid
+    return _comments(digest, grid_center_signal_nm=g.center_signal_nm,
+                     grid_center_idler_nm=g.center_idler_nm, grid_half_span_nm=g.half_span_nm,
+                     grid_points_per_axis=g.points_per_axis)
 
 
 def _read_input(path) -> str:
@@ -82,20 +92,27 @@ def _read_input(path) -> str:
         return Path(path).read_text()
 
 
-def _write_json(path: Path, payload: dict) -> None:
+def _data_lines(path, header: str):
+    """Each stripped line of the CSV at ``path`` but blanks, comments and the ``header`` line."""
+    for line in _read_input(path).splitlines():
+        line = line.strip()
+        if line and not line.startswith(("#", header)):
+            yield line
+
+
+def _report(args, path: Path, report: dict, text: list[str], shown=None) -> int:
+    """Write ``report`` to ``path`` as JSON, then print it or else the ``text`` lines.
+
+    Under ``--json`` the report is printed, only its ``shown`` keys if given.
+    """
     with _os_error_as_input(f"cannot write {path}"):
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _grid_comments(config: RunConfig, digest: str) -> list[str]:
-    g = config.grid
-    return [
-        f"config_digest: {digest}",
-        f"grid_center_signal_nm: {g.center_signal_nm}",
-        f"grid_center_idler_nm: {g.center_idler_nm}",
-        f"grid_half_span_nm: {g.half_span_nm}",
-        f"grid_points_per_axis: {g.points_per_axis}",
-    ]
+        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if args.json:
+        printed = report if shown is None else {key: report[key] for key in shown}
+        print(json.dumps(printed, indent=2, sort_keys=True))
+    else:
+        print("\n".join(text))
+    return 0
 
 
 def _resolve_config(args) -> RunConfig:
@@ -154,16 +171,12 @@ def cmd_design(args, config: RunConfig) -> int:
         "gvm_angle_deg": angle,
         "config_digest": config_digest(config),
     }
-    out = _out_dir(config)
-    _write_json(out / "design.json", report)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("design report")
-        print(f"  poling_period_um   {poling:.4f}")
-        print(f"  gvm_wavelength_nm  {gvm_nm:.2f}")
-        print(f"  gvm_angle_deg      {angle:.3f}")
-    return 0
+    return _report(args, _out_dir(config) / "design.json", report, [
+        "design report",
+        f"  poling_period_um   {poling:.4f}",
+        f"  gvm_wavelength_nm  {gvm_nm:.2f}",
+        f"  gvm_angle_deg      {angle:.3f}",
+    ])
 
 
 def cmd_jsa(args, config: RunConfig) -> int:
@@ -202,18 +215,16 @@ def cmd_jsa(args, config: RunConfig) -> int:
     }
     header_i = ",".join(f"idler{k}" for k in range(n))
     _write_lines(out / "jsa_intensity.csv", header_i, comments, csv_chunks(amplitude.intensity))
-    _write_json(out / "schmidt_report.json", report)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print("joint spectral amplitude report")
-        print(f"  purity           {spectrum.purity:.4f}")
-        print(f"  schmidt_number   {spectrum.schmidt_number:.4f}")
-        print(f"  fwhm_signal_nm   {marg_s.fwhm_nm:.2f}")
-        print(f"  fwhm_idler_nm    {marg_i.fwhm_nm:.2f}")
-        if survival is not None:
-            print(f"  filter_survival  {survival.total:.4f}")
-    return 0
+    text = [
+        "joint spectral amplitude report",
+        f"  purity           {spectrum.purity:.4f}",
+        f"  schmidt_number   {spectrum.schmidt_number:.4f}",
+        f"  fwhm_signal_nm   {marg_s.fwhm_nm:.2f}",
+        f"  fwhm_idler_nm    {marg_i.fwhm_nm:.2f}",
+    ]
+    if survival is not None:
+        text.append(f"  filter_survival  {survival.total:.4f}")
+    return _report(args, out / "schmidt_report.json", report, text)
 
 
 #: most points a ``--delays`` range may ask for, checked before the delays are built;
@@ -238,6 +249,9 @@ def cmd_hom(args, config: RunConfig) -> int:
     from . import interference
 
     delays = _parse_delays(args.delays)
+    if args.pair_probability is not None:
+        # checked before any physics, so a bad value leaves no curve behind
+        interference.multipair_visibility_bound(args.pair_probability)
     out = _out_dir(config)
     # the amplitude and its cached Gram are dropped once the herald is formed
     state = interference.heralded_spectral_state(_jsa(args, config), "signal")
@@ -245,29 +259,18 @@ def cmd_hom(args, config: RunConfig) -> int:
     curve = interference.hom_curve(state, state, delays)
 
     digest = config_digest(config)
-    _write_csv(
-        out / "hom_curve.csv",
-        zip(curve.delays_fs.tolist(), curve.coincidence_probability.tolist()),
-        "delay_fs,coincidence_probability",
-        _grid_comments(config, digest),
-    )
-    report = {
-        "config_digest": digest,
-        "visibility_spectral": visibility,
-    }
+    points = zip(curve.delays_fs.tolist(), curve.coincidence_probability.tolist())
+    _write_lines(out / "hom_curve.csv", "delay_fs,coincidence_probability",
+                 _grid_comments(config, digest), (f"{d!r},{p!r}\n" for d, p in points))
+    report = {"config_digest": digest, "visibility_spectral": visibility}
+    text = [f"hom visibility {visibility:.4f}"]
     if args.pair_probability is not None:
         prediction = interference.predict_visibility(visibility, args.pair_probability)
         report["multipair_bound"] = prediction.multipair_bound
         report["visibility_total"] = prediction.total
-    _write_json(out / "hom_report.json", report)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        print(f"hom visibility {visibility:.4f}")
-        if "visibility_total" in report:
-            print(f"  multipair bound {report['multipair_bound']:.4f}")
-            print(f"  total           {report['visibility_total']:.4f}")
-    return 0
+        text += [f"  multipair bound {prediction.multipair_bound:.4f}",
+                 f"  total           {prediction.total:.4f}"]
+    return _report(args, out / "hom_report.json", report, text)
 
 
 def cmd_tomo_simulate(args, config: RunConfig) -> int:
@@ -285,12 +288,11 @@ def cmd_tomo_simulate(args, config: RunConfig) -> int:
         seed=config.seed,
     )
     out_path = _out_path(args.out_file, config, "tomography.csv")
-    _write_csv(
+    _write_lines(
         out_path,
-        ((r.setting_a, r.setting_b, r.counts, r.integration_time_s) for r in records),
         "setting_a,setting_b,counts,integration_s",
-        [f"config_digest: {config_digest(config)}", f"seed: {config.seed}"],
-        fmt=str,
+        _comments(config_digest(config), seed=config.seed),
+        (f"{r.setting_a},{r.setting_b},{r.counts},{r.integration_time_s}\n" for r in records),
     )
     print(f"wrote {out_path}")
     return 0
@@ -300,10 +302,7 @@ def read_tomography_records(path: str | Path) -> list[polarization.TomographyRec
     from . import polarization
 
     records = []
-    for line in _read_input(path).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("setting_a"):
-            continue
+    for line in _data_lines(path, "setting_a"):
         try:
             setting_a, setting_b, counts, integration = line.split(",")
             counts, integration = int(counts), float(integration)
@@ -337,16 +336,9 @@ def cmd_tomo_reconstruct(args, config: RunConfig) -> int:
         "rho_real": state.rho.real.tolist(),
         "rho_imag": state.rho.imag.tolist(),
     }
-    _write_json(out_path, report)
-    if args.json:
-        print(json.dumps({k: report[k] for k in ("fidelity_singlet", "purity", "tangle")},
-                         indent=2, sort_keys=True))
-    else:
-        print("reconstructed state")
-        print(f"  fidelity_singlet {report['fidelity_singlet']:.4f}")
-        print(f"  purity           {report['purity']:.4f}")
-        print(f"  tangle           {report['tangle']:.4f}")
-    return 0
+    figures = ("fidelity_singlet", "purity", "tangle")
+    text = ["reconstructed state", *(f"  {key:<16} {report[key]:.4f}" for key in figures)]
+    return _report(args, out_path, report, text, shown=figures)
 
 
 def cmd_spectro(args, config: RunConfig) -> int:
@@ -366,24 +358,20 @@ def cmd_spectro(args, config: RunConfig) -> int:
     # first row and first column carry bin centers in ns, body is counts
     header = ",".join(["", *map(repr, histogram.bin_centers_idler_ns.tolist())])
     rows = (
-        [center] + row.tolist()
+        ",".join(map(repr, [center, *row.tolist()])) + "\n"
         for center, row in zip(histogram.bin_centers_signal_ns.tolist(), histogram.counts)
     )
-    _write_csv(
-        out_path,
-        rows,
-        header,
-        [
-            f"config_digest: {config_digest(config)}",
-            f"seed: {seed}",
-            f"window_ns: {histogram.window_ns!r}",
-            f"bin_size_ns: {histogram.bin_size_ns!r}",
-            f"total_pairs: {histogram.total_pairs}",
-            f"wrapped_pairs: {histogram.wrapped_pairs}",
-            f"wrap_warning: {histogram.wrap_warning}",
-            "layout: first row and first column are bin centers (ns); body is counts",
-        ],
+    comments = _comments(
+        config_digest(config),
+        seed=seed,
+        window_ns=histogram.window_ns,
+        bin_size_ns=histogram.bin_size_ns,
+        total_pairs=histogram.total_pairs,
+        wrapped_pairs=histogram.wrapped_pairs,
+        wrap_warning=histogram.wrap_warning,
+        layout="first row and first column are bin centers (ns); body is counts",
     )
+    _write_lines(out_path, header, comments, rows)
     print(f"wrote {out_path} ({histogram.wrapped_pairs} wrapped of {histogram.total_pairs})")
     return 0
 
@@ -391,24 +379,17 @@ def cmd_spectro(args, config: RunConfig) -> int:
 def _read_counts_csv(path: str | Path) -> CountSummary:
     from .efficiency import CountSummary
 
-    for line in _read_input(path).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("singles_signal"):
-            continue
-        try:
-            parts = [float(x) for x in line.split(",")]
-        except ValueError as exc:
-            raise InputError(f"counts CSV row is not numeric: {line!r}") from exc
-        if len(parts) < 3:
-            raise InputError(f"counts CSV row needs at least 3 columns, got {line!r}")
-        integration = parts[3] if len(parts) > 3 else 1.0
-        return CountSummary(
-            singles_signal=parts[0],
-            singles_idler=parts[1],
-            coincidences=parts[2],
-            integration_time_s=integration,
-        )
-    raise InputError(f"no data row found in {path}")
+    line = next(_data_lines(path, "singles_signal"), None)
+    if line is None:
+        raise InputError(f"no data row found in {path}")
+    try:
+        parts = [float(x) for x in line.split(",")]
+    except ValueError as exc:
+        raise InputError(f"counts CSV row is not numeric: {line!r}") from exc
+    if len(parts) < 3:
+        raise InputError(f"counts CSV row needs at least 3 columns, got {line!r}")
+    # singles_signal, singles_idler, coincidences and, if given, integration_time_s
+    return CountSummary(*parts[:4])
 
 
 def cmd_efficiency(args, config: RunConfig) -> int:
@@ -431,14 +412,9 @@ def cmd_efficiency(args, config: RunConfig) -> int:
         report["predicted_heralding"] = predict_heralding(budget)
     if args.counts is None and args.budget is None:
         raise InputError("efficiency requires --counts and/or --budget")
-    _write_json(_out_dir(config) / "efficiency.json", report)
-    if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
-    else:
-        for key, value in sorted(report.items()):
-            if key != "config_digest":
-                print(f"  {key} {value:.4f}")
-    return 0
+    text = [f"  {key} {value:.4f}" for key, value in sorted(report.items())
+            if key != "config_digest"]
+    return _report(args, _out_dir(config) / "efficiency.json", report, text)
 
 
 def build_parser() -> argparse.ArgumentParser:

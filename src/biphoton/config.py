@@ -18,15 +18,13 @@ from pathlib import Path
 
 import yaml
 
-from .dispersion import CrystalAxes, builtin_registry, load_registry, read_yaml
+from .dispersion import KTP_AXIS_SETS, CrystalAxes, builtin_registry, load_registry, read_yaml
 from .errors import ConfigError, InputError
 from .jsa import FilterSpec, FrequencyGrid
 from .phasematch import CrystalSpec, PumpSpec
 from .spectrometer import DEFAULT_BIN_NS, DcfSpec, idler_arm_preset, signal_arm_preset
 
 SCHEMA_VERSION = 1
-#: default registry set of each polarization, named by the crystal's <role>_axis key
-_AXES = {"pump": "ktp_y", "signal": "ktp_z", "idler": "ktp_y"}
 #: spectrometer keys of the DCF arms, with the preset an absent arm takes
 _DCF_PRESETS = {"signal_dcf": signal_arm_preset, "idler_dcf": idler_arm_preset}
 
@@ -133,7 +131,7 @@ def _config_from_dict(raw, base: Path, dispersion_file: str | Path | None) -> Ru
     axes = CrystalAxes(**{
         role: registry.get(_convert("str", crystal.pop(f"{role}_axis", name),
                                     f"crystal.{role}_axis"))
-        for role, name in _AXES.items()
+        for role, name in KTP_AXIS_SETS.items()
     })
     filters = _mapping(top.pop("filters", None), "filters")
     arms = {}
@@ -193,7 +191,7 @@ def config_to_dict(config: RunConfig) -> dict:
     }
     d["schema_version"] = SCHEMA_VERSION
     axes = d["crystal"].pop("axes")
-    d["crystal"].update({f"{role}_axis": getattr(axes, role).name for role in _AXES})
+    d["crystal"].update({f"{role}_axis": getattr(axes, role).name for role in KTP_AXIS_SETS})
     d["spectrometer"] = {key: d.pop(key) for key in (*_DCF_PRESETS, "bin_size_ns")}
     filters = {arm: d.pop(f"{arm}_filter") for arm in ("signal", "idler")}
     if any(filters.values()):

@@ -281,7 +281,12 @@ def builtin_registry() -> DispersionRegistry:
     return _builtin_cache
 
 
+#: default type-II KTP axis binding, the registry set of each polarization:
+#: pump and idler on y, signal on z
+KTP_AXIS_SETS = {"pump": "ktp_y", "signal": "ktp_z", "idler": "ktp_y"}
+
+
 def ktp_axes(registry: DispersionRegistry | None = None) -> CrystalAxes:
-    """Default type-II KTP axis binding: pump/idler on y, signal on z."""
+    """The default KTP axis binding (``KTP_AXIS_SETS``) in ``registry``, else the shipped one."""
     reg = registry if registry is not None else builtin_registry()
-    return reg.axes(pump="ktp_y", signal="ktp_z", idler="ktp_y")
+    return reg.axes(**KTP_AXIS_SETS)

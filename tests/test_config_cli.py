@@ -486,6 +486,20 @@ def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error)
     assert record["message"]
 
 
+@pytest.mark.parametrize("probability", ["0.3", "-0.1", "nan"])
+def test_bad_pair_probability_exits_before_the_curve(tmp_path, capsys, monkeypatch, probability):
+    def no_physics(*args, **kwargs):
+        raise AssertionError("the JSA was computed")
+
+    monkeypatch.setattr(bp.jsa, "compute_jsa", no_physics)
+    argv = ["--out", str(tmp_path), "hom", "--pair-probability", probability]
+    assert main(argv) == 1
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "InputError",
+                      "message": f"pair probability must be in [0, 0.25), got {float(probability)}"}
+    assert not (tmp_path / "hom_curve.csv").exists()
+
+
 def _yaml_texts() -> list[str]:
     """The shipped YAML files and every YAML text that this file gives biphoton."""
     data = resources.files("biphoton.data")
