@@ -5,14 +5,17 @@ byte-identical to ``",".join(map(repr, row)) + "\\n"`` for each row, and
 ``csv_chunks(array)`` yields those of an array block by block.
 
 The digits are the shortest that read back to the same float and, among
-those, the closest to it (ties to an even last digit): Schubfach
-(R. Giulietti, "The Schubfach way to render doubles", 2020), whose digits
-are also those of Ryū (U. Adams, PLDI 2018) and of the dtoa behind
-``repr``. Its products of a 128-bit power of ten and a significand below
-2^60 are built from 30-bit limbs on ``uint64`` arrays. The layout is
-``repr``'s: with the float written 0.d₁d₂…dₙ × 10^decpt, fixed notation
-for −4 < decpt ≤ 16, else ``d.ddde±XX``; and ``0.0``, ``-0.0``, ``inf``,
-``-inf`` and ``nan``.
+those, the closest to it (ties to an even last digit), found as Dragonbox
+finds them (J. Jeon, "Dragonbox: a new floating-point binary-to-decimal
+conversion algorithm", 2020); they are also those of Schubfach, Ryū and
+the dtoa behind ``repr``. Each float takes one product of its significand
+and a 128-bit power of ten, built from 30-bit limbs on ``uint64`` arrays.
+The few whose digits hang on an end of the rounding interval or on a tie
+take a second product, on that subset of the block alone; a power of two
+above 2^-1022, whose interval is shorter below, takes digits preset at
+import. The layout is ``repr``'s: with the float written 0.d₁d₂…dₙ ×
+10^decpt, fixed notation for −4 < decpt ≤ 16, else ``d.ddde±XX``; and
+``0.0``, ``-0.0``, ``inf``, ``-inf`` and ``nan``.
 
 Each float becomes a 32-byte cell, four little-endian ``uint64`` words,
 padded with NUL bytes that are dropped from the block's bytes at the end:
@@ -50,39 +53,65 @@ _POW10 = np.array([10**j for j in range(18)], dtype=np.uint64)
 _DECPT_MIN, _DECPT_MAX = -323, 309
 #: decpt outside the fixed range is clipped to one of these two
 _FIXED_MIN, _FIXED_MAX = -3, 16
+#: the powers 10^K the tables hold
+_K_MIN, _K_MAX = -292, 326
 
 
-def _pow10(e: int) -> int:
-    """⌊10^e · 2^(127 − ⌊log₂ 10^e⌋)⌋ + 1, in (2^127, 2^128]."""
-    if e >= 0:
-        r = (10**e).bit_length() - 1
-        return ((10**e << (127 - r)) if r <= 127 else (10**e >> (r - 127))) + 1
-    r = -(10**-e).bit_length()  # 10^-e is no power of two
-    return (1 << (127 - r)) // 10**-e + 1
+def _powers() -> np.ndarray:
+    """⌈10^K · 2^(127 − ⌊log₂ 10^K⌋)⌉ for K = _K_MIN … _K_MAX: two words each, low first."""
+    powers, p = {}, 1
+    for k in range(max(-_K_MIN, _K_MAX) + 1):
+        powers[-k] = -((-1 << 127 + p.bit_length()) // p)  # for k ≥ 1: no power of two
+        powers[k] = -(-p << 128 >> p.bit_length())  # exact for k ≤ 55
+        p *= 10
+    data = b"".join(powers[k].to_bytes(16, "little") for k in range(_K_MIN, _K_MAX + 1))
+    return np.frombuffer(data, dtype=_WORD).reshape(-1, 2)
 
 
 def _scale_tables():
-    """What Schubfach needs of a float's exponent field f and of ``fraction == 0``.
+    """What the digit core needs of a float's exponent field f and of ``fraction == 0``.
 
-    Indexed by 2f + (fraction == 0). The decimal exponent k = ⌊log₁₀ 2^q⌋, or
-    ⌊log₁₀ ¾·2^q⌋ when the float below is the nearer one (a zero fraction
-    and f > 1), as ``int64``; and as ``uint64`` rows: the hidden bit, the
-    shift 2 + h that scales the significand c so that its product with
-    ``_pow10(−k)`` has its point at bit 128, the distances from the scaled c
-    to the ends of its rounding interval, and the five 30-bit limbs of
-    ``_pow10(−k)``, low limb first: 617 powers in all.
+    Indexed by 2f + (fraction == 0), for the significand c at binary exponent
+    e = max(f, 1) − 1075. Times 10^K, K = 2 − ⌊log₁₀ 2^e⌋, the rounding
+    interval (2c ± 1)·2^(e−1) is δ = 2^e·10^K ∈ [100, 1000) wide. Rows: the
+    hidden bit and the 30-bit limbs of φ·2^β, for φ the power 10^K and β = e
+    + ⌊log₂ 10^K⌋, so that ⌊φ·2^β / 2^127⌋ = ⌊δ⌋; the exponent 2 − K of the
+    last digit; preset digits, and the flagged rows that take them: 0 at
+    10^1 for zeros, inf and nan, and Dragonbox's digits for a zero fraction
+    (f > 1), whose interval [c − ½, c + 1]·2^e is shorter below. Subnormals
+    are flagged too, but keep their digits.
     """
-    field = np.arange(4096) >> 1
-    closer = (np.arange(4096) & 1) & (field > 1)
-    q = np.maximum(field, 1) - 1075
-    k = (q * 1262611 - closer * 524031) >> 22
-    h = q + ((-k * 1741647) >> 19) + 1  # 1 … 4
-    powers = [_pow10(e) for e in range(-k.max(), -k.min() + 1)]
-    limbs = np.array([[p >> (30 * j) & 0x3FFFFFFF for p in powers] for j in range(5)],
-                     dtype=np.uint64)
-    rows = np.array([np.minimum(field, 1) << 52, h + 2, (2 - closer) << h, 2 << h],
-                    dtype=np.uint64)
-    return k, np.concatenate([rows, limbs[:, k.max() - k]])
+    words = _powers()
+    index = np.arange(4096)
+    field = index >> 1
+    e = np.maximum(field, 1) - 1075
+    exponent = (e * 315653) >> 20  # ⌊log₁₀ 2^e⌋
+    beta = (e + (((2 - exponent) * 1741647) >> 19)).astype(np.uint64)
+    low, high = words[2 - exponent - _K_MIN].T
+    w0, w1, w2 = low << beta, (high << beta) | (low >> (_U(64) - beta)), high >> (_U(64) - beta)
+    scale = np.array([np.minimum(field, 1) << 52, w0 & _M30, (w0 >> _U(30)) & _M30,
+                      (w0 >> _U(60)) | ((w1 << _U(4)) & _M30), (w1 >> _U(26)) & _M30,
+                      (w1 >> _U(56)) | (w2 << _U(8))], dtype=np.uint64)
+
+    shorter = (index & 1 == 1) & (field > 1) & (field < 2047)
+    e = e[shorter]
+    k = (e * 631305 - 261663) >> 21  # −K′
+    top = words[-k - _K_MIN, 1]
+    shift = (11 - e - ((-k * 1741647) >> 19)).astype(np.uint64)  # 11 − β′, 8 … 11
+    # the lowest integer above the lower end (which is one only for e = 2 and 3,
+    # where it is not the answer), the upper end over 10, and the float
+    # rounded, whose one tie is at e = −77
+    lower = ((top - (top >> _U(54))) >> shift) + _U(1)
+    upper = ((top + (top >> _U(53))) >> shift) // _U(10)
+    nearest = ((top >> (shift - _U(1))) + _U(1)) >> _U(1)
+    nearest = np.where((nearest & _U(1) == 1) & (e == -77), nearest - _U(1),
+                       nearest + (nearest < lower))
+    fewer = upper * _U(10) >= lower
+    preset = np.zeros(4096, dtype=np.uint64)
+    preset[shorter] = np.where(fewer, upper, nearest)
+    exponent[shorter] = k + fewer
+    exponent[[1, 4094, 4095]] = 1
+    return scale, exponent, preset, shorter | (index < 2) | (index >= 4094)
 
 
 def _cells(cells) -> np.ndarray:
@@ -128,7 +157,7 @@ def _exponent_words() -> np.ndarray:
     return _cells(cells)[:, 3].copy()
 
 
-_K, _SCALE = _scale_tables()
+_SCALE, _E10, _PRESET, _FLAGGED = _scale_tables()
 _LAYOUT = _layout_table()
 _EXPONENT_WORDS = _exponent_words()
 #: whole cells of inf, -inf and nan (any sign)
@@ -137,54 +166,66 @@ _SPECIAL = _cells([b"\0" * 7 + b"inf".ljust(24, b"\0") + b",",
                    b"\0" * 7 + b"nan".ljust(24, b"\0") + b","])
 
 
-def _round_to_odd(g, cp) -> np.ndarray:
-    """⌊g·cp / 2^128⌋, its lowest bit set when the fraction dropped is at least 2^-63.
+def _product(g, u):
+    """⌊g·u / 2^128⌋, and whether bits 64-127 of g·u are all zero.
 
-    ``g`` ≤ 2^128 is five 30-bit limbs, low limb first, and ``cp`` < 2^60,
-    so each product of limbs and each column sum of two stays below 2^62.
-    With g one above 10^-k scaled, this is Schubfach's rounding to odd of
-    cp · 10^-k / 2^(…): it keeps every comparison with an even integer exact.
+    ``g`` < 2^150 is five 30-bit limbs, low limb first, and ``u`` < 2^60, so
+    each product of limbs and each column sum of two stays below 2^62. With
+    g = φ·2^β, that is Dragonbox's operand times 10^K and its integer test.
     """
     g0, g1, g2, g3, g4 = g
-    c0, c1 = cp & _M30, cp >> _U(30)
-    # column t of the product is Σ g_i·c_j over i + j = t, plus the carry from t − 1
-    col = g1 * c0 + g0 * c1 + ((g0 * c0) >> _U(30))
-    col = g2 * c0 + g1 * c1 + (col >> _U(30))
-    dropped = (col & _M30) >> _U(5)  # bits 65-89
-    col = g3 * c0 + g2 * c1 + (col >> _U(30))
-    dropped |= col & _M30  # bits 90-119
-    col = g4 * c0 + g3 * c1 + (col >> _U(30))
-    dropped |= col & _U(0xFF)  # bits 120-127
-    top = ((col & _M30) >> _U(8)) | ((g4 * c1 + (col >> _U(30))) << _U(22))
-    return top | (dropped != 0)
+    u0, u1 = u & _M30, u >> _U(30)
+    # column t of the product is Σ g_i·u_j over i + j = t, plus the carry from t − 1
+    col = g1 * u0 + g0 * u1 + ((g0 * u0) >> _U(30))
+    col = g2 * u0 + g1 * u1 + (col >> _U(30))
+    fraction = (col & _M30) >> _U(4)  # bits 64-89
+    col = g3 * u0 + g2 * u1 + (col >> _U(30))
+    fraction |= col & _M30  # bits 90-119
+    col = g4 * u0 + g3 * u1 + (col >> _U(30))
+    fraction |= col & _U(0xFF)  # bits 120-127
+    top = ((col & _M30) >> _U(8)) | ((g4 * u1 + (col >> _U(30))) << _U(22))
+    return top, fraction == 0
 
 
 def _shortest(bits: np.ndarray):
-    """Shortest digits of finite non-zero floats: (integer d, exponent e), |x| = d · 10^e."""
+    """Shortest digits of each float, |x| = d · 10^e: (d, its digit count, e).
+
+    Zeros, inf and nan give no digits at 10^1.
+    """
     fraction = bits & _FRACTION
     index = (bits >> _U(51)) & _U(0xFFE)
     index |= fraction == 0
-    hidden, shift, below, above, *g = _SCALE[:, index]
-    c = fraction | hidden
-    cb = c << shift
-    # the float and the ends of its rounding interval, times 4 · 10^-k
-    lower, vb, upper = _round_to_odd(g, np.stack([cb - below, cb, cb + above]))
-    odd = c & _U(1)  # an even c keeps the ends of its rounding interval
-    lower += odd
-    upper -= odd
-    s = vb >> _U(2)
-    # one digit fewer: the single multiple of 10 between the ends, if just one
-    # is (s < 10 only for 5e-324 and 1e-323, where no such multiple is inside)
-    sp = s // _U(10)
-    up_in = lower <= sp * _U(40)
-    wp_in = sp * _U(40) + _U(40) <= upper
-    use_sp = up_in != wp_in
-    u_in = lower <= s * _U(4)
-    w_in = s * _U(4) + _U(4) <= upper
-    mid = s * _U(4) + _U(2)
-    round_up = (vb > mid) | ((vb == mid) & ((s & _U(1)) == 1))
-    digits = np.where(use_sp, sp + wp_in, s + np.where(u_in != w_in, w_in, round_up))
-    return digits, _K[index] + use_sp
+    scale = _SCALE.take(index, axis=1)
+    c, g = fraction | scale[0], scale[1:]
+    # ⌊z⌋ = 1000·s + r for the upper end z: 1000·s, the one multiple of 1000
+    # that the interval may hold, is inside if r < ⌊δ⌋, unless it is z and
+    # z is excluded (odd c); at r = ⌊δ⌋ it is inside if it is ⌊x⌋ + 1 for the
+    # lower end x (⌊x⌋ odd), or x and x is included (even c)
+    z = _product(g, (c << _U(1)) | _U(1))[0]
+    s = z // _U(1000)
+    r = z - s * _U(1000)
+    delta = g[4] >> _U(7)
+    inside = r < delta
+    ends = np.flatnonzero((r == _U(0)) | (r == delta))
+    upper, even = r[ends] == _U(0), c[ends] & _U(1) == 0
+    end, whole = _product(g[:, ends], (c[ends] << _U(1)) - _U(1) + upper * _U(2))
+    inside[ends] = np.where(upper, ~whole | even, (end & _U(1) == 1) | (whole & even))
+    # else the multiple of 100 nearest the float y = z − δ/2; 1000 is added so
+    # that an excluded z (r = 0) reads as s − 1 and r = 1000
+    dist = r + _U(1050) - (delta >> _U(1))
+    q = dist // _U(100)
+    # on a multiple of 100, ⌊y⌋ is even (1000·s + r − ⌊δ/2⌋) or one less, and
+    # y is a tie if it is that integer; ties go to the even digit
+    ties = np.flatnonzero(dist == q * _U(100))
+    y, whole = _product(g[:, ties], c[ties] << _U(1))
+    q[ties] -= (y | (q[ties] * whole)) & _U(1)
+    digits = s * _U(10) + np.where(inside, _U(10), q) - _U(10)
+    length = 16 + (digits >= _U(10**16))  # for normal floats
+    flagged = np.flatnonzero(_FLAGGED[index])
+    kept = np.where(index[flagged] == 0, digits[flagged], _PRESET[index[flagged]])
+    digits[flagged] = kept
+    length[flagged] = np.searchsorted(_POW10, kept, side="right")
+    return digits, length, _E10[index]
 
 
 def _eight_digits(x: np.ndarray) -> np.ndarray:
@@ -202,24 +243,21 @@ def csv_lines(block: np.ndarray) -> str:
     rows, cols = block.shape
     bits = np.ascontiguousarray(block, dtype=np.float64).reshape(-1).view(np.uint64)
     nonfinite = (bits & _EXPONENT_BITS) == _EXPONENT_BITS
-    digits, e10 = _shortest(bits)
-    # 0.0, and the cells overwritten below: decpt 1 and the single digit 0
-    unformatted = nonfinite | ((bits << _U(1)) == 0)
-    digits[unformatted] = 0
-    e10[unformatted] = 1
-
-    length = np.searchsorted(_POW10, digits, side="right")
+    digits, length, e10 = _shortest(bits)
     decpt = length + e10
     # 17 digits, trailing zeros included: the first, then two words of eight
-    first, rest = np.divmod(digits * _POW10[17 - length], _U(10**16))
-    words = _eight_digits(np.stack(np.divmod(rest, _U(10**8))))
+    scaled = digits * _POW10[17 - length]
+    first = scaled // _U(10**16)
+    rest = scaled - first * _U(10**16)
+    high = rest // _U(10**8)
+    words = _eight_digits(np.stack([high, rest - high * _U(10**8)]))
     # trailing zero digits: the zero bytes above the highest set bit of each word
     zeros = (64 - np.frexp(words.astype(np.float64))[1]) >> 3
     n = 17 - np.where(zeros[1] == 8, 8 + zeros[0], zeros[1])
     words += _ASCII_ZEROS
 
     key = (np.clip(decpt, _FIXED_MIN - 1, _FIXED_MAX + 1) - (_FIXED_MIN - 1)) * 17 + n - 1
-    prefix, left1, left2, right1, right2, right3, point1, point2 = _LAYOUT[:, key]
+    prefix, left1, left2, right1, right2, right3, point1, point2 = _LAYOUT.take(key, axis=1)
     first += _U(48)
     high, low = words
     cell = np.empty((len(bits), 4), dtype=_WORD)

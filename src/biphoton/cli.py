@@ -18,7 +18,8 @@ thread (``phasematch._in_two``) after the Gram and purity are formed here,
 and the intensity CSV after the worker is joined.
 
 Each format has one home here: ``_report`` writes every report JSON and
-prints it under ``--json`` or else the command's text lines,
+prints it under ``--json`` or else the command's text lines, ``_wrote``
+prints what the two simulate commands wrote, as a record under ``--json``,
 ``_write_lines`` writes every CSV under the comments that ``_comments``
 builds, and ``_data_lines`` yields the data lines of every CSV input.
 
@@ -113,6 +114,11 @@ def _report(args, path: Path, report: dict, text: list[str], shown=None) -> int:
     else:
         print("\n".join(text))
     return 0
+
+
+def _wrote(args, path: Path, text: str, **fields) -> None:
+    """Print that ``path`` was written: one JSON record under ``--json``, else ``text``."""
+    print(json.dumps({"path": str(path), **fields}, sort_keys=True) if args.json else text)
 
 
 def _resolve_config(args) -> RunConfig:
@@ -294,7 +300,7 @@ def cmd_tomo_simulate(args, config: RunConfig) -> int:
         _comments(config_digest(config), seed=config.seed),
         (f"{r.setting_a},{r.setting_b},{r.counts},{r.integration_time_s}\n" for r in records),
     )
-    print(f"wrote {out_path}")
+    _wrote(args, out_path, f"wrote {out_path}")
     return 0
 
 
@@ -372,24 +378,28 @@ def cmd_spectro(args, config: RunConfig) -> int:
         layout="first row and first column are bin centers (ns); body is counts",
     )
     _write_lines(out_path, header, comments, rows)
-    print(f"wrote {out_path} ({histogram.wrapped_pairs} wrapped of {histogram.total_pairs})")
+    _wrote(args, out_path,
+           f"wrote {out_path} ({histogram.wrapped_pairs} wrapped of {histogram.total_pairs})",
+           wrapped_pairs=histogram.wrapped_pairs, total_pairs=histogram.total_pairs)
     return 0
 
 
 def _read_counts_csv(path: str | Path) -> CountSummary:
     from .efficiency import CountSummary
 
-    line = next(_data_lines(path, "singles_signal"), None)
-    if line is None:
+    rows = list(_data_lines(path, "singles_signal"))
+    if not rows:
         raise InputError(f"no data row found in {path}")
+    if len(rows) > 1:
+        raise InputError(f"counts CSV {path} has {len(rows)} data rows; expected one")
     try:
-        parts = [float(x) for x in line.split(",")]
+        parts = [float(x) for x in rows[0].split(",")]
     except ValueError as exc:
-        raise InputError(f"counts CSV row is not numeric: {line!r}") from exc
-    if len(parts) < 3:
-        raise InputError(f"counts CSV row needs at least 3 columns, got {line!r}")
-    # singles_signal, singles_idler, coincidences and, if given, integration_time_s
-    return CountSummary(*parts[:4])
+        raise InputError(f"counts CSV row is not numeric: {rows[0]!r}") from exc
+    if not 3 <= len(parts) <= 4:
+        # singles_signal, singles_idler, coincidences and, if given, integration_time_s
+        raise InputError(f"counts CSV row needs 3 or 4 columns, got {rows[0]!r}")
+    return CountSummary(*parts)
 
 
 def cmd_efficiency(args, config: RunConfig) -> int:

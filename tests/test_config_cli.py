@@ -390,6 +390,8 @@ def _with_input(command, path):
         (COUNTS, "singles_signal,singles_idler,coincidences\n0.0,0.0,0.0\n",
          "DegenerateInputError"),
         (COUNTS, "38000.0,nan,24300.0\n", "InputError"),
+        (COUNTS, "1000,1000,300,1.0,5\n", "InputError"),
+        (COUNTS, "1000,1000,300,1.0\n2000,2000,600\n", "InputError"),
         (["tomo", "simulate", "--mean-counts", "100000000000000000000"], None, "InputError"),
         (["spectro", "simulate", "--pairs", "100000000000000000000"], None, "InputError"),
         (["--seed", "-5", "tomo", "simulate"], None, "InputError"),
@@ -447,7 +449,8 @@ def _with_input(command, path):
     ids=[
         "budget-unknown-key", "budget-not-yaml", "budget-bool", "budget-not-a-number",
         "counts-not-numeric",
-        "counts-zero-singles", "counts-nan-singles", "tomo-mean-counts-past-poisson-limit",
+        "counts-zero-singles", "counts-nan-singles", "counts-five-columns", "counts-two-rows",
+        "tomo-mean-counts-past-poisson-limit",
         "spectro-pairs-past-int64", "negative-global-seed", "negative-spectro-seed",
         "negative-config-seed", "tomo-phase-error-nan", "tomo-fractional-count", "tomo-missing-in",
         "hom-delay-past-revival", "hom-delay-nan", "hom-delay-inf", "hom-filter-nan",
@@ -928,3 +931,30 @@ def test_stdout_states_the_report(tmp_path, capsys, default_config, argv, report
     if report_name == "tomography_state.json":
         report = {k: report[k] for k in TOMO_FIGURES}
     assert stdouts["json"] == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("argv, name", [(["tomo", "simulate"], "tomography.csv"),
+                                        (["spectro", "simulate", "--pairs", "1000"], "hist.csv")],
+                         ids=["tomo", "spectro"])
+def test_simulate_stdout_names_the_file(tmp_path, capsys, default_config, argv, name):
+    # text stdout is one "wrote" line, --json stdout one sorted-key record of the
+    # same path and, for the spectrometer, the pair counts in the file's comments
+    small = config_to_dict(default_config)
+    small["grid"]["points_per_axis"] = 64
+    config_path = tmp_path / "small.yaml"
+    config_path.write_text(yaml.safe_dump(small))
+    paths = {mode: tmp_path / mode / name for mode in ("text", "json")}
+    stdouts = {}
+    for mode, path in paths.items():
+        flags = ["--json"] if mode == "json" else []
+        assert main(["--config", str(config_path), *flags, *argv, "--out", str(path)]) == 0
+        stdouts[mode] = capsys.readouterr().out
+    text, record = f"wrote {paths['text']}", {"path": str(paths["json"])}
+    if name == "hist.csv":
+        comments = dict(line[2:].split(": ", 1) for line in paths["json"].read_text().splitlines()
+                        if line.startswith("# "))
+        counts = {key: int(comments[key]) for key in ("wrapped_pairs", "total_pairs")}
+        text += f" ({counts['wrapped_pairs']} wrapped of {counts['total_pairs']})"
+        record.update(counts)
+    assert stdouts["text"] == text + "\n"
+    assert stdouts["json"] == json.dumps(record, sort_keys=True) + "\n"

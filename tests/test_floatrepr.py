@@ -26,6 +26,13 @@ def assert_reprs(values, cols=1):
         pytest.fail(f"{len(wrong)} cells differ from repr, e.g. (repr, got): {wrong[:5]}")
 
 
+def significands(exponent, residues, modulus, count=2000):
+    """c · 2^exponent for the ``count`` smallest c ≥ 2^52 of each residue of c mod ``modulus``."""
+    start = -(-2**52 // modulus) * modulus
+    c = [start + modulus * k + r for r in residues for k in range(count)]
+    return np.ldexp(np.array(c, dtype=np.float64), exponent)
+
+
 def neighbours(values):
     """Each value with the floats just below and above it."""
     x = np.asarray(values, dtype=np.float64)
@@ -40,6 +47,47 @@ def test_random_bit_patterns_over_all_exponents_and_signs():
     assert_reprs(values, cols=100)
 
 
+def test_log_uniform_normals_of_both_signs():
+    """10^6 floats, |x| log-uniform over the normal range: the regime of the CSVs.
+
+    Counted in a scratch run of the same inputs: 1,312 reach the upper-end
+    check (r = 0), 138 of them excluded; 1,261 the lower-end check (r = ⌊δ⌋),
+    253 of them on an integer; and 10,481 the tie check, where 4,867 take
+    the digit below and 661 are exact ties.
+    """
+    rng = np.random.default_rng(1_000_003)
+    magnitudes = np.exp2(rng.uniform(-1022, 1024, 10**6))
+    block = (magnitudes * rng.choice([-1.0, 1.0], 10**6)).reshape(-1, 1000)
+    assert np.isfinite(block).all()
+    assert "".join(csv_chunks(block)) == repr_lines(block)
+
+
+def test_interval_ends():
+    """Floats in [2^64, 2^66) whose interval ends are integers times 10^-1.
+
+    c·2^12 and c·2^13 with 2c + 1 or 2c − 1 a multiple of 625: the upper end
+    z, or the lower end x, times 10^-1 is a multiple of 1000, which is the
+    candidate 1000·s, inside only where the end is included (even c). All
+    16,000 reach the end checks: 8,000 with r = 0, of which the 4,000 odd c
+    are excluded, and 8,000 with r = ⌊δ⌋ and x an integer.
+    """
+    residues = (312, 937, 313, 938)  # mod 1250: 2c + 1 ≡ 0 (even, odd c), 2c − 1 ≡ 0 mod 625
+    values = np.concatenate([significands(e, residues, 1250) for e in (12, 13)])
+    assert_reprs(values, cols=100)
+    assert_reprs(-values, cols=100)
+
+
+def test_ties_go_to_even_digits():
+    """Floats that lie halfway between two shortest candidates: k + 0.25 and k + 0.75.
+
+    c·2^-2 for odd c, and c·2^-3 for c ≡ 2 mod 4 (in [2^50, 2^51) and [2^49, 2^50)):
+    repr writes k.2 and k.8. All 6,000 reach the tie check as exact ties.
+    """
+    values = np.concatenate([significands(-2, (1, 3), 4), significands(-3, (2,), 4)])
+    assert_reprs(values, cols=100)
+    assert_reprs(-values, cols=100)
+
+
 def test_edge_values():
     largest = sys.float_info.max
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, largest, -largest,
@@ -49,6 +97,11 @@ def test_edge_values():
 
 
 def test_powers_of_two_and_ten():
+    """Every power of two and ten, with its neighbours.
+
+    The 2,045 powers of two 2^-1021 … 2^1023 are every zero fraction with a
+    shorter interval below, and take their preset digits.
+    """
     twos = [2.0**k for k in range(-1074, 1024)]
     tens = [float(f"1e{k}") for k in range(-323, 309)]
     assert_reprs(neighbours(twos + tens))
