@@ -41,11 +41,10 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
-import yaml
 
 from . import jsa as jsa_mod, spectrometer
-from .config import RunConfig, _spec, check_seed, config_digest, default_config, load_config
-from .dispersion import read_yaml
+from .config import RunConfig, check_seed, config_digest, default_config, load_config
+from .dispersion import _read_yaml_file, _spec
 from .errors import BiphotonError, ConfigError, DegenerateInputError, InputError
 from .jsa import FilterSpec
 from .phasematch import _in_two, gvm_angle, gvm_degenerate_wavelength, solve_poling_period
@@ -57,11 +56,11 @@ if TYPE_CHECKING:
 
 @contextmanager
 def _os_error_as_input(what: str):
-    """An ``OSError`` in the body becomes an ``InputError`` that starts with ``what``."""
+    """An ``OSError`` or ``UnicodeDecodeError`` in the body raises ``InputError`` on ``what``."""
     try:
         yield
-    except OSError as exc:
-        raise InputError(f"{what}: {exc.strerror or exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InputError(f"{what}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _write_lines(path: Path, header: str, comments: list[str], lines) -> None:
@@ -88,14 +87,11 @@ def _grid_comments(config: RunConfig, digest: str) -> list[str]:
                      grid_points_per_axis=g.points_per_axis)
 
 
-def _read_input(path) -> str:
-    with _os_error_as_input(f"cannot read {path}"):
-        return Path(path).read_text()
-
-
 def _data_lines(path, header: str):
     """Each stripped line of the CSV at ``path`` but blanks, comments and the ``header`` line."""
-    for line in _read_input(path).splitlines():
+    with _os_error_as_input(f"cannot read {path}"):
+        text = Path(path).read_text()
+    for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith(("#", header)):
             yield line
@@ -416,8 +412,8 @@ def cmd_efficiency(args, config: RunConfig) -> int:
         report["klyshko_idler"] = eta_idler
     if args.budget is not None:
         try:
-            budget = _spec(LossBudget, read_yaml(_read_input(args.budget)), "budget")
-        except (ConfigError, yaml.YAMLError) as exc:
+            budget = _spec(LossBudget, _read_yaml_file(Path(args.budget)), "budget")
+        except ConfigError as exc:
             raise InputError(f"bad loss budget {args.budget}: {exc}") from exc
         report["predicted_heralding"] = predict_heralding(budget)
     if args.counts is None and args.budget is None:

@@ -3,28 +3,29 @@
 One versioned YAML document drives every pipeline run; the shipped
 default profile encodes the reference source parameters (785 nm pump,
 5.35 nm bandwidth, 2 mm crystal, 46.15 µm poling, 81 MHz, 512² grid).
-Each YAML section is read into the spec dataclass that holds it: the keys
-are the dataclass fields, an absent key takes the field default, and an
-unknown key, a boolean, or a value that the field's type would change is a
-ConfigError.
+Each YAML section is read into the spec dataclass that holds it by
+``dispersion._spec``, the one section reader, which also reads the
+dispersion registry.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import MISSING, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from importlib import resources
 from pathlib import Path
 
 import yaml
 
-from .dispersion import KTP_AXIS_SETS, CrystalAxes, builtin_registry, load_registry, read_yaml
-from .errors import ConfigError, InputError
+from .dispersion import (
+    KTP_AXIS_SETS, SCHEMA_VERSION, CrystalAxes, _convert, _document, _mapping, _read_yaml_file,
+    _reject_unknown, _spec, builtin_registry, load_registry, read_yaml,
+)
+from .errors import InputError
 from .jsa import FilterSpec, FrequencyGrid
 from .phasematch import CrystalSpec, PumpSpec
 from .spectrometer import DEFAULT_BIN_NS, DcfSpec, idler_arm_preset, signal_arm_preset
 
-SCHEMA_VERSION = 1
 #: spectrometer keys of the DCF arms, with the preset an absent arm takes
 _DCF_PRESETS = {"signal_dcf": signal_arm_preset, "idler_dcf": idler_arm_preset}
 
@@ -55,70 +56,9 @@ def check_seed(seed: int) -> None:
         raise InputError(f"seed must be non-negative, got {seed}")
 
 
-#: converter for each field annotation. Float fields coerce, because PyYAML
-#: reads exponent forms without a dot, such as 6e1, as strings; int and str
-#: fields reject any value that the conversion would change, and no field
-#: takes a boolean (YAML's true, on, yes), which float() would read as 1.0.
-_CONVERT = {"float": float, "int": int, "str": str}
-
-
-def _convert(annotation: str, value, key: str):
-    kind, optional, _ = annotation.partition(" | None")
-    if value is None and optional:
-        return None
-    try:
-        converted = _CONVERT[kind](value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad value for {key}: {exc}") from exc
-    if isinstance(value, bool) or (kind != "float" and converted != value):
-        raise ConfigError(f"bad value for {key}: {value!r} is not of type {kind}")
-    return converted
-
-
-def _mapping(raw, where: str) -> dict:
-    """A copy of one YAML section; an absent or empty section reads as {}."""
-    if raw is None:
-        return {}
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{where or 'top level'} must be a mapping, not {type(raw).__name__}")
-    return dict(raw)
-
-
-def _reject_unknown(rest: dict, where: str) -> None:
-    if rest:
-        names = ", ".join(f"{where}.{key}".lstrip(".") for key in rest)
-        raise ConfigError(f"unknown field {names}")
-
-
-def _spec(cls, raw, where: str, **given):
-    """Build dataclass ``cls`` from the YAML section ``raw`` at ``where``.
-
-    The section's keys are the fields of ``cls`` not in ``given``; an absent
-    key takes the field default, and a field without one is required.
-    """
-    raw = _mapping(raw, where)
-    for f in fields(cls):
-        if f.name in given:
-            continue
-        key = f"{where}.{f.name}".lstrip(".")
-        if f.name in raw:
-            given[f.name] = _convert(f.type, raw.pop(f.name), key)
-        elif f.default is MISSING:
-            raise ConfigError(f"missing required field {key}")
-    _reject_unknown(raw, where)
-    return cls(**given)
-
-
 def _config_from_dict(raw, base: Path, dispersion_file: str | Path | None) -> RunConfig:
-    """Parse the YAML document.
-
-    A relative ``dispersion_file`` argument is taken from the working
-    directory, a relative ``dispersion_file`` key from ``base``.
-    """
-    top = _mapping(raw, "")
-    version = top.pop("schema_version", SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    """Parse the YAML document; a relative ``dispersion_file`` key is taken from ``base``."""
+    top = _document(raw)
     key = _convert("str | None", top.get("dispersion_file"), "dispersion_file")
     if dispersion_file:
         registry = load_registry(dispersion_file)
@@ -164,13 +104,7 @@ def load_config(path: str | Path, dispersion_file: str | Path | None = None) -> 
     directory.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file does not exist: {path}")
-    try:
-        raw = read_yaml(path.read_text())
-    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
-        raise ConfigError(f"failed to parse {path}: {exc}") from exc
-    return _config_from_dict(raw, path.parent, dispersion_file)
+    return _config_from_dict(_read_yaml_file(path), path.parent, dispersion_file)
 
 
 def default_config(dispersion_file: str | Path | None = None) -> RunConfig:

@@ -18,11 +18,17 @@ Thermal model: Δn(λ, T) = n₁(λ)·ΔT + n₂(λ)·ΔT² with n₁, n₂ poly
 inverse powers of λ (µm) and ΔT relative to the set's reference
 temperature. A linear poling-expansion coefficient rides along for use by
 the phase-matching layer.
+
+Every YAML input (run config, registry, loss budget) is parsed by
+``read_yaml``, and ``_spec``, the one section reader, reads each section
+into its dataclass. A registry set entry is a ``SellmeierSet`` section,
+its ``thermal`` block a ``ThermalModel`` one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -46,6 +52,11 @@ class ThermalModel:
     first_order: tuple[float, ...] = ()
     second_order: tuple[float, ...] = ()
     poling_expansion_per_c: float = 0.0
+
+    def __post_init__(self):
+        terms = (*self.first_order, *self.second_order, self.poling_expansion_per_c)
+        if not all(map(math.isfinite, terms)):
+            raise InputError(f"thermal terms must be finite, got {terms}")
 
     def index_correction(self, wavelength_um, delta_t):
         """(Δn, λ·dΔn/dλ) at λ in µm and ΔT in °C."""
@@ -78,11 +89,14 @@ class SellmeierSet:
             raise InputError(
                 f"unknown formula variant {self.formula!r}; expected one of {_FORMULAS}"
             )
-        lo, hi = self.valid_range_nm
+        coefficients = tuple(map(float, self.coefficients))
+        lo, hi = valid_range = tuple(map(float, self.valid_range_nm))
+        if not all(map(math.isfinite, coefficients + valid_range)):
+            raise InputError(f"set {self.name!r}: coefficients and valid range must be finite")
         if not lo < hi:
             raise InputError(f"set {self.name!r}: empty valid range [{lo}, {hi}] nm")
-        object.__setattr__(self, "coefficients", tuple(float(c) for c in self.coefficients))
-        object.__setattr__(self, "valid_range_nm", (float(lo), float(hi)))
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "valid_range_nm", valid_range)
 
     def check_range(self, wavelength_nm):
         lo, hi = self.valid_range_nm
@@ -181,10 +195,6 @@ class CrystalAxes:
     signal: SellmeierSet
     idler: SellmeierSet
 
-    @property
-    def is_type_ii(self) -> bool:
-        return self.signal.name != self.idler.name
-
 
 class DispersionRegistry:
     """Named collection of Sellmeier sets."""
@@ -207,24 +217,12 @@ class DispersionRegistry:
                 f"unknown dispersion set {name!r}; registry has {sorted(self._sets)}"
             ) from None
 
-    def names(self) -> list[str]:
-        return sorted(self._sets)
-
-    def axes(self, pump: str, signal: str, idler: str) -> CrystalAxes:
-        return CrystalAxes(self.get(pump), self.get(signal), self.get(idler))
-
-
-def _thermal_from_dict(d: dict) -> ThermalModel:
-    return ThermalModel(
-        first_order=tuple(d.get("first_order", ())),
-        second_order=tuple(d.get("second_order", ())),
-        poling_expansion_per_c=float(d.get("poling_expansion_per_c", 0.0)),
-    )
-
 
 #: libyaml's parser where PyYAML was built with it, else PyYAML's pure-Python
 #: one; both feed the same safe constructor and resolver
 _YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+SCHEMA_VERSION = 1
 
 
 def read_yaml(text: str):
@@ -232,40 +230,110 @@ def read_yaml(text: str):
     return yaml.load(text, Loader=_YAML_LOADER)
 
 
-def load_registry(path: str | Path) -> DispersionRegistry:
-    """Load a registry from a YAML file (schema documented in the data dir)."""
-    path = Path(path)
+def _read_yaml_file(path: Path):
+    """The YAML document in the file at ``path``; any failure to read it is a ConfigError."""
     try:
-        raw = read_yaml(path.read_text())
+        return read_yaml(path.read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"{path} does not exist") from None
     except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
-        raise ConfigError(f"failed to read dispersion file {path}: {exc}") from exc
-    return _registry_from_dict(raw, origin=str(path))
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
-def _registry_from_dict(raw: dict, origin: str) -> DispersionRegistry:
-    if not isinstance(raw, dict) or not isinstance(raw.get("sets"), list):
-        raise ConfigError(f"{origin}: expected a mapping with a 'sets' list")
+#: converter for each scalar field annotation. Float fields coerce, because
+#: PyYAML reads exponent forms without a dot, such as 6e1, as strings; int and
+#: str fields reject any value that the conversion would change, and no field
+#: takes a boolean (YAML's true, on, yes), which float() would read as 1.0.
+_CONVERT = {"float": float, "int": int, "str": str}
+
+
+def _convert(annotation: str, value, key: str):
+    kind, optional, _ = annotation.partition(" | None")
+    if value is None and optional:
+        return None
+    if kind.startswith("tuple["):  # tuple[float, ...] or tuple[float, float]: a YAML list
+        items = kind[6:-1].split(", ")
+        if not isinstance(value, list) or ("..." not in items and len(value) != len(items)):
+            raise ConfigError(f"bad value for {key}: {value!r} is not of type {kind}")
+        return tuple(_convert(items[0], item, f"{key}[{i}]") for i, item in enumerate(value))
+    try:
+        converted = _CONVERT[kind](value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad value for {key}: {exc}") from exc
+    if isinstance(value, bool) or (kind != "float" and converted != value):
+        raise ConfigError(f"bad value for {key}: {value!r} is not of type {kind}")
+    return converted
+
+
+def _mapping(raw, where: str) -> dict:
+    """A copy of one YAML section; an absent or empty section reads as {}."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where or 'top level'} must be a mapping, not {type(raw).__name__}")
+    return dict(raw)
+
+
+def _reject_unknown(rest: dict, where: str) -> None:
+    if rest:
+        names = ", ".join(f"{where}.{key}".lstrip(".") for key in rest)
+        raise ConfigError(f"unknown field {names}")
+
+
+def _spec(cls, raw, where: str, **given):
+    """Build dataclass ``cls`` from the YAML section ``raw`` at ``where``.
+
+    The section's keys are the fields of ``cls`` not in ``given``; an absent
+    key takes the field default, and a field without one is required.
+    """
+    raw = _mapping(raw, where)
+    for f in fields(cls):
+        if f.name in given:
+            continue
+        key = f"{where}.{f.name}".lstrip(".")
+        if f.name in raw:
+            given[f.name] = _convert(f.type, raw.pop(f.name), key)
+        elif f.default is MISSING:
+            raise ConfigError(f"missing required field {key}")
+    _reject_unknown(raw, where)
+    return cls(**given)
+
+
+def _document(raw) -> dict:
+    """The top level of a config or registry, its ``schema_version`` checked and removed."""
+    top = _mapping(raw, "")
+    version = top.pop("schema_version", SCHEMA_VERSION)
+    if version != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
+    return top
+
+
+def load_registry(path: str | Path) -> DispersionRegistry:
+    """Load a registry from a YAML file (schema in the data dir); each error names the file."""
+    path = Path(path)
+    raw = _read_yaml_file(path)
+    try:
+        return _registry_from_dict(raw)
+    except InputError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
+def _registry_from_dict(raw) -> DispersionRegistry:
+    """The registry document: ``sets``, each entry a ``SellmeierSet`` section."""
+    top = _document(raw)
+    sets = top.pop("sets", None)
+    _reject_unknown(top, "")
+    if not isinstance(sets, list):
+        raise ConfigError(f"sets must be a list of set entries, not {type(sets).__name__}")
     registry = DispersionRegistry()
-    for entry in raw["sets"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("thermal") or {}, dict):
-            raise ConfigError(
-                f"{origin}: bad set entry {entry!r}: expected a mapping, with 'thermal' a mapping"
-            )
-        try:
-            thermal = entry.get("thermal")
-            registry.register(
-                SellmeierSet(
-                    name=entry["name"],
-                    formula=entry["formula"],
-                    coefficients=tuple(entry["coefficients"]),
-                    valid_range_nm=tuple(entry["valid_range_nm"]),
-                    thermal=_thermal_from_dict(thermal) if thermal else None,
-                    reference_temperature_c=float(entry.get("reference_temperature_c", 20.0)),
-                    source=entry.get("source", ""),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"{origin}: bad set entry {entry!r}: {exc}") from exc
+    for i, entry in enumerate(sets):
+        where = f"sets[{i}]"
+        entry = _mapping(entry, where)
+        thermal = _mapping(entry.pop("thermal", None), f"{where}.thermal")
+        registry.register(_spec(
+            SellmeierSet, entry, where,
+            thermal=_spec(ThermalModel, thermal, f"{where}.thermal") if thermal else None,
+        ))
     return registry
 
 
@@ -277,7 +345,7 @@ def builtin_registry() -> DispersionRegistry:
     global _builtin_cache
     if _builtin_cache is None:
         text = resources.files("biphoton.data").joinpath("ktp_dispersion.yaml").read_text()
-        _builtin_cache = _registry_from_dict(read_yaml(text), origin="builtin registry")
+        _builtin_cache = _registry_from_dict(read_yaml(text))
     return _builtin_cache
 
 
@@ -289,4 +357,4 @@ KTP_AXIS_SETS = {"pump": "ktp_y", "signal": "ktp_z", "idler": "ktp_y"}
 def ktp_axes(registry: DispersionRegistry | None = None) -> CrystalAxes:
     """The default KTP axis binding (``KTP_AXIS_SETS``) in ``registry``, else the shipped one."""
     reg = registry if registry is not None else builtin_registry()
-    return reg.axes(**KTP_AXIS_SETS)
+    return CrystalAxes(**{role: reg.get(name) for role, name in KTP_AXIS_SETS.items()})

@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -366,6 +367,43 @@ HOM_PAST_REVIVAL = ["hom", "--delays=0:40000:5000"]  # 2*pi/d_omega is 34961 fs
 CONFIG = ["--config", IN]
 REGISTRY = ["--dispersion-file", IN, "design"]
 CONSTANT_SET = "{name: ktp_y, formula: constant, coefficients: [1.7], valid_range_nm: [400, 2000]"
+
+
+def _shipped_registry_with(old: str, new: str) -> str:
+    """The shipped registry with its first ``old`` spelled ``new``."""
+    text = resources.files("biphoton.data").joinpath("ktp_dispersion.yaml").read_text()
+    assert old in text
+    return text.replace(old, new, 1)
+
+
+#: misspellings of the shipped registry, each with the end of the ConfigError it gives
+REGISTRY_REJECTIONS = {
+    "registry-unknown-set-key": (
+        _shipped_registry_with("\n    source:", "\n    sourse:"),
+        r"unknown field sets\[0\]\.sourse"),
+    "registry-unknown-thermal-key": (
+        _shipped_registry_with("\n      first_order:", "\n      frist_order:"),
+        r"unknown field sets\[0\]\.thermal\.frist_order"),
+    "registry-unknown-top-level-key": (
+        _shipped_registry_with("\nsets:", "\nset: []\nsets:"), r"unknown field set"),
+    "registry-schema-version-2": (
+        _shipped_registry_with("\nschema_version: 1", "\nschema_version: 2"),
+        r"unsupported schema_version 2 \(expected 1\)"),
+    "registry-bool-coefficient": (
+        _shipped_registry_with("[2.09930,", "[true,"),
+        r"bad value for sets\[0\]\.coefficients\[0\]: True is not of type float"),
+    "registry-bool-reference-temperature": (
+        _shipped_registry_with("reference_temperature_c: 25.0", "reference_temperature_c: true"),
+        r"bad value for sets\[0\]\.reference_temperature_c: True is not of type float"),
+    "registry-number-name": (
+        _shipped_registry_with("name: ktp_y", "name: 5"),
+        r"bad value for sets\[0\]\.name: 5 is not of type str"),
+    "registry-thermal-not-a-number": (
+        _shipped_registry_with("first_order: [6.2897e-6, 6.3061e-6, -6.0629e-6, 2.6486e-6]",
+                               "first_order: [abc]"),
+        r"bad value for sets\[0\]\.thermal\.first_order\[0\]: "
+        r"could not convert string to float: 'abc'"),
+}
 VALID_RECORDS = "setting_a,setting_b,counts,integration_s\n" + "".join(
     f"{a},{b},100,1.0\n" for a, b in bp.full_settings())
 NAN_PUMP_BANDWIDTH = (
@@ -435,6 +473,11 @@ def _with_input(command, path):
         (REGISTRY, "sets: 5\n", "ConfigError"),
         (REGISTRY, "sets: [1]\n", "ConfigError"),
         (REGISTRY, f"sets: [{CONSTANT_SET}, thermal: [1]}}]\n", "ConfigError"),
+        *((REGISTRY, text, "ConfigError") for text, _ in REGISTRY_REJECTIONS.values()),
+        (REGISTRY, _shipped_registry_with("[2.09930,", "[.nan,"), "InputError"),
+        (BUDGET, b"detector_efficiency: 0.85 \xe9\n", "InputError"),
+        (COUNTS, b"38000.0,41000.0,24300.0 \xe9\n", "InputError"),
+        (RECORDS, b"setting_a,setting_b,counts,integration_s \xe9\n", "InputError"),
         (["--out", IN, "design"], "a file\n", "InputError"),
         (["--out", IN, "jsa", "compute"], "a file\n", "InputError"),
         (["tomo", "simulate", "--out", UNDER_IN], "a file\n", "InputError"),
@@ -465,7 +508,9 @@ def _with_input(command, path):
         "config-fractional-seed", "config-pulse-below-transform-limit",
         "config-bool-rate", "config-bool-transmission",
         "registry-sets-not-a-list", "registry-set-not-a-mapping",
-        "registry-thermal-not-a-mapping", "design-out-is-a-file", "jsa-out-is-a-file",
+        "registry-thermal-not-a-mapping", *REGISTRY_REJECTIONS, "registry-nan-coefficient",
+        "budget-not-utf8", "counts-not-utf8", "records-not-utf8",
+        "design-out-is-a-file", "jsa-out-is-a-file",
         "tomo-out-under-a-file", "spectro-out-under-a-file",
         "jsa-out-is-a-file-before-the-jsa", "hom-out-is-a-file-before-the-herald",
         "spectro-out-under-a-file-before-the-jsa", "spectro-negative-seed-before-the-jsa",
@@ -474,7 +519,9 @@ def _with_input(command, path):
 )
 def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error):
     path = tmp_path / "input"
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     runner = ["-m", "biphoton.cli"]
     if command[0] is NO_PHYSICS:
@@ -487,6 +534,17 @@ def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error)
     record = json.loads(lines[0])
     assert record["error"] == error
     assert record["message"]
+    if isinstance(content, bytes):
+        assert str(path) in record["message"]
+
+
+@pytest.mark.parametrize("text, match", REGISTRY_REJECTIONS.values(),
+                         ids=list(REGISTRY_REJECTIONS))
+def test_registry_rejection_names_the_file_and_key(tmp_path, text, match):
+    path = tmp_path / "custom.yaml"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {match}$"):
+        bp.load_registry(path)
 
 
 @pytest.mark.parametrize("probability", ["0.3", "-0.1", "nan"])
@@ -503,6 +561,10 @@ def test_bad_pair_probability_exits_before_the_curve(tmp_path, capsys, monkeypat
     assert not (tmp_path / "hom_curve.csv").exists()
 
 
+#: the options whose file biphoton reads as YAML
+YAML_OPTIONS = ("--config", "--budget", "--dispersion-file")
+
+
 def _yaml_texts() -> list[str]:
     """The shipped YAML files and every YAML text that this file gives biphoton."""
     data = resources.files("biphoton.data")
@@ -514,7 +576,8 @@ def _yaml_texts() -> list[str]:
         MINIMAL,
         yaml.safe_dump(CONSTANT_REGISTRY),
         *(text for text, _ in rejections),
-        *(content for _, content, _ in rows if content is not None),
+        *(content for command, content, _ in rows
+          if isinstance(content, str) and any(option in command for option in YAML_OPTIONS)),
     ]
 
 
@@ -584,6 +647,12 @@ NAN, INF = float("nan"), float("inf")
         (bp.FrequencyGrid, {"center_signal_nm": NAN}),
         (bp.DcfSpec, {"total_dispersion_ps_per_nm": NAN}),
         (bp.DcfSpec, {"total_dispersion_ps_per_nm": -413.0, "insertion_delay_ns": INF}),
+        (bp.SellmeierSet, {"name": "n", "formula": "constant", "coefficients": (NAN,),
+                           "valid_range_nm": (400.0, 2000.0)}),
+        (bp.SellmeierSet, {"name": "n", "formula": "constant", "coefficients": (1.7,),
+                           "valid_range_nm": (400.0, INF)}),
+        (bp.ThermalModel, {"first_order": (1e-5, NAN)}),
+        (bp.ThermalModel, {"poling_expansion_per_c": INF}),
     ],
 )
 def test_non_finite_spec_fields_rejected(ktp, spec, fields):

@@ -1,4 +1,6 @@
 import math
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -202,6 +204,18 @@ class TestRegistry:
         )
         registry = bp.load_registry(path)
         assert np.isclose(bp.refractive_index(registry.get("flat"), 1000.0, 20.0), 1.5)
+
+    def test_exponents_without_dots_read_as_the_shipped_floats(self, tmp_path):
+        # YAML 1.1 reads 62897e-10 as a string; the registry's float rule reads the number
+        text = resources.files("biphoton.data").joinpath("ktp_dispersion.yaml").read_text()
+        dotless = re.sub(r"(\d+)\.(\d+)(?:e(-?\d+))?",
+                         lambda m: f"{int(m[1] + m[2])}e{int(m[3] or 0) - len(m[2])}", text)
+        assert "62897e-10" in dotless and not re.search(r"\d\.\d", dotless)
+        path = tmp_path / "dotless.yaml"
+        path.write_text(dotless)
+        registry = bp.load_registry(path)
+        for name in ("ktp_y", "ktp_z"):
+            assert registry.get(name) == bp.builtin_registry().get(name)
 
     def test_bad_file_raises_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
