@@ -13,9 +13,9 @@ in their last digits.
 The two JSA CSVs are written in blocks of rows, each block formatted at
 once by a numpy kernel (``_floatrepr``) whose text is byte-identical to
 ``repr`` of each float. It runs in this process: the amplitudes CSV
-beside the eigen-solve of the Schmidt coefficients, which runs on a worker
-thread (``phasematch._in_two``) after the Gram and purity are formed here,
-and the intensity CSV after the worker is joined.
+beside the eigen-solve of the Schmidt coefficients, which runs on the one
+daemon split worker (``phasematch._in_two``) after the Gram and purity are
+formed here, and the intensity CSV after the solve is done.
 
 Each format has one home here: ``_report`` writes every report JSON and
 prints it under ``--json`` or else the command's text lines, ``_wrote``

@@ -90,6 +90,14 @@ class SellmeierSet:
                 f"unknown formula variant {self.formula!r}; expected one of {_FORMULAS}"
             )
         coefficients = tuple(map(float, self.coefficients))
+        count = len(coefficients)
+        if self.formula == "constant" and count != 1:
+            raise InputError(f"set {self.name!r}: formula 'constant' takes exactly 1 "
+                             f"coefficient, got {count}")
+        if self.formula == "sellmeier_poles_quadratic" and (count < 2 or count % 2):
+            raise InputError(f"set {self.name!r}: formula 'sellmeier_poles_quadratic' takes "
+                             f"[c0, B1, C1, ..., Bm, Cm, D], an even count of at least 2 "
+                             f"coefficients, got {count}")
         lo, hi = valid_range = tuple(map(float, self.valid_range_nm))
         if not all(map(math.isfinite, coefficients + valid_range)):
             raise InputError(f"set {self.name!r}: coefficients and valid range must be finite")
@@ -242,8 +250,9 @@ def _read_yaml_file(path: Path):
 
 #: converter for each scalar field annotation. Float fields coerce, because
 #: PyYAML reads exponent forms without a dot, such as 6e1, as strings; int and
-#: str fields reject any value that the conversion would change, and no field
-#: takes a boolean (YAML's true, on, yes), which float() would read as 1.0.
+#: str fields take only a value of their own type (no 1.0 for 1, no 5 for
+#: '5'), and no field takes a boolean (YAML's true, on, yes), which float()
+#: would read as 1.0.
 _CONVERT = {"float": float, "int": int, "str": str}
 
 
@@ -260,7 +269,7 @@ def _convert(annotation: str, value, key: str):
         converted = _CONVERT[kind](value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
-    if isinstance(value, bool) or (kind != "float" and converted != value):
+    if isinstance(value, bool) or (kind != "float" and type(value) is not type(converted)):
         raise ConfigError(f"bad value for {key}: {value!r} is not of type {kind}")
     return converted
 
@@ -302,7 +311,7 @@ def _spec(cls, raw, where: str, **given):
 def _document(raw) -> dict:
     """The top level of a config or registry, its ``schema_version`` checked and removed."""
     top = _mapping(raw, "")
-    version = top.pop("schema_version", SCHEMA_VERSION)
+    version = _convert("int", top.pop("schema_version", SCHEMA_VERSION), "schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     return top

@@ -8,7 +8,7 @@ its relative-delay phase.
 
 The heralded state's N² element-wise stages (the herald filter with its
 flush of sub-2⁻⁵¹¹ parts, and ρ = G / Re Tr G) run in two row halves at
-once, the first on a short-lived worker thread; the overlap and the
+once, the first on the one daemon split worker; the overlap and the
 curve's sums are numpy's own loops, not BLAS, so their bits do not depend
 on the thread or CPU count.
 """

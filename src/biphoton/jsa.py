@@ -12,7 +12,7 @@ one complex array. Every Σ|f|² (norms, survivals, purity sums) is one dot
 of the array's float64 view.
 
 The N² element-by-element stages run in two row halves at once, the first
-on a short-lived worker thread (``phasematch._in_row_halves``): the phase
+on the one daemon split worker (``phasematch._in_row_halves``): the phase
 mismatch and φ, α·φ and the division by the norm, the filters' √T
 scalings and final division and flush, and the Gram's real and imaginary
 copies and assembly. Each element goes through the same operations in the
@@ -491,7 +491,7 @@ def _gram(f: np.ndarray, out=None) -> np.ndarray:
     With V = F viewed as reals (re, im interleaved per column), Re FF† = VVᵀ,
     one BLAS syrk, and Im FF† = P − Pᵀ with P = Im F·(Re F)ᵀ, one real gemm:
     half the flops of the complex product. The two products run at once
-    (``phasematch._in_two``), P on a worker thread and VVᵀ here, each the
+    (``phasematch._in_two``), P on the split worker and VVᵀ here, each the
     same BLAS call on the same operands as in turn, so the Gram is
     bit-identical to a sequential one. The copies of Re F and Im F (after a
     real or non-contiguous F, such as the idler arm's transpose, is copied

@@ -13,17 +13,20 @@ derivatives.
 
 On a grid, the N² element-by-element work (k_p − k_s − k_i and the grating
 term here, x = ΔK·L/2, cos, sin and sinc in ``jsa.phasematching_function``)
-runs in two row halves at once with ``_in_row_halves``; the sign check's
-min and max stay single passes over the whole array. Each element goes
-through the same operations in the same order as in one pass, so the bits
-do not depend on the split. The Sellmeier evaluations stay on the calling
-thread.
+runs in two row halves at once with ``_in_row_halves``, the first half on
+one daemon worker thread that lives as long as the process (``_in_two``);
+the sign check's min and max stay single passes over the whole array. Each
+element goes through the same operations in the same order as in one pass,
+so the bits do not depend on the split, nor on whether the worker is busy
+and both halves run in turn on the calling thread. A forked child starts
+a worker of its own. The Sellmeier evaluations stay on the calling thread.
 """
 
 from __future__ import annotations
 
 import contextvars
 import math
+import os
 import threading
 from dataclasses import dataclass
 
@@ -123,51 +126,101 @@ def spread_sums(values: np.ndarray) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(values, (len(values) + 1) // 2)
 
 
-def _in_two(work, first, second) -> None:
-    """Run ``work(first)`` on a short-lived worker thread and ``work(second)`` here.
+class _SplitWorker:
+    """The one daemon thread that runs the first half of every split (``_in_two``).
 
-    The only function in biphoton that starts a thread. The worker is joined,
-    and its error re-raised here, before this returns, so no thread outlives
-    the call. It runs in a copy of this thread's context, so an ``np.errstate``
-    in force here holds there too. ``work`` calls numpy only, writing into
-    buffers the caller made: it makes no array of its own (numpy's few casting
-    buffers aside), because glibc serves each new thread from a malloc arena
-    of its own, which keeps what it frees apart and so grows the resident
-    set; and it calls no biphoton function, so the
-    benchmark's layer tracer, which keeps one span stack per process, sees
-    every layer on the calling thread. One worker is the exception:
-    ``cli.cmd_jsa``'s reads ``SchmidtSpectrum.coefficients``, a single
-    ``eigvalsh`` whose LAPACK copy of the Gram (N²·16 bytes) comes from the
-    worker's own arena. The tracer wraps neither. A 512² ``jsa compute``
-    peaks at 57.4 MB resident, against 57.8 MB with the solve run in turn
-    here (one BLAS thread, median of 11 runs).
+    ``claim`` is taken by the caller that hands the thread a job and released
+    by the thread once that job is over, so it is held exactly while the
+    thread is busy. The thread starts with the first job.
     """
-    errors = []
 
-    def run():
-        try:
-            work(first)
-        except BaseException as exc:  # re-raised in the calling thread
-            errors.append(exc)
+    def __init__(self):
+        self.claim = threading.Lock()
+        self.go = threading.Lock()  # released once per job handed over
+        self.go.acquire()
+        self.job = None
+        self.thread = None
 
-    worker = threading.Thread(target=contextvars.copy_context().run, args=(run,))
-    worker.start()
+    def serve(self):
+        while True:
+            self.go.acquire()
+            context, work, arg, done, errors = self.job
+            self.job = None
+            try:
+                context.run(work, arg)
+            except BaseException as exc:  # re-raised in the calling thread
+                errors.append(exc)
+            # nothing of the job may outlive its call: a kept closure would
+            # keep the caller's N² buffers resident until the next split
+            del context, work, arg, errors
+            self.claim.release()
+            done.release()
+
+
+_worker = _SplitWorker()
+
+
+def _forget_split_worker() -> None:
+    """In a forked child, which has no copy of the thread and may hold its locks."""
+    global _worker
+    _worker = _SplitWorker()
+
+
+os.register_at_fork(after_in_child=_forget_split_worker)
+
+
+def _in_two(work, first, second) -> None:
+    """Run ``work(first)`` on the split worker and ``work(second)`` here.
+
+    The only function in biphoton that starts a thread: the one daemon
+    worker, started by the first split, that runs the first half of every
+    split. This waits for the worker's half, and re-raises its error,
+    before it returns. When the worker is busy (another thread's split, or
+    this call made from the worker itself), both halves run here in turn;
+    every element goes through the same operations either way, so the bits
+    are the same, and a split never waits on itself. The worker's half runs
+    in a copy of this thread's context, so an ``np.errstate`` in force here
+    holds there too, and the worker drops every reference to the job before
+    this wakes. A forked child starts a worker of its own.
+
+    ``work`` calls numpy only, writing into buffers the caller made: it makes
+    no array of its own (numpy's few casting buffers aside), because glibc
+    serves the worker from a malloc arena of its own, which keeps what it
+    frees apart and so grows the resident set; and it calls no biphoton
+    function, so the benchmark's layer tracer, which keeps one span stack per
+    process, sees every layer on the calling thread. One job is the
+    exception: ``cli.cmd_jsa``'s reads ``SchmidtSpectrum.coefficients``, a
+    single ``eigvalsh`` whose LAPACK copy of the Gram (N²·16 bytes) comes
+    from the worker's own arena. The tracer wraps neither.
+    """
+    worker = _worker
+    if not worker.claim.acquire(blocking=False):
+        work(first)
+        work(second)
+        return
+    if worker.thread is None:
+        worker.thread = threading.Thread(target=worker.serve, daemon=True)
+        worker.thread.start()
+    done, errors = threading.Lock(), []
+    done.acquire()
+    worker.job = (contextvars.copy_context(), work, first, done, errors)
+    worker.go.release()
     try:
         work(second)
     finally:
-        worker.join()
+        done.acquire()
     if errors:
-        raise errors[0]
+        raise errors.pop()
 
 
 def _in_row_halves(work, n_rows: int) -> None:
-    """``work(rows)`` for the first half of ``n_rows`` rows on a worker, the second here.
+    """``work(rows)`` for the first half of ``n_rows`` rows on the worker, the second here.
 
     ``rows`` is a slice along the first axis (see ``_in_two``). An
     element-wise stage split this way gives the bits of one pass over the
     whole array; a reduction must stay whole, as its summation order fixes
     its bits. Fewer than two rows (a scalar ``phase_mismatch``) run here
-    alone, with no thread.
+    alone, handing the worker nothing.
     """
     if n_rows < 2:
         work(slice(0, n_rows))

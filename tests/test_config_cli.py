@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton as bp
-from biphoton import dispersion
+from biphoton import dispersion, phasematch
 from biphoton.cli import main, read_tomography_records
 from biphoton.config import config_to_dict
 from biphoton.errors import ConfigError, DegenerateInputError, InputError
@@ -140,11 +140,16 @@ class TestConfig:
              r"pump\.repetition_rate_mhz: True is not of type float$"),
             (MINIMAL + "grid: {points_per_axis: yes}\n",
              r"grid\.points_per_axis: True is not of type int$"),
+            ("schema_version: true\n" + MINIMAL,
+             r"^bad value for schema_version: True is not of type int$"),
+            ("schema_version: 1.0\n" + MINIMAL,
+             r"^bad value for schema_version: 1\.0 is not of type int$"),
             (MINIMAL + "filters: {idler: {center_nm: 1570.0, fwhm_nm: 8.0, shape: off}}\n",
              r"filters\.idler\.shape: False is not of type str$"),
         ],
         ids=["unknown-crystal-key", "unknown-filter-arm", "fractional-points", "fractional-seed",
-             "missing-length", "bool-float", "bool-int", "bool-str"],
+             "missing-length", "bool-float", "bool-int", "bool-str", "bool-schema-version",
+             "float-schema-version"],
     )
     def test_rejection_names_the_field(self, tmp_path, text, match):
         path = tmp_path / "run.yaml"
@@ -389,6 +394,12 @@ REGISTRY_REJECTIONS = {
     "registry-schema-version-2": (
         _shipped_registry_with("\nschema_version: 1", "\nschema_version: 2"),
         r"unsupported schema_version 2 \(expected 1\)"),
+    "registry-schema-version-true": (
+        _shipped_registry_with("\nschema_version: 1", "\nschema_version: true"),
+        r"bad value for schema_version: True is not of type int"),
+    "registry-schema-version-float": (
+        _shipped_registry_with("\nschema_version: 1", "\nschema_version: 1.0"),
+        r"bad value for schema_version: 1\.0 is not of type int"),
     "registry-bool-coefficient": (
         _shipped_registry_with("[2.09930,", "[true,"),
         r"bad value for sets\[0\]\.coefficients\[0\]: True is not of type float"),
@@ -463,6 +474,7 @@ def _with_input(command, path):
          "ConfigError"),
         ([*CONFIG, "design"], MINIMAL + "grid: {points_per_axis: 64.9}\n", "ConfigError"),
         ([*CONFIG, "design"], MINIMAL + "seed: 1.5\n", "ConfigError"),
+        ([*CONFIG, "design"], "schema_version: true\n" + MINIMAL, "ConfigError"),
         ([*CONFIG, "design"], MINIMAL.replace("5.35}", "5.35, pulse_duration_fs: 100.0}"),
          "InputError"),
         ([*CONFIG, "design"], MINIMAL.replace("5.35}", "5.35, repetition_rate_mhz: true}"),
@@ -475,6 +487,10 @@ def _with_input(command, path):
         (REGISTRY, f"sets: [{CONSTANT_SET}, thermal: [1]}}]\n", "ConfigError"),
         *((REGISTRY, text, "ConfigError") for text, _ in REGISTRY_REJECTIONS.values()),
         (REGISTRY, _shipped_registry_with("[2.09930,", "[.nan,"), "InputError"),
+        (REGISTRY, _shipped_registry_with("[2.09930, 0.922683, 0.0467695, 0.0138408]", "[]"),
+         "InputError"),
+        (REGISTRY, _shipped_registry_with("0.0467695, 0.0138408]", "0.0467695, 0.0138408, 0.01]"),
+         "InputError"),
         (BUDGET, b"detector_efficiency: 0.85 \xe9\n", "InputError"),
         (COUNTS, b"38000.0,41000.0,24300.0 \xe9\n", "InputError"),
         (RECORDS, b"setting_a,setting_b,counts,integration_s \xe9\n", "InputError"),
@@ -505,10 +521,11 @@ def _with_input(command, path):
         "config-filters-list", "config-seed-not-a-number", "config-bin-size-not-a-number",
         "config-dispersion-file-not-a-string", "config-dispersion-file-is-a-directory",
         "config-is-a-directory", "config-unknown-key", "config-fractional-points",
-        "config-fractional-seed", "config-pulse-below-transform-limit",
+        "config-fractional-seed", "config-bool-schema-version", "config-pulse-below-transform-limit",
         "config-bool-rate", "config-bool-transmission",
         "registry-sets-not-a-list", "registry-set-not-a-mapping",
         "registry-thermal-not-a-mapping", *REGISTRY_REJECTIONS, "registry-nan-coefficient",
+        "registry-no-coefficients", "registry-fifth-coefficient",
         "budget-not-utf8", "counts-not-utf8", "records-not-utf8",
         "design-out-is-a-file", "jsa-out-is-a-file",
         "tomo-out-under-a-file", "spectro-out-under-a-file",
@@ -782,11 +799,33 @@ def _small_config(tmp_path, default_config):
     return cfg_path
 
 
-def test_failed_jsa_csv_write_exits_one(tmp_path, capsys, default_config):
+def _split_worker_threads() -> int:
+    """The thread count once the split worker has started (by an empty split)."""
+    phasematch._in_two(lambda _: None, None, None)
+    return threading.active_count()
+
+
+def _solved(monkeypatch, solve):
+    """Route ``np.linalg.eigvalsh`` through ``solve``; returns the list of solves that returned."""
+    eigvalsh, finished = np.linalg.eigvalsh, []
+
+    def recorded(gram):
+        solve()
+        values = eigvalsh(gram)
+        finished.append(values)
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    return finished
+
+
+def test_failed_jsa_csv_write_exits_one(tmp_path, capsys, default_config, monkeypatch):
+    finished = _solved(monkeypatch, lambda: time.sleep(0.05))
     cfg_path = _small_config(tmp_path, default_config)
     (tmp_path / "jsa_intensity.csv").mkdir()  # the second CSV cannot be opened
-    threads = threading.active_count()
+    threads = _split_worker_threads()
     assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 1
+    assert len(finished) == 1
     assert threading.active_count() == threads
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "InputError"
@@ -796,17 +835,12 @@ def test_failed_jsa_csv_write_exits_one(tmp_path, capsys, default_config):
 def test_failed_amplitude_csv_beside_eigen_solve_exits_one(tmp_path, capsys, default_config,
                                                           monkeypatch):
     # the amplitude CSV fails while the worker still runs the (slowed) eigen-solve
-    eigvalsh = np.linalg.eigvalsh
-
-    def slow(gram):
-        time.sleep(0.2)
-        return eigvalsh(gram)
-
-    monkeypatch.setattr(np.linalg, "eigvalsh", slow)
+    finished = _solved(monkeypatch, lambda: time.sleep(0.2))
     cfg_path = _small_config(tmp_path, default_config)
     (tmp_path / "jsa_amplitudes.csv").mkdir()
-    threads = threading.active_count()
+    threads = _split_worker_threads()
     assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 1
+    assert len(finished) == 1
     assert threading.active_count() == threads
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "InputError"
@@ -816,13 +850,18 @@ def test_failed_amplitude_csv_beside_eigen_solve_exits_one(tmp_path, capsys, def
 
 def test_failed_eigen_solve_exits_one_without_report(tmp_path, capsys, default_config,
                                                     monkeypatch):
+    failed = []
+
     def fail(gram):
+        time.sleep(0.05)
+        failed.append(True)
         raise DegenerateInputError("eigen-solve failed")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     cfg_path = _small_config(tmp_path, default_config)
-    threads = threading.active_count()
+    threads = _split_worker_threads()
     assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 1
+    assert failed == [True]
     assert threading.active_count() == threads
     captured = capsys.readouterr()
     assert captured.out == ""

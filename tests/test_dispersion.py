@@ -231,3 +231,37 @@ class TestRegistry:
                 coefficients=(1.5,),
                 valid_range_nm=(1000.0, 1000.0),
             )
+
+    @pytest.mark.parametrize(
+        "formula, count",
+        [("constant", 0), ("constant", 2), ("sellmeier_poles_quadratic", 0),
+         ("sellmeier_poles_quadratic", 1), ("sellmeier_poles_quadratic", 3),
+         ("sellmeier_poles_quadratic", 5)],
+    )
+    def test_wrong_coefficient_count_rejected(self, formula, count):
+        with pytest.raises(InputError, match=f"^set 'bad': formula '{formula}' takes .*, "
+                                             f"got {count}$"):
+            bp.SellmeierSet(name="bad", formula=formula, coefficients=(1.5,) * count,
+                            valid_range_nm=(400.0, 2000.0))
+
+    def test_poles_quadratic_without_poles_is_c0_minus_d(self):
+        # [c0, D]: the shortest layout, n² = c0 − D·λ²
+        sset = bp.SellmeierSet(name="flat", formula="sellmeier_poles_quadratic",
+                               coefficients=(2.25, 0.01), valid_range_nm=(400.0, 2000.0))
+        assert bp.refractive_index(sset, 1000.0) == math.sqrt(2.25 - 0.01)
+
+    @pytest.mark.parametrize(
+        "old, new, count",
+        [("[2.09930, 0.922683, 0.0467695, 0.0138408]", "[]", 0),
+         ("0.0467695, 0.0138408]", "0.0467695, 0.0138408, 0.01]", 5)],
+        ids=["none", "fifth"],
+    )
+    def test_registry_coefficient_count_names_the_file_and_set(self, tmp_path, old, new,
+                                                                count):
+        text = resources.files("biphoton.data").joinpath("ktp_dispersion.yaml").read_text()
+        assert old in text
+        path = tmp_path / "custom.yaml"
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(InputError, match=f"^{re.escape(str(path))}: set 'ktp_y': "
+                                             f".*got {count}$"):
+            bp.load_registry(path)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 import biphoton as bp
 from biphoton.errors import DegenerateInputError, EmptyResultError, InputError, SearchError
 from biphoton import jsa as jsa_mod
+from biphoton import phasematch
 from biphoton.jsa import _gram, _sum_sq, gram_purity, pump_sigma
 from biphoton.phasematch import phase_mismatch, spread_sums
 from biphoton.units import angular_frequency_to_nm, nm_to_angular_frequency
@@ -360,16 +362,34 @@ def sequential_gram(f):
 
 def off_main_thread(monkeypatch, action, names=("matmul",)):
     """Replace each numpy function in ``names`` by one that first runs ``action()`` off the
-    main thread."""
+    main thread. Returns the list to which each such call appends "start" before
+    ``action()`` and "end" once the numpy function has returned."""
+    calls = []
     for name in names:
         original = getattr(np, name)
 
         def patched(*args, original=original, **kwargs):
-            if threading.current_thread() is not threading.main_thread():
-                action()
-            return original(*args, **kwargs)
+            if threading.current_thread() is threading.main_thread():
+                return original(*args, **kwargs)
+            calls.append("start")
+            action()
+            result = original(*args, **kwargs)
+            calls.append("end")
+            return result
 
         monkeypatch.setattr(np, name, patched)
+    return calls
+
+
+def assert_worker_done(calls):
+    """The worker ran at least one patched call, and every one it began has returned."""
+    assert calls and calls.count("start") == calls.count("end"), calls
+
+
+def split_worker_threads() -> int:
+    """The thread count once the split worker has started (by an empty split)."""
+    phasematch._in_two(lambda _: None, None, None)
+    return threading.active_count()
 
 
 class TestThreadedGram:
@@ -377,9 +397,9 @@ class TestThreadedGram:
         "call", ["_gram", "gram_purity", "heralded_spectral_state", "optimize_pump_bandwidth"]
     )
     def test_no_thread_outlives_the_call(self, default_config, monkeypatch, call):
-        # the worker's product sleeps first, so a worker left unjoined is still
-        # alive, and its product unfinished, when the call returns
-        off_main_thread(monkeypatch, lambda: time.sleep(0.02))
+        # the worker's product sleeps first, so a caller that did not wait for
+        # the worker returns while its product is unfinished
+        calls = off_main_thread(monkeypatch, lambda: time.sleep(0.02))
         grid = bp.FrequencyGrid(points_per_axis=64)
         jsa = bp.compute_jsa(default_config.pump, default_config.crystal, grid)
         herald_filter = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
@@ -394,9 +414,10 @@ class TestThreadedGram:
                 default_config.crystal, 785.0, (2.0, 12.0), grid
             ),
         }[call]
-        before = threading.active_count()
+        threads = split_worker_threads()
         result = run()
-        assert threading.active_count() == before
+        assert_worker_done(calls)
+        assert threading.active_count() == threads
         if call == "_gram":
             assert np.array_equal(result, sequential_gram(jsa.amplitudes))
 
@@ -409,10 +430,119 @@ class TestThreadedGram:
 
         off_main_thread(monkeypatch, fail)
         f = np.random.default_rng(5).normal(size=(32, 64)).view(complex)
-        before = threading.active_count()
+        threads = split_worker_threads()
         with pytest.raises(WorkerError, match="worker product failed"):
             _gram(f)
-        assert threading.active_count() == before
+        assert threading.active_count() == threads
+
+    def test_one_worker_serves_every_split(self):
+        f = np.random.default_rng(6).normal(size=(16, 32)).view(complex)
+        _gram(f)
+        threads = threading.active_count()
+        for _ in range(49):
+            _gram(f)
+        assert threading.active_count() == threads
+
+    def test_worker_keeps_no_reference_to_its_job(self):
+        for fail in (False, True):
+            first, second = np.zeros(8), np.zeros(8)
+            alive = weakref.ref(first)
+
+            def work(a):
+                a.fill(1.0)
+                if fail and a is not second:
+                    raise ValueError("first half failed")
+
+            if fail:
+                with pytest.raises(ValueError, match="first half failed"):
+                    phasematch._in_two(work, first, second)
+            else:
+                phasematch._in_two(work, first, second)
+            assert first[0] == second[0] == 1.0
+            del first, work
+            assert alive() is None, fail
+
+    def test_next_split_after_a_worker_error_runs_on_the_worker(self):
+        ran_on = []
+
+        def work(half):
+            if half == "first":
+                ran_on.append(threading.current_thread())
+                if len(ran_on) == 1:
+                    raise ValueError("first half failed")
+
+        with pytest.raises(ValueError, match="first half failed"):
+            phasematch._in_two(work, "first", "second")
+        phasematch._in_two(work, "first", "second")
+        assert ran_on[0] is ran_on[1] is not threading.current_thread()
+
+    def test_split_made_on_the_worker_runs_there_in_turn(self):
+        ran_on = {}
+
+        def inner(half):
+            ran_on[half] = threading.current_thread()
+
+        def outer(half):
+            if half == "first":
+                phasematch._in_two(inner, "inner first", "inner second")
+
+        caller = threading.Thread(target=phasematch._in_two, args=(outer, "first", "second"),
+                                  daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert ran_on["inner first"] is ran_on["inner second"] is not caller
+
+    def test_callers_at_once_get_the_sequential_bits(self):
+        # a caller whose split finds the worker busy with another's runs both
+        # halves in turn; none may wait on another
+        rng = np.random.default_rng(7)
+        amplitudes = [rng.normal(size=(48, 96)).view(complex) for _ in range(3)]
+        expected = [sequential_gram(f) for f in amplitudes]
+        mismatches = []
+
+        def caller(k):
+            for _ in range(40):
+                if not np.array_equal(_gram(amplitudes[k]), expected[k]):
+                    mismatches.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(k,), daemon=True) for k in range(3)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert mismatches == []
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_worker(self, default_config):
+        split_worker_threads()
+        pid = os.fork()
+        if pid == 0:  # the child: any failure, or a hang, fails the test
+            status = 1
+            try:
+                jsa = bp.compute_jsa(default_config.pump, default_config.crystal,
+                                     bp.FrequencyGrid(points_per_axis=64))
+                gram = _gram(jsa.amplitudes)
+                status = 0 if np.array_equal(gram, sequential_gram(jsa.amplitudes)) else 2
+            finally:
+                os._exit(status)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.01)
+        else:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish within 60 s")
+        assert os.waitstatus_to_exitcode(status) == 0
 
 
 def sequential_jsa(pump, crystal, grid):
@@ -561,11 +691,12 @@ class TestRowHalves:
     @pytest.mark.parametrize("call", sorted(ROW_HALF_CALLS))
     def test_no_thread_outlives_the_call(self, default_config, paper_jsa, monkeypatch, call):
         # every stage's last step divides; the worker's division sleeps first,
-        # so a worker left unjoined is still alive when the call returns
-        off_main_thread(monkeypatch, lambda: time.sleep(0.02), names=["divide"])
-        before = threading.active_count()
+        # so a caller that did not wait for the worker returns mid-division
+        calls = off_main_thread(monkeypatch, lambda: time.sleep(0.02), names=["divide"])
+        threads = split_worker_threads()
         ROW_HALF_CALLS[call](default_config, paper_jsa)
-        assert threading.active_count() == before
+        assert_worker_done(calls)
+        assert threading.active_count() == threads
 
     @pytest.mark.parametrize("call", sorted(ROW_HALF_CALLS))
     def test_worker_error_reaches_the_caller(self, default_config, paper_jsa, monkeypatch, call):
@@ -576,10 +707,10 @@ class TestRowHalves:
             raise WorkerError("worker half failed")
 
         off_main_thread(monkeypatch, fail, names=["multiply", "divide"])
-        before = threading.active_count()
+        threads = split_worker_threads()
         with pytest.raises(WorkerError, match="worker half failed"):
             ROW_HALF_CALLS[call](default_config, paper_jsa)
-        assert threading.active_count() == before
+        assert threading.active_count() == threads
 
     def test_worker_half_keeps_the_callers_errstate(self, default_config, monkeypatch):
         # x = inf in one row only: cos(inf) is invalid in that row's half alone
