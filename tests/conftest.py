@@ -1,8 +1,11 @@
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
 import biphoton as bp
+from biphoton import phasematch
 
 settings.register_profile(
     "suite",
@@ -66,3 +69,9 @@ def svd_coefficients(jsa) -> np.ndarray:
 def svd_purity(jsa) -> float:
     """Σλ² from the singular values: the reference the Gram form must match."""
     return float(np.sum(svd_coefficients(jsa) ** 2))
+
+
+def split_worker_threads() -> int:
+    """The thread count once the split worker has started (by an empty split)."""
+    phasematch._in_two(lambda _: None, None, None)
+    return threading.active_count()

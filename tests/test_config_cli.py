@@ -16,10 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import biphoton as bp
-from biphoton import dispersion, phasematch
+from biphoton import dispersion
 from biphoton.cli import main, read_tomography_records
 from biphoton.config import config_to_dict
 from biphoton.errors import ConfigError, DegenerateInputError, InputError
+from conftest import split_worker_threads
 
 #: a two-set registry with constant indices, enough to bind the KTP axis names
 CONSTANT_REGISTRY = {
@@ -799,12 +800,6 @@ def _small_config(tmp_path, default_config):
     return cfg_path
 
 
-def _split_worker_threads() -> int:
-    """The thread count once the split worker has started (by an empty split)."""
-    phasematch._in_two(lambda _: None, None, None)
-    return threading.active_count()
-
-
 def _solved(monkeypatch, solve):
     """Route ``np.linalg.eigvalsh`` through ``solve``; returns the list of solves that returned."""
     eigvalsh, finished = np.linalg.eigvalsh, []
@@ -823,7 +818,7 @@ def test_failed_jsa_csv_write_exits_one(tmp_path, capsys, default_config, monkey
     finished = _solved(monkeypatch, lambda: time.sleep(0.05))
     cfg_path = _small_config(tmp_path, default_config)
     (tmp_path / "jsa_intensity.csv").mkdir()  # the second CSV cannot be opened
-    threads = _split_worker_threads()
+    threads = split_worker_threads()
     assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 1
     assert len(finished) == 1
     assert threading.active_count() == threads
@@ -838,7 +833,7 @@ def test_failed_amplitude_csv_beside_eigen_solve_exits_one(tmp_path, capsys, def
     finished = _solved(monkeypatch, lambda: time.sleep(0.2))
     cfg_path = _small_config(tmp_path, default_config)
     (tmp_path / "jsa_amplitudes.csv").mkdir()
-    threads = _split_worker_threads()
+    threads = split_worker_threads()
     assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 1
     assert len(finished) == 1
     assert threading.active_count() == threads
@@ -859,7 +854,7 @@ def test_failed_eigen_solve_exits_one_without_report(tmp_path, capsys, default_c
 
     monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     cfg_path = _small_config(tmp_path, default_config)
-    threads = _split_worker_threads()
+    threads = split_worker_threads()
     assert main(["--config", str(cfg_path), "--out", str(tmp_path), "jsa", "compute"]) == 1
     assert failed == [True]
     assert threading.active_count() == threads

@@ -21,7 +21,7 @@ from biphoton import phasematch
 from biphoton.jsa import _gram, _sum_sq, gram_purity, pump_sigma
 from biphoton.phasematch import phase_mismatch, spread_sums
 from biphoton.units import angular_frequency_to_nm, nm_to_angular_frequency
-from conftest import svd_coefficients, svd_purity
+from conftest import split_worker_threads, svd_coefficients, svd_purity
 
 PUMP = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=5.35)
 
@@ -384,12 +384,6 @@ def off_main_thread(monkeypatch, action, names=("matmul",)):
 def assert_worker_done(calls):
     """The worker ran at least one patched call, and every one it began has returned."""
     assert calls and calls.count("start") == calls.count("end"), calls
-
-
-def split_worker_threads() -> int:
-    """The thread count once the split worker has started (by an empty split)."""
-    phasematch._in_two(lambda _: None, None, None)
-    return threading.active_count()
 
 
 class TestThreadedGram:
