@@ -18,8 +18,8 @@ from pathlib import Path
 import yaml
 
 from .dispersion import (
-    KTP_AXIS_SETS, SCHEMA_VERSION, CrystalAxes, _convert, _document, _mapping, _read_yaml_file,
-    _reject_unknown, _spec, builtin_registry, load_registry, read_yaml,
+    KTP_AXIS_SETS, SCHEMA_VERSION, CrystalAxes, _convert, _document, _mapping, _naming,
+    _read_yaml_file, _reject_unknown, _spec, builtin_registry, load_registry, read_yaml,
 )
 from .errors import InputError
 from .jsa import FilterSpec, FrequencyGrid
@@ -56,17 +56,27 @@ def check_seed(seed: int) -> None:
         raise InputError(f"seed must be non-negative, got {seed}")
 
 
-def _config_from_dict(raw, base: Path, dispersion_file: str | Path | None) -> RunConfig:
-    """Parse the YAML document; a relative ``dispersion_file`` key is taken from ``base``."""
-    top = _document(raw)
-    key = _convert("str | None", top.get("dispersion_file"), "dispersion_file")
+def _config_from_dict(raw, path: Path | None, dispersion_file: str | Path | None) -> RunConfig:
+    """Parse the YAML document of the config file at ``path`` (None: the shipped profile).
+
+    A relative ``dispersion_file`` key is taken from the file's directory. An
+    error in the document's own fields starts with ``path: ``, a registry's with its own.
+    """
+    with _naming(path):
+        top = _document(raw)
+        key = _convert("str | None", top.get("dispersion_file"), "dispersion_file")
     if dispersion_file:
         registry = load_registry(dispersion_file)
     elif key is not None:
-        registry = load_registry(base / key)
+        registry = load_registry(path.parent / key)
     else:
         registry = builtin_registry()
+    with _naming(path):
+        return _sections(top, registry)
 
+
+def _sections(top: dict, registry) -> RunConfig:
+    """The run config from the document's sections, its crystal axes looked up in ``registry``."""
     crystal = _mapping(top.pop("crystal", None), "crystal")
     axes = CrystalAxes(**{
         role: registry.get(_convert("str", crystal.pop(f"{role}_axis", name),
@@ -101,16 +111,16 @@ def load_config(path: str | Path, dispersion_file: str | Path | None = None) -> 
     named inside the config; the shipped registry is the fallback. A
     relative ``dispersion_file`` argument is taken from the working
     directory, a relative ``dispersion_file`` key from the config file's
-    directory.
+    directory. Each error names the file it is in.
     """
     path = Path(path)
-    return _config_from_dict(_read_yaml_file(path), path.parent, dispersion_file)
+    return _config_from_dict(_read_yaml_file(path), path, dispersion_file)
 
 
 def default_config(dispersion_file: str | Path | None = None) -> RunConfig:
     """The shipped default profile (reference source parameters)."""
     text = resources.files("biphoton.data").joinpath("default_profile.yaml").read_text()
-    return _config_from_dict(read_yaml(text), Path(), dispersion_file)
+    return _config_from_dict(read_yaml(text), None, dispersion_file)
 
 
 def _fields(spec) -> dict:

@@ -28,6 +28,7 @@ its ``thermal`` block a ``ThermalModel`` one.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 from pathlib import Path
@@ -317,14 +318,23 @@ def _document(raw) -> dict:
     return top
 
 
+@contextmanager
+def _naming(path: Path | None):
+    """Re-raise each InputError raised inside with ``path: `` in front; as is for no path."""
+    try:
+        yield
+    except InputError as exc:
+        if path is None:
+            raise
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_registry(path: str | Path) -> DispersionRegistry:
     """Load a registry from a YAML file (schema in the data dir); each error names the file."""
     path = Path(path)
     raw = _read_yaml_file(path)
-    try:
+    with _naming(path):
         return _registry_from_dict(raw)
-    except InputError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _registry_from_dict(raw) -> DispersionRegistry:

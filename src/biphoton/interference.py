@@ -6,8 +6,8 @@ two independently heralded photons is the state overlap Tr(ρ_a ρ_b), and
 the coincidence dip P(τ) sums the 2N − 1 diagonals of ρ_a ∘ ρ_bᵀ, each with
 its relative-delay phase.
 
-The heralded state's N² element-wise stages (the herald filter with its
-flush of sub-2⁻⁵¹¹ parts, and ρ = G / Re Tr G) run in two row halves at
+A herald filter is ``jsa.apply_filter`` on the traced arm. The heralded
+state's N² element-wise stage, ρ = G / Re Tr G, runs in two row halves at
 once, the first on the one daemon split worker; the overlap and the
 curve's sums are numpy's own loops, not BLAS, so their bits do not depend
 on the thread or CPU count.
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._contracts import built_valid, check_density_matrix
-from .errors import AxisMismatchError, DegenerateInputError, InputError
-from .jsa import FilterSpec, JointAmplitude, _gram, _real_dot, _scale_and_flush, _sum_sq
+from .errors import AxisMismatchError, InputError
+from .jsa import FilterSpec, JointAmplitude, _gram, _real_dot, _sum_sq, apply_filter
 from .phasematch import _in_row_halves
 
 
@@ -65,47 +65,31 @@ def heralded_spectral_state(
     """Reduced state of one arm after detecting its partner.
 
     ρ(ω, ω') = Σ_h f(ω, ω_h) f*(ω', ω_h) Δω_h with any herald filter
-    applied to the traced arm first; Tr(ρ²) equals the Schmidt purity of
-    the correspondingly filtered joint amplitude. The returned state is
+    applied to the traced arm first, by ``apply_filter``; Tr(ρ²) equals the
+    Schmidt purity of the filtered joint amplitude. The returned state is
     not revalidated: ρ is valid by construction.
 
     ρ = G / Re Tr G for the Gram G = FF†, in one pass: the herald step Δω_h
-    scales G and its trace alike and cancels. The unfiltered signal arm
-    divides ``jsa.gram`` into a fresh array, so a purity and a herald of one
-    amplitude share one Gram product (the Gram stays cached on the
-    amplitude, N²·16 bytes); the idler arm and a herald filter form their
-    own with the same ``_gram``. The density never shares memory with the
-    cached Gram. A herald filter scales a private copy of the amplitude and
-    sets its parts below 2⁻⁵¹¹ in magnitude to +0.0, as ``apply_filter``
-    does, so its Gram does no subnormal arithmetic. The scaling and flush,
-    and the division by the trace, run in two row halves at once, each
+    scales G and its trace alike and cancels. The signal arm divides the
+    (filtered) amplitude's cached ``gram`` into a fresh array, so a purity
+    and a herald of one amplitude share one Gram product (the Gram stays
+    cached on the amplitude, N²·16 bytes); the idler arm forms its own with
+    the same ``_gram``. The density never shares memory with the cached
+    Gram. The division by the trace runs in two row halves at once, each
     element as in one pass, so the bits do not depend on the split; the
     trace is summed whole.
     """
-    if not jsa.normalized:
-        raise InputError("heralded_spectral_state requires a normalized joint amplitude")
-    grid = jsa.grid
     if heralded_arm == "signal":
-        f = jsa.amplitudes
-        herald_lam = grid.idler_wavelengths_nm
-        omegas = grid.signal_omegas
+        filters, omegas = (None, herald_filter), jsa.grid.signal_omegas
     elif heralded_arm == "idler":
-        f = jsa.amplitudes.T
-        herald_lam = grid.signal_wavelengths_nm
-        omegas = grid.idler_omegas
+        filters, omegas = (herald_filter, None), jsa.grid.idler_omegas
     else:
         raise InputError(f"heralded_arm must be 'signal' or 'idler', got {heralded_arm!r}")
     if herald_filter is not None:
-        amp = np.sqrt(herald_filter.transmission(herald_lam))
-        unfiltered = f
-        f = np.empty(f.shape, dtype=np.result_type(f, 1.0))
-        _scale_and_flush(np.multiply, unfiltered, amp, f)
-    # f is the amplitude matrix itself only on the unfiltered signal arm, whose
-    # FF† the amplitude caches; the density is a fresh array either way.
-    gram = jsa.gram if f is jsa.amplitudes else _gram(f)
+        jsa = apply_filter(jsa, *filters)
+    gram = jsa.gram if heralded_arm == "signal" else _gram(jsa.amplitudes.T)
+    # Re Tr FF† = Σ|f|² > 0 for a unit-norm amplitude
     trace = float(np.real(np.trace(gram)))
-    if not trace > 0.0:  # NaN-safe
-        raise DegenerateInputError("heralded state has zero or non-finite trace")
     density = np.empty(gram.shape, dtype=complex)
     _in_row_halves(lambda rows: np.divide(gram[rows], trace, out=density[rows]), len(density))
     # FF† over its real trace is Hermitian, PSD and unit-trace by construction.

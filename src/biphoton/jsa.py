@@ -23,15 +23,17 @@ and the sign check's min and max. Workers allocate nothing (every buffer
 is made on the calling thread) and call numpy only, never a biphoton
 function.
 
-A filtered amplitude (``apply_filter``, and a herald filter's copy in
-``interference.heralded_spectral_state``) has every real or imaginary part
-below √tiny = 2⁻⁵¹¹ in magnitude set to +0.0. A product of two remaining
-parts is then 0 or a normal double, so its Gram does no subnormal
-arithmetic, which costs a microcode assist per multiply-add: behind
-narrow Gaussian filters √T drives parts down to 1e-323, and the 512² Gram
-took 2–4× as long. Such a part's square is below the smallest normal
-double, so the intensity could not hold it as a normal number anyway. An
-unfiltered ``compute_jsa`` amplitude is not flushed.
+Every ``JointAmplitude`` has unit norm (its constructor checks it; the
+library divides its own by the norm just summed), so nothing checks it
+again, and every filter, a herald filter too, is ``apply_filter``. A
+filtered amplitude has every real or imaginary part below √tiny = 2⁻⁵¹¹
+in magnitude set to +0.0. A product of two remaining parts is then 0 or a
+normal double, so its Gram does no subnormal arithmetic, which costs a
+microcode assist per multiply-add: behind narrow Gaussian filters √T
+drives parts down to 1e-323, and the 512² Gram took 2–4× as long. Such a
+part's square is below the smallest normal double, so the intensity could
+not hold it as a normal number anyway. An unfiltered ``compute_jsa``
+amplitude is not flushed.
 
 Schmidt analysis reads every number from the amplitude's cached Gram FF†
 (formed in real arithmetic, and reused by the signal-arm herald): the
@@ -165,12 +167,12 @@ class FilterSurvival:
 
 @dataclass(frozen=True)
 class JointAmplitude:
-    """Discretised joint spectral amplitude f(ωs, ωi).
+    """Discretised joint spectral amplitude f(ωs, ωi), always of unit norm.
 
-    ``amplitudes[j, k]`` is f at signal index j, idler index k. When
-    ``normalized`` is set, Σ|f|²·Δωs·Δωi = 1 within 1e-9; the constructor
-    checks that, while ``compute_jsa`` and ``apply_filter`` divide by the
-    norm they have just summed and skip the second pass.
+    ``amplitudes[j, k]`` is f at signal index j, idler index k, and
+    Σ|f|²·Δωs·Δωi = 1 within 1e-9: the constructor checks that, while
+    ``compute_jsa`` and ``apply_filter`` divide by the norm they have just
+    summed and skip the second pass.
 
     ``gram`` is FF† over the signal index, unscaled: formed on first read
     by ``_gram`` (real BLAS, exactly Hermitian), cached read-only, and
@@ -185,7 +187,6 @@ class JointAmplitude:
 
     grid: FrequencyGrid
     amplitudes: np.ndarray
-    normalized: bool = True
     survival: FilterSurvival | None = None
 
     def __post_init__(self):
@@ -194,12 +195,9 @@ class JointAmplitude:
             raise InputError(
                 f"amplitude matrix shape {self.amplitudes.shape} does not match grid {n}x{n}"
             )
-        if self.normalized:
-            total = self.total_probability()
-            if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN-safe
-                raise InputError(
-                    f"normalized flag set but integral of |f|^2 is {total!r}"
-                )
+        total = self.total_probability()
+        if not abs(total - 1.0) <= NORMALIZATION_TOL:  # NaN-safe
+            raise InputError(f"amplitude is not normalized: integral of |f|^2 is {total!r}")
 
     def total_probability(self) -> float:
         return _sum_sq(self.amplitudes) * self.grid.cell_area
@@ -383,28 +381,23 @@ def apply_filter(
     Records the transmitted fraction of |f|² per filtered arm and for the
     pair (heralding-loss metadata consumed by the efficiency budget).
 
-    A normalized input is rescaled by 1/√(survival.total), the norm of the
-    filtered amplitude of a unit-norm input. An input with ``normalized=False``
-    is divided by its recomputed norm √(Σ|f|²·Δωs·Δωi) instead, so the
-    output is normalized either way. After the division every real or
+    The output is rescaled by 1/√(survival.total), the norm of the filtered
+    amplitude of the unit-norm input. After the division every real or
     imaginary part below 2⁻⁵¹¹ in magnitude is set to +0.0
-    (``_scale_and_flush``), so the output's Gram does no subnormal
-    arithmetic; the survivals and norms are summed before that and keep
-    their bits. A filter that transmits 1 everywhere returns the input
-    amplitudes bit for bit only when no part of them is below 2⁻⁵¹¹, as on
-    every ``compute_jsa`` output of the default profile. On the default
-    grid, Gaussian filters narrower than about 5.5 nm on both arms flush
-    parts. The √T scalings, the division and the flush run in two row
-    halves at once; the sums stay whole.
+    (``_divide_and_flush``), so the output's Gram does no subnormal
+    arithmetic; the survivals are summed before that and keep their bits.
+    A filter that transmits 1 everywhere returns the input amplitudes bit
+    for bit only when no part of them is below 2⁻⁵¹¹, as on every
+    ``compute_jsa`` output of the default profile. On the default grid,
+    Gaussian filters narrower than about 5.5 nm on both arms flush parts.
+    The √T scalings, the division and the flush run in two row halves at
+    once; the sums stay whole.
 
     Raises:
-        DegenerateInputError: the input has zero or non-finite weight.
         EmptyResultError: a filter removes all spectral weight; the message says
             whether its pass-band is off the grid or far narrower than its step.
     """
     base = _sum_sq(jsa.amplitudes)
-    if not 0.0 < base < math.inf:  # NaN-safe
-        raise DegenerateInputError("joint amplitude with zero or non-finite weight")
     survival_s = survival_i = None
     # f is the one filtered copy: each √T scaling writes it from the amplitude
     # scaled so far, and the norm divides it in place.
@@ -426,13 +419,11 @@ def apply_filter(
         _in_row_halves(lambda rows: np.multiply(scaled[rows], amp_i, out=f[rows]), len(f))
     elif signal_filter is None:
         np.copyto(f, a)
-    kept = _sum_sq(f)
-    total = kept / base
+    total = _sum_sq(f) / base
     if not total > 0.0:  # NaN-safe
         raise EmptyResultError(_no_weight_message(jsa.grid, signal_filter, idler_filter))
-    # Unit norm: the input's own (checked) norm, or the one just summed.
-    norm = math.sqrt(total) if jsa.normalized else math.sqrt(kept * jsa.grid.cell_area)
-    _scale_and_flush(np.divide, f, norm, f)
+    # Unit norm: the input's norm is 1, so the filtered one is √total.
+    _divide_and_flush(f, math.sqrt(total))
     return built_valid(
         JointAmplitude,
         grid=jsa.grid,
@@ -462,14 +453,10 @@ def _no_weight_message(grid: FrequencyGrid, signal_filter, idler_filter) -> str:
 
 
 def schmidt_decompose(jsa: JointAmplitude) -> SchmidtSpectrum:
-    """Schmidt spectrum of a normalized amplitude: purity now, λ_k on first read.
+    """Schmidt spectrum of an amplitude: purity now, λ_k on first read.
 
     The spectrum keeps the amplitude's own read-only ``jsa.gram``: no new memory.
     """
-    if not np.any(jsa.amplitudes):
-        raise DegenerateInputError("all-zero joint amplitude has no Schmidt spectrum")
-    if not jsa.normalized:
-        raise InputError("schmidt_decompose requires a normalized joint amplitude")
     # The Gram and purity the constructor would derive, read off the amplitude.
     return built_valid(SchmidtSpectrum, gram=jsa.gram, purity=gram_purity(jsa))
 
@@ -529,27 +516,26 @@ def _gram(f: np.ndarray, out=None) -> np.ndarray:
     return gram
 
 
-def _scale_and_flush(scale, a: np.ndarray, b, out: np.ndarray) -> None:
-    """``scale(a, b, out=out)``, then every part of ``out`` below 2⁻⁵¹¹ set to +0.0.
+def _divide_and_flush(f: np.ndarray, norm: float) -> None:
+    """``f /= norm`` in place, then every part of ``f`` below 2⁻⁵¹¹ set to +0.0.
 
-    ``scale`` is a numpy ufunc, ``b`` a scalar or a row broadcast along each
-    row of ``a``, and ``out`` C-contiguous. Each real and imaginary part of a
-    complex ``out`` (each entry of a real one) with magnitude below
-    √tiny = 2⁻⁵¹¹ becomes +0.0; NaN and inf stay. The module docstring says
-    why. Both steps run in two row halves at once, on bool buffers made here.
+    ``f`` is C-contiguous. Each real and imaginary part of a complex ``f``
+    (each entry of a real one) with magnitude below √tiny = 2⁻⁵¹¹ becomes
+    +0.0; NaN and inf stay. The module docstring says why. Both steps run
+    in two row halves at once, on bool buffers made here.
     """
-    v = out.view(out.real.dtype)
+    v = f.view(f.real.dtype)
     below, above = np.empty(v.shape, dtype=bool), np.empty(v.shape, dtype=bool)
 
     def work(rows):
-        scale(a[rows], b, out=out[rows])
+        np.divide(f[rows], norm, out=f[rows])
         vr, br, ar = v[rows], below[rows], above[rows]
         np.less(vr, _FLUSH_BELOW, out=br)
         np.greater(vr, -_FLUSH_BELOW, out=ar)
         np.logical_and(br, ar, out=br)
         np.copyto(vr, 0.0, where=br)
 
-    _in_row_halves(work, len(out))
+    _in_row_halves(work, len(f))
 
 
 def _gram_purity(f: np.ndarray, gram: np.ndarray) -> float:
@@ -614,8 +600,6 @@ def marginal_spectrum(jsa: JointAmplitude, arm: str) -> MarginalSpectrum:
     The returned intensity sums to one; the FWHM is linearly interpolated
     between samples.
     """
-    if not jsa.normalized:
-        raise InputError("marginal_spectrum requires a normalized joint amplitude")
     if arm == "signal":
         weights = np.sum(jsa.intensity, axis=1)
         lam = jsa.grid.signal_wavelengths_nm

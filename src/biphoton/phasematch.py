@@ -384,11 +384,17 @@ def gvm_degenerate_wavelength(
     ``tolerance_nm``.
 
     Raises:
+        InputError: the window is not a positive, finite, increasing
+            interval, or the tolerance is not positive and finite.
         DegenerateInputError: the residual vanishes identically
             (dispersionless axes satisfy the condition everywhere).
         NoSolutionError: no sign change inside the window.
     """
     lo, hi = window_nm
+    if not 0.0 < lo < hi < math.inf:
+        raise InputError("window_nm must be a positive, finite, increasing interval")
+    if not 0.0 < tolerance_nm < math.inf:
+        raise InputError(f"tolerance_nm must be positive and finite, got {tolerance_nm!r}")
     probes = np.linspace(lo, hi, 5)
     residuals = [_gvm_residual(axes, lam, temperature_c) for lam in probes]
     # residuals of a few ulp of k'_p (~1e-15 fs/um) are rounding: GVM holds everywhere

@@ -1,3 +1,4 @@
+import math
 import threading
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, settings
 
 import biphoton as bp
 from biphoton import phasematch
+from biphoton.jsa import _sum_sq
 
 settings.register_profile(
     "suite",
@@ -75,3 +77,51 @@ def split_worker_threads() -> int:
     """The thread count once the split worker has started (by an empty split)."""
     phasematch._in_two(lambda _: None, None, None)
     return threading.active_count()
+
+
+def sequential_gram(f):
+    """Reference FF†: the gemm and the syrk of ``_gram``, one after the other in one thread."""
+    f = np.ascontiguousarray(f, dtype=complex)
+    v = f.view(np.float64)
+    work = np.ascontiguousarray(f.imag) @ np.ascontiguousarray(f.real).T
+    gram = np.empty((len(f), len(f)), dtype=complex)
+    np.subtract(work, work.T, out=gram.imag)
+    gram.real = np.matmul(v, v.T, out=work)
+    return gram
+
+
+#: √tiny: filtered amplitude parts below it in magnitude are set to +0.0
+TINY_ROOT = 2.0**-511
+
+
+def flush_tiny(f):
+    """Reference flush: each real and imaginary part of f below 2⁻⁵¹¹ in magnitude is +0.0."""
+    f = np.ascontiguousarray(f)
+    v = f.view(np.float64)
+    v[np.abs(v) < TINY_ROOT] = 0.0
+    return f
+
+
+def sequential_filter(jsa, signal_filter, idler_filter, flush=True):
+    """Reference ``apply_filter`` amplitudes: each √T scaling, the division and the flush
+    in one pass."""
+    base = _sum_sq(jsa.amplitudes)
+    f = jsa.amplitudes.copy()
+    if signal_filter is not None:
+        f = f * np.sqrt(signal_filter.transmission(jsa.grid.signal_wavelengths_nm))[:, None]
+    if idler_filter is not None:
+        f *= np.sqrt(idler_filter.transmission(jsa.grid.idler_wavelengths_nm))[None, :]
+    f /= math.sqrt(_sum_sq(f) / base)
+    return flush_tiny(f) if flush else f
+
+
+def herald_filters(arm, herald_filter):
+    """The (signal, idler) filters of a herald filter, which filters the traced arm."""
+    return (None, herald_filter) if arm == "signal" else (herald_filter, None)
+
+
+def sequential_herald(f, arm):
+    """Reference heralded density of the amplitude matrix f: ``sequential_gram`` over the
+    heralded arm and G / Re Tr G in one pass."""
+    gram = sequential_gram(f if arm == "signal" else f.T)
+    return gram / float(np.real(np.trace(gram)))

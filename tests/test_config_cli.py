@@ -155,8 +155,10 @@ class TestConfig:
     def test_rejection_names_the_field(self, tmp_path, text, match):
         path = tmp_path / "run.yaml"
         path.write_text(text)
-        with pytest.raises(ConfigError, match=match):
+        with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: ") as caught:
             bp.load_config(path)
+        # the field's own message follows the file's name
+        assert re.search(match, str(caught.value).removeprefix(f"{path}: "))
 
 
 PINNED_DIGESTS = {
@@ -563,6 +565,30 @@ def test_registry_rejection_names_the_file_and_key(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(ConfigError, match=f"^{re.escape(str(path))}: {match}$"):
         bp.load_registry(path)
+
+
+def test_config_error_names_the_config_file(tmp_path, capsys):
+    path = tmp_path / "bad.yaml"
+    path.write_text("crystal: {length_mm: true}\n")
+    message = f"{path}: missing required field pump.center_wavelength_nm"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        bp.load_config(path)
+    assert main(["--config", str(path), "--out", str(tmp_path / "out"), "design"]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ConfigError", "message": message}
+
+
+@pytest.mark.parametrize("via", ["key", "flag", "flag-default-profile"])
+def test_registry_error_through_a_config_names_only_the_registry(tmp_path, via):
+    registry = tmp_path / "badreg.yaml"
+    registry.write_text("sets: 5\n")
+    path = tmp_path / "run.yaml"
+    path.write_text(MINIMAL + ("dispersion_file: badreg.yaml\n" if via == "key" else ""))
+    with pytest.raises(ConfigError) as caught:
+        if via == "flag-default-profile":
+            bp.default_config(dispersion_file=registry)
+        else:
+            bp.load_config(path, dispersion_file=registry if via == "flag" else None)
+    assert str(caught.value) == f"{registry}: sets must be a list of set entries, not int"
 
 
 @pytest.mark.parametrize("probability", ["0.3", "-0.1", "nan"])

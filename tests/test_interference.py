@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import biphoton as bp
 from biphoton import interference as interference_mod, jsa as jsa_mod
-from biphoton.errors import AxisMismatchError, InputError, StateError
+from biphoton.errors import AxisMismatchError, EmptyResultError, InputError, StateError
 from biphoton.jsa import _gram
-from conftest import random_density_matrix, svd_purity
+from conftest import (
+    herald_filters, random_density_matrix, sequential_filter, sequential_herald, svd_purity,
+)
 
 
 def make_state(omegas, rho):
@@ -60,6 +62,13 @@ class TestHeraldedSpectralState:
             state = bp.heralded_spectral_state(jsa, arm)
             assert state.purity == pytest.approx(reference, abs=1e-6)
 
+    @pytest.mark.parametrize("arm", ["signal", "idler"])
+    def test_herald_filter_off_the_grid_rejected(self, paper_jsa, arm):
+        # the herald filter is apply_filter's, with its message
+        far = bp.FilterSpec(center_nm=1200.0, fwhm_nm=5.0)
+        with pytest.raises(EmptyResultError, match="does not overlap the grid"):
+            bp.heralded_spectral_state(paper_jsa, arm, herald_filter=far)
+
     def test_bad_arm(self, paper_jsa):
         with pytest.raises(InputError):
             bp.heralded_spectral_state(paper_jsa, "both")
@@ -84,22 +93,24 @@ class TestHeraldedSpectralState:
         assert (len(evaluations), len(products)) == (1, 1)
 
     @pytest.mark.parametrize(
-        "arm, herald", [("signal", False), ("idler", False), ("signal", True)],
-        ids=["signal", "idler", "herald-filter-8nm"],
+        "arm, herald",
+        [("signal", False), ("idler", False), ("signal", True), ("idler", True)],
+        ids=["signal", "idler", "herald-filter-8nm", "idler-herald-filter-8nm"],
     )
     def test_density_is_fresh_product_bit_for_bit(self, default_config, small_grid,
                                                   eight_nm_filter, arm, herald):
         cfg = default_config
         jsa = bp.compute_jsa(cfg.pump, cfg.crystal, small_grid)
         bp.schmidt_decompose(jsa).purity  # the cached Gram exists before the herald
-        f = jsa.amplitudes if arm == "signal" else jsa.amplitudes.T
         herald_filter = eight_nm_filter if herald else None
-        if herald:
-            f = f * np.sqrt(eight_nm_filter.transmission(small_grid.idler_wavelengths_nm))
-        gram = _gram(f)
-        expected = gram / float(np.real(np.trace(gram)))
+        f = jsa.amplitudes
         state = bp.heralded_spectral_state(jsa, arm, herald_filter=herald_filter)
-        assert np.array_equal(state.density, expected)
+        if herald:
+            filters = herald_filters(arm, herald_filter)
+            f = sequential_filter(jsa, *filters)
+            first = bp.heralded_spectral_state(bp.apply_filter(jsa, *filters), arm)
+            assert np.array_equal(state.density, first.density)
+        assert np.array_equal(state.density, sequential_herald(f, arm))
         assert not np.shares_memory(state.density, jsa.gram)
         assert np.array_equal(jsa.gram, _gram(jsa.amplitudes))
 

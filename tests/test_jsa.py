@@ -21,7 +21,10 @@ from biphoton import phasematch
 from biphoton.jsa import _gram, _sum_sq, gram_purity, pump_sigma
 from biphoton.phasematch import phase_mismatch, spread_sums
 from biphoton.units import angular_frequency_to_nm, nm_to_angular_frequency
-from conftest import split_worker_threads, svd_coefficients, svd_purity
+from conftest import (
+    TINY_ROOT, herald_filters, sequential_filter, sequential_gram, sequential_herald,
+    split_worker_threads, svd_coefficients, svd_purity,
+)
 
 PUMP = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=5.35)
 
@@ -187,6 +190,14 @@ class TestComputeJsa:
             with pytest.raises(InputError, match="integral of"):
                 bp.JointAmplitude(grid=paper_jsa.grid, amplitudes=scale * paper_jsa.amplitudes)
 
+    @pytest.mark.parametrize("points, pump_nm", [(64, 5.35), (512, 5.35), (512, 1.0)])
+    def test_result_passes_the_constructor(self, default_config, points, pump_nm):
+        # every function that takes an amplitude relies on its unit norm, unchecked
+        pump = bp.PumpSpec(center_wavelength_nm=785.0, intensity_fwhm_bandwidth_nm=pump_nm)
+        grid = bp.FrequencyGrid(points_per_axis=points)
+        jsa = bp.compute_jsa(pump, default_config.crystal, grid)
+        bp.JointAmplitude(grid=jsa.grid, amplitudes=jsa.amplitudes)
+
     def test_internal_results_pay_one_norm_pass(self, default_config, small_grid, monkeypatch):
         calls = []
         monkeypatch.setattr(
@@ -306,11 +317,12 @@ class TestGramPurity:
         assert bp.schmidt_decompose(entangled).schmidt_number > 10.0
 
     def test_all_zero_rejected(self, small_grid):
-        zero = bp.JointAmplitude(
-            grid=small_grid, amplitudes=np.zeros((64, 64), complex), normalized=False
-        )
+        # no JointAmplitude holds zero weight; the Gram purity of a raw zero matrix fails
+        zeros = np.zeros((64, 64), complex)
+        with pytest.raises(InputError, match="normalized"):
+            bp.JointAmplitude(grid=small_grid, amplitudes=zeros)
         with pytest.raises(DegenerateInputError):
-            gram_purity(zero)
+            jsa_mod._gram_purity(zeros, _gram(zeros))
 
     def test_cached_intensity_is_read_only(self, paper_jsa):
         intensity = paper_jsa.intensity
@@ -347,17 +359,6 @@ class TestGramPurity:
         out = np.empty_like(gram)
         assert _gram(f, out=out) is out
         assert np.array_equal(out, gram)
-
-
-def sequential_gram(f):
-    """Reference FF†: the gemm and the syrk of ``_gram``, one after the other in one thread."""
-    f = np.ascontiguousarray(f, dtype=complex)
-    v = f.view(np.float64)
-    work = np.ascontiguousarray(f.imag) @ np.ascontiguousarray(f.real).T
-    gram = np.empty((len(f), len(f)), dtype=complex)
-    np.subtract(work, work.T, out=gram.imag)
-    gram.real = np.matmul(v, v.T, out=work)
-    return gram
 
 
 def off_main_thread(monkeypatch, action, names=("matmul",)):
@@ -565,45 +566,6 @@ def sequential_jsa(pump, crystal, grid):
     return f
 
 
-#: √tiny: filtered amplitude parts below it in magnitude are set to +0.0
-TINY_ROOT = 2.0**-511
-
-
-def flush_tiny(f):
-    """Reference flush: each real and imaginary part of f below 2⁻⁵¹¹ in magnitude is +0.0."""
-    f = np.ascontiguousarray(f)
-    v = f.view(np.float64)
-    v[np.abs(v) < TINY_ROOT] = 0.0
-    return f
-
-
-def sequential_filter(jsa, signal_filter, idler_filter, flush=True):
-    """Reference ``apply_filter`` amplitudes: each √T scaling, the division and the flush
-    in one pass."""
-    base = _sum_sq(jsa.amplitudes)
-    f = jsa.amplitudes.copy()
-    if signal_filter is not None:
-        f = f * np.sqrt(signal_filter.transmission(jsa.grid.signal_wavelengths_nm))[:, None]
-    if idler_filter is not None:
-        f *= np.sqrt(idler_filter.transmission(jsa.grid.idler_wavelengths_nm))[None, :]
-    kept = _sum_sq(f)
-    f /= math.sqrt(kept / base) if jsa.normalized else math.sqrt(kept * jsa.grid.cell_area)
-    return flush_tiny(f) if flush else f
-
-
-def sequential_herald(jsa, arm, herald_filter):
-    """Reference heralded density: filter and flush, ``sequential_gram`` and G / Re Tr G in
-    one pass."""
-    f, herald_lam = {
-        "signal": (jsa.amplitudes, jsa.grid.idler_wavelengths_nm),
-        "idler": (jsa.amplitudes.T, jsa.grid.signal_wavelengths_nm),
-    }[arm]
-    if herald_filter is not None:
-        f = flush_tiny(f * np.sqrt(herald_filter.transmission(herald_lam))[None, :])
-    gram = sequential_gram(f)
-    return gram / float(np.real(np.trace(gram)))
-
-
 FILTER_8NM = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
 #: narrow enough that the filtered amplitude has parts below 2⁻⁵¹¹ on every grid here
 FILTER_2_81NM = bp.FilterSpec(center_nm=1570.0, fwhm_nm=2.81)
@@ -647,13 +609,11 @@ class TestRowHalves:
     def test_apply_filter_matches_one_pass(self, default_config, grids):
         cfg, grid = default_config, grids[0]
         jsa = bp.compute_jsa(cfg.pump, cfg.crystal, grid)
-        raw = bp.JointAmplitude(grid=grid, amplitudes=3.0 * jsa.amplitudes, normalized=False)
         for amplitude, signal_filter, idler_filter in (
             (jsa, FILTER_8NM, FILTER_8NM),
             (jsa, FILTER_8NM, None),
             (jsa, None, FILTER_8NM),
             (jsa, None, None),
-            (raw, FILTER_8NM, FILTER_8NM),
             (jsa, FILTER_2_81NM, FILTER_2_81NM),
         ):
             filtered = bp.apply_filter(amplitude, signal_filter, idler_filter)
@@ -673,14 +633,20 @@ class TestRowHalves:
             (jsa, "signal", None),
             (jsa, "idler", None),
             (jsa, "signal", FILTER_8NM),
+            (jsa, "idler", FILTER_8NM),
             (jsa, "signal", FILTER_2_81NM),
             (jsa, "idler", FILTER_2_81NM),
             (filtered, "signal", FILTER_2_81NM),
         ):
             state = bp.heralded_spectral_state(amplitude, arm, herald_filter=herald_filter)
-            assert np.array_equal(
-                state.density, sequential_herald(amplitude, arm, herald_filter)
-            )
+            f = amplitude.amplitudes
+            if herald_filter is not None:
+                # a herald filter is apply_filter on the traced arm, bit for bit
+                filters = herald_filters(arm, herald_filter)
+                f = sequential_filter(amplitude, *filters)
+                first = bp.heralded_spectral_state(bp.apply_filter(amplitude, *filters), arm)
+                assert np.array_equal(state.density, first.density)
+            assert np.array_equal(state.density, sequential_herald(f, arm))
 
     @pytest.mark.parametrize("call", sorted(ROW_HALF_CALLS))
     def test_no_thread_outlives_the_call(self, default_config, paper_jsa, monkeypatch, call):
@@ -829,12 +795,14 @@ class TestApplyFilter:
             assert np.array_equal(one_arm.amplitudes, paper_jsa.amplitudes)
             assert one_arm.survival.total == pytest.approx(1.0, abs=1e-12)
 
-    def test_unnormalized_input_renormalized(self, paper_jsa):
-        raw = bp.JointAmplitude(grid=paper_jsa.grid, amplitudes=3.0 * paper_jsa.amplitudes,
-                                normalized=False)
-        spec = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
-        filtered = bp.apply_filter(raw, spec, spec)
-        assert abs(filtered.total_probability() - 1.0) < 1e-9
+    @pytest.mark.parametrize("arms", ["signal", "idler", "both"])
+    @pytest.mark.parametrize("fwhm", [30.0, 8.0, 3.0, 2.0])
+    def test_result_passes_the_constructor(self, paper_jsa, arms, fwhm):
+        # every function that takes an amplitude relies on its unit norm, unchecked
+        spec = bp.FilterSpec(center_nm=1570.0, fwhm_nm=fwhm)
+        filtered = bp.apply_filter(paper_jsa, spec if arms != "idler" else None,
+                                   spec if arms != "signal" else None)
+        bp.JointAmplitude(grid=filtered.grid, amplitudes=filtered.amplitudes)
 
     def test_near_identity_gaussian(self, paper_jsa):
         broad = bp.FilterSpec(center_nm=1570.0, fwhm_nm=100000.0)
@@ -875,11 +843,9 @@ class TestApplyFilter:
 
     @pytest.mark.parametrize("fill", [0.0, np.nan])
     def test_zero_or_nan_weight_rejected(self, small_grid, fill):
-        raw = bp.JointAmplitude(grid=small_grid, amplitudes=np.full((64, 64), fill, complex),
-                                normalized=False)
-        spec = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
-        with pytest.raises(DegenerateInputError):
-            bp.apply_filter(raw, spec, spec)
+        # such an amplitude never reaches apply_filter: the constructor rejects it
+        with pytest.raises(InputError, match="normalized"):
+            bp.JointAmplitude(grid=small_grid, amplitudes=np.full((64, 64), fill, complex))
 
     def test_filter_outside_grid(self, paper_jsa):
         far = bp.FilterSpec(center_nm=1200.0, fwhm_nm=5.0, shape="rectangular")
@@ -937,8 +903,8 @@ class TestTinyFlush:
         below = np.nextafter(TINY_ROOT, 0.0)
         parts = np.array([TINY_ROOT, -TINY_ROOT, below, -below, 5e-324, -0.0, 0.0,
                           np.nan, np.inf, -np.inf, 1.0, -1e-200, 1e-150])
-        out = np.empty_like(parts)[None, :]
-        jsa_mod._scale_and_flush(np.multiply, parts[None, :], 1.0, out)
+        out = parts[None, :].copy()
+        jsa_mod._divide_and_flush(out, 1.0)
         expected = np.where(np.abs(parts) < TINY_ROOT, 0.0, parts)
         assert np.array_equal(out[0], expected, equal_nan=True)
         assert not np.any(np.signbit(out[0][expected == 0.0]))  # +0.0, not −0.0
@@ -989,17 +955,12 @@ class TestSchmidtDecompose:
         assert spectrum.schmidt_number == pytest.approx(2.0, abs=1e-9)
 
     def test_all_zero_rejected(self, small_grid):
-        zero = bp.JointAmplitude(
-            grid=small_grid, amplitudes=np.zeros((64, 64), dtype=complex), normalized=False
-        )
+        # no JointAmplitude holds zero weight; a raw zero matrix has no Schmidt spectrum
+        zeros = np.zeros((64, 64), dtype=complex)
+        with pytest.raises(InputError, match="normalized"):
+            bp.JointAmplitude(grid=small_grid, amplitudes=zeros)
         with pytest.raises(DegenerateInputError):
-            bp.schmidt_decompose(zero)
-
-    def test_requires_normalized(self, small_grid):
-        f = np.ones((64, 64), dtype=complex)
-        jsa = bp.JointAmplitude(grid=small_grid, amplitudes=f, normalized=False)
-        with pytest.raises(InputError):
-            bp.schmidt_decompose(jsa)
+            bp.SchmidtSpectrum(amplitudes=zeros)
 
     def test_eigvalsh_runs_only_when_coefficients_read(self, paper_jsa, monkeypatch):
         calls = []

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -249,6 +251,20 @@ class TestGvmDegenerateWavelength:
         )
         with pytest.raises(NoSolutionError):
             bp.gvm_degenerate_wavelength(axes, 20.0)
+
+    @pytest.mark.parametrize(
+        "window", [(1700.0, 1400.0), (1550.0, 1550.0), (-100.0, 1700.0), (0.0, 1700.0),
+                   (1400.0, math.inf), (math.nan, 1700.0), (1400.0, math.nan)],
+    )
+    def test_bad_window_rejected(self, ktp, window):
+        # a reversed window once returned its midpoint, 1550 nm, not the 1581 nm root
+        with pytest.raises(InputError, match="window_nm"):
+            bp.gvm_degenerate_wavelength(ktp, 20.0, window_nm=window)
+
+    @pytest.mark.parametrize("tolerance", [0.0, -0.01, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, ktp, tolerance):
+        with pytest.raises(InputError, match="tolerance_nm"):
+            bp.gvm_degenerate_wavelength(ktp, 20.0, tolerance_nm=tolerance)
 
 
 class TestSpecs:
