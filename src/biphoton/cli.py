@@ -3,8 +3,9 @@
 Subcommands: design, jsa compute, hom, tomo simulate|reconstruct,
 spectro simulate, efficiency. Global flags: --config, --out, --seed,
 --json, --dispersion-file. Exit codes: 0 success, 1 computation error,
-2 usage error; an output path that cannot be created or written exits 1
-with an InputError naming it. Every output file embeds the config digest.
+2 usage error. Only ``main`` writes the JSON error record; a file that
+cannot be read, made or written gives an InputError ``<path>: <reason>``.
+Every output file embeds the config digest.
 Reruns with identical (config, seed) write byte-identical CSVs. The JSON
 reports are byte-identical at a fixed BLAS thread count; with another
 thread count only the Schmidt coefficients in schmidt_report.json can move
@@ -35,7 +36,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -44,23 +44,14 @@ import numpy as np
 
 from . import jsa as jsa_mod, spectrometer
 from .config import RunConfig, check_seed, config_digest, default_config, load_config
-from .dispersion import _read_yaml_file, _spec
-from .errors import BiphotonError, ConfigError, DegenerateInputError, InputError
+from .dispersion import _naming, _read_yaml_file, _spec
+from .errors import BiphotonError, InputError
 from .jsa import FilterSpec
 from .phasematch import _in_two, gvm_angle, gvm_degenerate_wavelength, solve_poling_period
 
 if TYPE_CHECKING:
     from . import polarization
     from .efficiency import CountSummary
-
-
-@contextmanager
-def _os_error_as_input(what: str):
-    """An ``OSError`` or ``UnicodeDecodeError`` in the body raises ``InputError`` on ``what``."""
-    try:
-        yield
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InputError(f"{what}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 def _write_lines(path: Path, header: str, comments: list[str], lines) -> None:
@@ -70,7 +61,7 @@ def _write_lines(path: Path, header: str, comments: list[str], lines) -> None:
     their own rows: ``repr`` of a Python number (from ``ndarray.tolist()``) is
     its shortest round-trip text, where a numpy scalar's is ``np.float64(...)``.
     """
-    with _os_error_as_input(f"cannot write {path}"), path.open("w") as out:
+    with path.open("w") as out:
         out.write("".join(f"# {c}\n" for c in comments) + header + "\n")
         out.writelines(lines)
 
@@ -89,8 +80,10 @@ def _grid_comments(config: RunConfig, digest: str) -> list[str]:
 
 def _data_lines(path, header: str):
     """Each stripped line of the CSV at ``path`` but blanks, comments and the ``header`` line."""
-    with _os_error_as_input(f"cannot read {path}"):
+    try:
         text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith(("#", header)):
@@ -102,8 +95,7 @@ def _report(args, path: Path, report: dict, text: list[str], shown=None) -> int:
 
     Under ``--json`` the report is printed, only its ``shown`` keys if given.
     """
-    with _os_error_as_input(f"cannot write {path}"):
-        path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     if args.json:
         printed = report if shown is None else {key: report[key] for key in shown}
         print(json.dumps(printed, indent=2, sort_keys=True))
@@ -129,20 +121,16 @@ def _resolve_config(args) -> RunConfig:
     return config
 
 
-def _make_dir(path: Path) -> Path:
-    with _os_error_as_input(f"cannot create output directory {path}"):
-        path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
 def _out_dir(config: RunConfig) -> Path:
-    return _make_dir(Path(config.output_dir))
+    path = Path(config.output_dir)
+    path.mkdir(parents=True, exist_ok=True)
+    return path
 
 
 def _out_path(out_file: str | None, config: RunConfig, name: str) -> Path:
     """``out_file`` if given, else ``name`` in the output directory; its directory is made."""
     path = Path(out_file) if out_file else Path(config.output_dir) / name
-    _make_dir(path.parent)
+    path.parent.mkdir(parents=True, exist_ok=True)
     return path
 
 
@@ -403,19 +391,14 @@ def cmd_efficiency(args, config: RunConfig) -> int:
 
     report: dict = {"config_digest": config_digest(config)}
     if args.counts is not None:
-        counts = _read_counts_csv(args.counts)
-        try:
-            eta_signal, eta_idler = klyshko(counts)
-        except ZeroDivisionError as exc:
-            raise DegenerateInputError(str(exc)) from exc
+        eta_signal, eta_idler = klyshko(_read_counts_csv(args.counts))
         report["klyshko_signal"] = eta_signal
         report["klyshko_idler"] = eta_idler
     if args.budget is not None:
-        try:
-            budget = _spec(LossBudget, _read_yaml_file(Path(args.budget)), "budget")
-        except ConfigError as exc:
-            raise InputError(f"bad loss budget {args.budget}: {exc}") from exc
-        report["predicted_heralding"] = predict_heralding(budget)
+        path = Path(args.budget)
+        raw = _read_yaml_file(path)
+        with _naming(path):  # as a registry is read: each error names the file
+            report["predicted_heralding"] = predict_heralding(_spec(LossBudget, raw, ""))
     if args.counts is None and args.budget is None:
         raise InputError("efficiency requires --counts and/or --budget")
     text = [f"  {key} {value:.4f}" for key, value in sorted(report.items())
@@ -486,8 +469,13 @@ def main(argv=None) -> int:
         return args.run(args, _resolve_config(args))
     except BiphotonError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
-        print(json.dumps(record, sort_keys=True), file=sys.stderr)
-        return 1
+    except OSError as exc:  # no filename, as for a closed stdout: its own text
+        message = str(exc) if exc.filename is None else f"{exc.filename}: {exc.strerror}"
+        record = {"error": "InputError", "message": message}
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        record = {"error": "MemoryError", "message": str(exc) or "out of memory"}
+    print(json.dumps(record, sort_keys=True), file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -60,10 +60,12 @@ class ThermalModel:
             raise InputError(f"thermal terms must be finite, got {terms}")
 
     def index_correction(self, wavelength_um, delta_t):
-        """(Δn, λ·dΔn/dλ) at λ in µm and ΔT in °C."""
+        """(Δn, λ·dΔn/dλ) at λ in µm and ΔT in °C; inf or NaN where ΔT² leaves float64."""
         inv = 1.0 / np.asarray(wavelength_um, dtype=float)
         first, second = _inverse_poly(self.first_order, inv), _inverse_poly(self.second_order, inv)
-        return tuple(n1 * delta_t + n2 * delta_t**2 for n1, n2 in zip(first, second))
+        delta_t = np.float64(delta_t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            return tuple(n1 * delta_t + n2 * delta_t**2 for n1, n2 in zip(first, second))
 
 
 def _inverse_poly(coeffs, inv_lambda):
@@ -142,6 +144,9 @@ def _index(sset: SellmeierSet, wavelength_nm, temperature_c: float):
     if sset.thermal is not None and delta_t != 0.0:
         dn, lam_ddn = sset.thermal.index_correction(lam_um, delta_t)
         n, lam_dn = n + dn, lam_dn + lam_ddn
+        if not (np.isfinite(n).all() and np.isfinite(lam_dn).all()):
+            raise InputError(
+                f"index of set {sset.name!r} is not finite at temperature_c {temperature_c!r}")
     return n, lam_dn
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .errors import InputError
+from .errors import DegenerateInputError, InputError
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class CountSummary:
                 raise InputError(f"{name} must be non-negative and finite")
         if not 0.0 < self.integration_time_s < math.inf:  # NaN-safe
             raise InputError("integration_time_s must be positive and finite")
-        corrected = self.coincidences - self.accidental_rate
-        if corrected > min(self.singles_signal, self.singles_idler):
+        if self.corrected_coincidences > min(self.singles_signal, self.singles_idler):
             raise InputError(
                 "coincidences exceed the smaller singles rate after the accidental floor"
             )
@@ -40,9 +39,9 @@ class CountSummary:
 
 
 def klyshko(counts: CountSummary) -> tuple[float, float]:
-    """(η_signal, η_idler) = coincidences over the opposite arm's singles."""
+    """(η_signal, η_idler) = coincidences over the other arm's singles; none at zero singles."""
     if counts.singles_signal == 0 or counts.singles_idler == 0:
-        raise ZeroDivisionError("Klyshko efficiency undefined for zero singles")
+        raise DegenerateInputError("Klyshko efficiency undefined for zero singles")
     coincidences = counts.corrected_coincidences
     return coincidences / counts.singles_idler, coincidences / counts.singles_signal
 
@@ -69,11 +68,5 @@ class LossBudget:
 
 
 def predict_heralding(budget: LossBudget) -> float:
-    """Product of all budget factors."""
-    return (
-        budget.detector_efficiency
-        * budget.optics_transmission
-        * budget.fiber_coupling
-        * budget.filter_survival
-        * budget.mode_overlap
-    )
+    """Product of all budget factors, left to right in declaration order."""
+    return math.prod(getattr(budget, f.name) for f in fields(budget))

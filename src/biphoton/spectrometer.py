@@ -157,8 +157,9 @@ def simulate_jsi_histogram(
     keep = np.outer(keep_signal, keep_idler)
     wrapped = int(cell_counts[~keep].sum())
 
-    bin_signal = np.clip((t_signal // bin_size_ns).astype(int), 0, n_bins - 1)
-    bin_idler = np.clip((t_idler // bin_size_ns).astype(int), 0, n_bins - 1)
+    # clipped before the cast: a time past the int range would not cast
+    bin_signal = np.clip(t_signal // bin_size_ns, 0, n_bins - 1).astype(int)
+    bin_idler = np.clip(t_idler // bin_size_ns, 0, n_bins - 1).astype(int)
     counts = np.zeros((n_bins, n_bins), dtype=np.int64)
     kept = np.where(keep, cell_counts, 0)
     np.add.at(counts, (bin_signal[:, None], bin_idler[None, :]), kept)

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import re
@@ -434,10 +435,10 @@ def _with_input(command, path):
 @pytest.mark.parametrize(
     "command, content, error",
     [
-        (BUDGET, "detector_efficiency: 0.85\nlaser_magic: 0.5\n", "InputError"),
-        (BUDGET, "detector_efficiency: [0.85\n", "InputError"),
-        (BUDGET, "detector_efficiency: true\n", "InputError"),
-        (BUDGET, "detector_efficiency: abc\n", "InputError"),
+        (BUDGET, "detector_efficiency: 0.85\nlaser_magic: 0.5\n", "ConfigError"),
+        (BUDGET, "detector_efficiency: [0.85\n", "ConfigError"),
+        (BUDGET, "detector_efficiency: true\n", "ConfigError"),
+        (BUDGET, "detector_efficiency: abc\n", "ConfigError"),
         (COUNTS, "38000.0,n/a,24300.0\n", "InputError"),
         (COUNTS, "singles_signal,singles_idler,coincidences\n0.0,0.0,0.0\n",
          "DegenerateInputError"),
@@ -494,7 +495,7 @@ def _with_input(command, path):
          "InputError"),
         (REGISTRY, _shipped_registry_with("0.0467695, 0.0138408]", "0.0467695, 0.0138408, 0.01]"),
          "InputError"),
-        (BUDGET, b"detector_efficiency: 0.85 \xe9\n", "InputError"),
+        (BUDGET, b"detector_efficiency: 0.85 \xe9\n", "ConfigError"),
         (COUNTS, b"38000.0,41000.0,24300.0 \xe9\n", "InputError"),
         (RECORDS, b"setting_a,setting_b,counts,integration_s \xe9\n", "InputError"),
         (["--out", IN, "design"], "a file\n", "InputError"),
@@ -507,6 +508,10 @@ def _with_input(command, path):
         ([NO_PHYSICS, "spectro", "simulate", "--out", UNDER_IN], "a file\n", "InputError"),
         ([NO_PHYSICS, "spectro", "simulate", "--seed", "-1"], None, "InputError"),
         ([NO_PHYSICS, *RECORDS, "--out", UNDER_IN], VALID_RECORDS, "InputError"),
+        *(([*CONFIG, *command], MINIMAL.replace("46.15}", f"46.15, temperature_c: {t}}}"),
+           "InputError")
+          for t in ("1e300", "-1e300", "1e200", "1e160")
+          for command in (["design"], ["jsa", "compute"])),
     ],
     ids=[
         "budget-unknown-key", "budget-not-yaml", "budget-bool", "budget-not-a-number",
@@ -535,6 +540,8 @@ def _with_input(command, path):
         "jsa-out-is-a-file-before-the-jsa", "hom-out-is-a-file-before-the-herald",
         "spectro-out-under-a-file-before-the-jsa", "spectro-negative-seed-before-the-jsa",
         "tomo-reconstruct-out-under-a-file-before-the-mle",
+        *(f"{command}-temperature-{t}" for t in ("1e300", "-1e300", "1e200", "1e160")
+          for command in ("design", "jsa")),
     ],
 )
 def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error):
@@ -603,6 +610,77 @@ def test_bad_pair_probability_exits_before_the_curve(tmp_path, capsys, monkeypat
     assert record == {"error": "InputError",
                       "message": f"pair probability must be in [0, 0.25), got {float(probability)}"}
     assert not (tmp_path / "hom_curve.csv").exists()
+
+
+def _one_record(capsys) -> dict:
+    """The one JSON line on stderr, which is all that stderr holds."""
+    (line,) = capsys.readouterr().err.splitlines()
+    return json.loads(line)
+
+
+@pytest.mark.parametrize("case", ["out-under-a-file", "missing-in", "counts-not-utf8",
+                                  "budget-nan"])
+def test_file_failure_record_names_the_path(tmp_path, capsys, case):
+    afile, path = tmp_path / "afile", tmp_path / "input"
+    afile.write_text("a file\n")
+    out = afile / "sub" if case == "out-under-a-file" else tmp_path / "out"
+    if case == "out-under-a-file":
+        argv, message = ["design"], f"{out}: {os.strerror(errno.ENOTDIR)}"
+    elif case == "missing-in":
+        argv, message = ["tomo", "reconstruct", "--in", str(path)], \
+            f"{path}: {os.strerror(errno.ENOENT)}"
+    elif case == "counts-not-utf8":
+        path.write_bytes(b"38000.0,41000.0,24300.0 \xe9\n")
+        argv, message = ["efficiency", "--counts", str(path)], \
+            f"{path}: 'utf-8' codec can't decode byte 0xe9 in position 24: " \
+            "invalid continuation byte"
+    else:
+        path.write_text("detector_efficiency: .nan\n")
+        argv, message = ["efficiency", "--budget", str(path)], \
+            f"{path}: detector_efficiency must be in [0, 1], got nan"
+    assert main(["--out", str(out), *argv]) == 1
+    assert _one_record(capsys) == {"error": "InputError", "message": message}
+
+
+@pytest.mark.parametrize(
+    "raised, record",
+    [
+        (MemoryError("Unable to allocate 32.0 GiB for an array with shape (65536, 65536)"),
+         {"error": "MemoryError",
+          "message": "Unable to allocate 32.0 GiB for an array with shape (65536, 65536)"}),
+        (MemoryError(), {"error": "MemoryError", "message": "out of memory"}),
+        # an OSError without a file, as a closed stdout raises, keeps its own text
+        (BrokenPipeError(errno.EPIPE, "Broken pipe"),
+         {"error": "InputError", "message": "[Errno 32] Broken pipe"}),
+    ],
+    ids=["memory-error", "bare-memory-error", "os-error-without-a-file"],
+)
+@pytest.mark.parametrize("command", [["jsa", "compute"], ["spectro", "simulate"]],
+                         ids=["jsa", "spectro"])
+def test_failure_in_a_stage_exits_one_with_json_record(tmp_path, capsys, monkeypatch, raised,
+                                                       record, command):
+    def fail(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(bp.jsa, "compute_jsa", fail)
+    assert main(["--out", str(tmp_path), *command]) == 1
+    assert _one_record(capsys) == record
+
+
+@pytest.mark.parametrize("delay", ["1e300", "-1e300"])
+def test_spectro_far_insertion_delay_is_silent(tmp_path, default_config, delay):
+    """A delay far past the window wraps every pair, with no cast warning on stderr."""
+    small = config_to_dict(default_config)
+    small["grid"]["points_per_axis"] = 64
+    for arm in ("signal_dcf", "idler_dcf"):
+        small["spectrometer"][arm]["insertion_delay_ns"] = float(delay)
+    cfg_path = tmp_path / "far.yaml"
+    cfg_path.write_text(yaml.safe_dump(small))
+    proc = _python("-m", "biphoton.cli", "--config", cfg_path, "--out", tmp_path,
+                   "spectro", "simulate", "--pairs", "1000")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == f"wrote {tmp_path / 'hist.csv'} (1000 wrapped of 1000)\n"
 
 
 #: the options whose file biphoton reads as YAML

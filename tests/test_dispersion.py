@@ -104,6 +104,13 @@ class TestRefractiveIndex:
         assert n20 != n25
         assert abs(n20 - n25) < 1e-4
 
+    @pytest.mark.parametrize("temperature", [1e300, -1e300, 1e200, 1e160])
+    def test_index_past_float64_names_set_and_temperature(self, ktp, temperature):
+        # ΔT² overflows float64: an InputError, with no RuntimeWarning on the way
+        message = f"index of set 'ktp_z' is not finite at temperature_c {temperature!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            bp.refractive_index(ktp.signal, np.array([1560.0, 1570.0]), temperature)
+
 
 class TestWavenumber:
     def test_constant_index_round_numbers(self):

@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import biphoton as bp
-from biphoton.errors import InputError
+from biphoton.errors import DegenerateInputError, InputError
 
 
 class TestKlyshko:
@@ -21,7 +21,7 @@ class TestKlyshko:
 
     def test_zero_singles_division_error(self):
         counts = bp.CountSummary(singles_signal=0, singles_idler=0, coincidences=0)
-        with pytest.raises(ZeroDivisionError):
+        with pytest.raises(DegenerateInputError, match="zero singles"):
             bp.klyshko(counts)
 
     def test_accidental_subtraction_optional(self):
@@ -86,6 +86,12 @@ class TestLossBudget:
             bp.LossBudget(detector_efficiency=1.2)
         with pytest.raises(InputError):
             bp.LossBudget(fiber_coupling=-0.1)
+
+    @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=5, max_size=5))
+    def test_product_left_to_right_in_declaration_order(self, factors):
+        detector, optics, fiber, survival, overlap = factors
+        budget = bp.LossBudget(*factors)
+        assert bp.predict_heralding(budget) == detector * optics * fiber * survival * overlap
 
     @given(
         detector=st.floats(min_value=0.0, max_value=1.0),
