@@ -11,11 +11,11 @@ conversion algorithm", 2020); they are also those of Schubfach, Ryū and
 the dtoa behind ``repr``. Each float takes one product of its significand
 and a 128-bit power of ten, built from 30-bit limbs on ``uint64`` arrays.
 The few whose digits hang on an end of the rounding interval or on a tie
-take a second product, on that subset of the block alone; a power of two
-above 2^-1022, whose interval is shorter below, takes digits preset at
-import. The layout is ``repr``'s: with the float written 0.d₁d₂…dₙ ×
-10^decpt, fixed notation for −4 < decpt ≤ 16, else ``d.ddde±XX``; and
-``0.0``, ``-0.0``, ``inf``, ``-inf`` and ``nan``.
+take a second product, on that subset of the block alone. Inf, nan and the
+powers of two above 2^-1022, whose interval is shorter below, take ``repr``
+itself, cell by cell. The layout is ``repr``'s: with the float written
+0.d₁d₂…dₙ × 10^decpt, fixed notation for −4 < decpt ≤ 16, else
+``d.ddde±XX``; and ``0.0`` and ``-0.0``.
 
 Each float becomes a 32-byte cell, four little-endian ``uint64`` words,
 padded with NUL bytes that are dropped from the block's bytes at the end:
@@ -45,7 +45,6 @@ _U = np.uint64
 _WORD = np.dtype("<u8")
 _M30 = _U((1 << 30) - 1)
 _FRACTION = _U((1 << 52) - 1)
-_EXPONENT_BITS = _U(0x7FF << 52)
 _ASCII_ZEROS = _U(0x3030303030303030)
 #: 10^0 … 10^17: the digit count of an integer is how many of them it reaches
 _POW10 = np.array([10**j for j in range(18)], dtype=np.uint64)
@@ -76,10 +75,9 @@ def _scale_tables():
     interval (2c ± 1)·2^(e−1) is δ = 2^e·10^K ∈ [100, 1000) wide. Rows: the
     hidden bit and the 30-bit limbs of φ·2^β, for φ the power 10^K and β = e
     + ⌊log₂ 10^K⌋, so that ⌊φ·2^β / 2^127⌋ = ⌊δ⌋; the exponent 2 − K of the
-    last digit; preset digits, and the flagged rows that take them: 0 at
-    10^1 for zeros, inf and nan, and Dragonbox's digits for a zero fraction
-    (f > 1), whose interval [c − ½, c + 1]·2^e is shorter below. Subnormals
-    are flagged too, but keep their digits.
+    last digit, 1 for zeros, whose digits come out 0; and the rows that take
+    ``repr`` instead: inf and nan (f = 2047), and a zero fraction at f > 1,
+    whose interval [c − ½, c + 1]·2^e is shorter below.
     """
     words = _powers()
     index = np.arange(4096)
@@ -93,25 +91,8 @@ def _scale_tables():
                       (w0 >> _U(60)) | ((w1 << _U(4)) & _M30), (w1 >> _U(26)) & _M30,
                       (w1 >> _U(56)) | (w2 << _U(8))], dtype=np.uint64)
 
-    shorter = (index & 1 == 1) & (field > 1) & (field < 2047)
-    e = e[shorter]
-    k = (e * 631305 - 261663) >> 21  # −K′
-    top = words[-k - _K_MIN, 1]
-    shift = (11 - e - ((-k * 1741647) >> 19)).astype(np.uint64)  # 11 − β′, 8 … 11
-    # the lowest integer above the lower end (which is one only for e = 2 and 3,
-    # where it is not the answer), the upper end over 10, and the float
-    # rounded, whose one tie is at e = −77
-    lower = ((top - (top >> _U(54))) >> shift) + _U(1)
-    upper = ((top + (top >> _U(53))) >> shift) // _U(10)
-    nearest = ((top >> (shift - _U(1))) + _U(1)) >> _U(1)
-    nearest = np.where((nearest & _U(1) == 1) & (e == -77), nearest - _U(1),
-                       nearest + (nearest < lower))
-    fewer = upper * _U(10) >= lower
-    preset = np.zeros(4096, dtype=np.uint64)
-    preset[shorter] = np.where(fewer, upper, nearest)
-    exponent[shorter] = k + fewer
-    exponent[[1, 4094, 4095]] = 1
-    return scale, exponent, preset, shorter | (index < 2) | (index >= 4094)
+    exponent[1] = 1
+    return scale, exponent, (field == 2047) | ((index & 1 == 1) & (field > 1))
 
 
 def _cells(cells) -> np.ndarray:
@@ -157,13 +138,9 @@ def _exponent_words() -> np.ndarray:
     return _cells(cells)[:, 3].copy()
 
 
-_SCALE, _E10, _PRESET, _FLAGGED = _scale_tables()
+_SCALE, _E10, _REPR = _scale_tables()
 _LAYOUT = _layout_table()
 _EXPONENT_WORDS = _exponent_words()
-#: whole cells of inf, -inf and nan (any sign)
-_SPECIAL = _cells([b"\0" * 7 + b"inf".ljust(24, b"\0") + b",",
-                   b"-" + b"\0" * 6 + b"inf".ljust(24, b"\0") + b",",
-                   b"\0" * 7 + b"nan".ljust(24, b"\0") + b","])
 
 
 def _product(g, u):
@@ -187,16 +164,13 @@ def _product(g, u):
     return top, fraction == 0
 
 
-def _shortest(bits: np.ndarray):
+def _shortest(bits: np.ndarray, index: np.ndarray):
     """Shortest digits of each float, |x| = d · 10^e: (d, its digit count, e).
 
-    Zeros, inf and nan give no digits at 10^1.
+    ``index`` is each float's row of the tables. Zeros give no digits at 10^1.
     """
-    fraction = bits & _FRACTION
-    index = (bits >> _U(51)) & _U(0xFFE)
-    index |= fraction == 0
     scale = _SCALE.take(index, axis=1)
-    c, g = fraction | scale[0], scale[1:]
+    c, g = (bits & _FRACTION) | scale[0], scale[1:]
     # ⌊z⌋ = 1000·s + r for the upper end z: 1000·s, the one multiple of 1000
     # that the interval may hold, is inside if r < ⌊δ⌋, unless it is z and
     # z is excluded (odd c); at r = ⌊δ⌋ it is inside if it is ⌊x⌋ + 1 for the
@@ -221,10 +195,8 @@ def _shortest(bits: np.ndarray):
     q[ties] -= (y | (q[ties] * whole)) & _U(1)
     digits = s * _U(10) + np.where(inside, _U(10), q) - _U(10)
     length = 16 + (digits >= _U(10**16))  # for normal floats
-    flagged = np.flatnonzero(_FLAGGED[index])
-    kept = np.where(index[flagged] == 0, digits[flagged], _PRESET[index[flagged]])
-    digits[flagged] = kept
-    length[flagged] = np.searchsorted(_POW10, kept, side="right")
+    small = np.flatnonzero(index < _U(2))  # subnormals and zeros
+    length[small] = np.searchsorted(_POW10, digits[small], side="right")
     return digits, length, _E10[index]
 
 
@@ -242,8 +214,8 @@ def csv_lines(block: np.ndarray) -> str:
     """The CSV lines of a 2-D float64 block, each cell the ``repr`` of its float."""
     rows, cols = block.shape
     bits = np.ascontiguousarray(block, dtype=np.float64).reshape(-1).view(np.uint64)
-    nonfinite = (bits & _EXPONENT_BITS) == _EXPONENT_BITS
-    digits, length, e10 = _shortest(bits)
+    index = ((bits >> _U(51)) & _U(0xFFE)) | ((bits & _FRACTION) == 0)
+    digits, length, e10 = _shortest(bits, index)
     decpt = length + e10
     # 17 digits, trailing zeros included: the first, then two words of eight
     scaled = digits * _POW10[17 - length]
@@ -265,10 +237,10 @@ def csv_lines(block: np.ndarray) -> str:
     cell[:, 1] = (high & left1) | (((high << _U(8)) | first) & right1) | point1
     cell[:, 2] = (low & left2) | (((low << _U(8)) | (high >> _U(56))) & right2) | point2
     cell[:, 3] = ((low >> _U(56)) & right3) | _EXPONENT_WORDS[decpt - _DECPT_MIN]
-    if nonfinite.any():
-        special = np.flatnonzero(nonfinite)
-        nan = (bits[special] & _FRACTION) != 0
-        cell[special] = _SPECIAL[np.where(nan, 2, bits[special] >> _U(63))]
+    # inf, nan and the powers of two above 2^-1022: their cells above are replaced
+    special = np.flatnonzero(_REPR[index])
+    cell[special] = _cells(repr(x).encode().ljust(31, b"\0") + b","
+                           for x in bits[special].view(np.float64).tolist())
     text = cell.view(np.uint8).reshape(rows, cols, 32)
     text[:, -1, 31] = ord("\n")
     return text.tobytes().translate(None, b"\0").decode("ascii")

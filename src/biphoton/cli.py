@@ -34,7 +34,9 @@ registry, loss budget) is parsed by ``dispersion.read_yaml``.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -121,26 +123,29 @@ def _resolve_config(args) -> RunConfig:
     return config
 
 
-def _out_dir(config: RunConfig) -> Path:
-    path = Path(config.output_dir)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+def _out_path(config: RunConfig, name: str, out_file: str | None = None) -> Path:
+    """``out_file`` if given, else ``name`` in the output directory; its directory is made.
 
-
-def _out_path(out_file: str | None, config: RunConfig, name: str) -> Path:
-    """``out_file`` if given, else ``name`` in the output directory; its directory is made."""
+    A regular file in the place of that directory raises ``NotADirectoryError``,
+    as a regular file further up the path already does.
+    """
     path = Path(out_file) if out_file else Path(config.output_dir) / name
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except FileExistsError as exc:
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), exc.filename) from exc
     return path
 
 
 def _jsa(args, config: RunConfig) -> jsa_mod.JointAmplitude:
-    """The profile's amplitude, filtered by ``--filter-nm`` or else by the config's filters."""
+    """The profile's amplitude, filtered by ``--filter-nm`` or else by the config's filters.
+
+    ``--filter-nm`` centres each arm's filter on that arm's grid centre.
+    """
     signal_filter, idler_filter = config.signal_filter, config.idler_filter
     if args.filter_nm is not None:
-        signal_filter = idler_filter = FilterSpec(
-            center_nm=config.grid.center_signal_nm, fwhm_nm=args.filter_nm
-        )
+        signal_filter = FilterSpec(center_nm=config.grid.center_signal_nm, fwhm_nm=args.filter_nm)
+        idler_filter = FilterSpec(center_nm=config.grid.center_idler_nm, fwhm_nm=args.filter_nm)
     amplitude = jsa_mod.compute_jsa(config.pump, config.crystal, config.grid)
     if signal_filter is None and idler_filter is None:
         return amplitude
@@ -161,7 +166,7 @@ def cmd_design(args, config: RunConfig) -> int:
         "gvm_angle_deg": angle,
         "config_digest": config_digest(config),
     }
-    return _report(args, _out_dir(config) / "design.json", report, [
+    return _report(args, _out_path(config, "design.json"), report, [
         "design report",
         f"  poling_period_um   {poling:.4f}",
         f"  gvm_wavelength_nm  {gvm_nm:.2f}",
@@ -173,7 +178,7 @@ def cmd_jsa(args, config: RunConfig) -> int:
     # imported here: building its tables would cost every other subcommand 3 ms
     from ._floatrepr import csv_chunks
 
-    out = _out_dir(config)
+    out = _out_path(config, "schmidt_report.json").parent
     amplitude = _jsa(args, config)
     digest = config_digest(config)
     comments = _grid_comments(config, digest)
@@ -242,7 +247,7 @@ def cmd_hom(args, config: RunConfig) -> int:
     if args.pair_probability is not None:
         # checked before any physics, so a bad value leaves no curve behind
         interference.multipair_visibility_bound(args.pair_probability)
-    out = _out_dir(config)
+    out = _out_path(config, "hom_report.json").parent
     # the amplitude and its cached Gram are dropped once the herald is formed
     state = interference.heralded_spectral_state(_jsa(args, config), "signal")
     visibility = interference.hom_visibility(state, state)
@@ -277,7 +282,7 @@ def cmd_tomo_simulate(args, config: RunConfig) -> int:
         mean_counts_per_setting=args.mean_counts,
         seed=config.seed,
     )
-    out_path = _out_path(args.out_file, config, "tomography.csv")
+    out_path = _out_path(config, "tomography.csv", args.out_file)
     _write_lines(
         out_path,
         "setting_a,setting_b,counts,integration_s",
@@ -316,7 +321,7 @@ def cmd_tomo_reconstruct(args, config: RunConfig) -> int:
     from . import polarization
 
     records = read_tomography_records(args.in_file)
-    out_path = _out_path(args.out_file, config, "tomography_state.json")
+    out_path = _out_path(config, "tomography_state.json", args.out_file)
     state = polarization.reconstruct_mle(records)
     report = {
         "config_digest": config_digest(config),
@@ -334,7 +339,7 @@ def cmd_tomo_reconstruct(args, config: RunConfig) -> int:
 def cmd_spectro(args, config: RunConfig) -> int:
     seed = args.spectro_seed if args.spectro_seed is not None else config.seed
     check_seed(seed)  # the subcommand's --seed enters here, not through the config
-    out_path = _out_path(args.out_file, config, "hist.csv")
+    out_path = _out_path(config, "hist.csv", args.out_file)
     amplitude = jsa_mod.compute_jsa(config.pump, config.crystal, config.grid)
     histogram = spectrometer.simulate_jsi_histogram(
         amplitude,
@@ -403,7 +408,7 @@ def cmd_efficiency(args, config: RunConfig) -> int:
         raise InputError("efficiency requires --counts and/or --budget")
     text = [f"  {key} {value:.4f}" for key, value in sorted(report.items())
             if key != "config_digest"]
-    return _report(args, _out_dir(config) / "efficiency.json", report, text)
+    return _report(args, _out_path(config, "efficiency.json"), report, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -424,11 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_jsa = sub.add_parser("jsa", help="joint spectral amplitude pipeline")
     jsa_sub = p_jsa.add_subparsers(dest="jsa_command", required=True)
     p_jsa_compute = jsa_sub.add_parser("compute", help="compute, filter and decompose the JSA")
-    p_jsa_compute.add_argument("--filter-nm", type=float, help="Gaussian filter FWHM both arms")
+    p_jsa_compute.add_argument("--filter-nm", type=float,
+                               help="Gaussian filter FWHM on both arms, each at its grid centre")
     p_jsa_compute.set_defaults(run=cmd_jsa)
 
     p_hom = sub.add_parser("hom", help="two-source interference prediction")
-    p_hom.add_argument("--filter-nm", type=float, help="Gaussian filter FWHM both arms")
+    p_hom.add_argument("--filter-nm", type=float,
+                       help="Gaussian filter FWHM on both arms, each at its grid centre")
     p_hom.add_argument("--delays", default="-2000:2000:50", help="start:stop:step in fs")
     p_hom.add_argument("--pair-probability", type=float, help="pair/pulse probability")
     p_hom.set_defaults(run=cmd_hom)

@@ -128,6 +128,10 @@ class TomographyRecord:
                 )
         if self.counts < 0:
             raise InputError("counts must be non-negative")
+        if not 0.0 < self.integration_time_s < math.inf:  # NaN-safe
+            raise InputError(
+                f"integration_time_s must be positive and finite, got {self.integration_time_s}"
+            )
 
 
 def full_settings() -> list[tuple[str, str]]:
@@ -220,8 +224,10 @@ _TRACELESS_BASES = {dim: _traceless_hermitian_basis(dim) for dim in range(1, 5)}
 class _Likelihood:
     """LL = Σ n_k ln p_k − N ln Σ p_k with p_k = Tr(P_k ρ), and its derivatives.
 
-    The Poisson likelihood of the counts with the rate profiled out, so it
-    does not change when ρ is scaled. It is evaluated on σ = G^½ρG^½ with
+    P_k is the projector of setting k times its integration time, since the
+    expected counts are the rate times the time. LL is the Poisson
+    likelihood of the counts with the rate profiled out, so it does not
+    change when ρ is scaled. It is evaluated on σ = G^½ρG^½ with
     G = Σ P_k: then p_k = Tr(Q_k σ) with Q_k = G^-½P_kG^-½ and ΣQ_k = I,
     so Σp_k = Tr σ whatever the settings are. A setting with n_k = 0 enters
     only through Σ p_k, so p_k → 0 there gives no 0/0 term.
@@ -230,7 +236,8 @@ class _Likelihood:
     def __init__(self, records):
         counts = np.array([float(r.counts) for r in records])
         self.total = counts.sum()
-        projectors = np.array([projector(r.setting_a, r.setting_b) for r in records])
+        projectors = np.array([r.integration_time_s * projector(r.setting_a, r.setting_b)
+                               for r in records])
         # G is positive definite for informationally complete settings
         values, vectors = np.linalg.eigh(projectors.sum(axis=0))
         self.whiten = (vectors / np.sqrt(values)) @ vectors.conj().T  # G^-½

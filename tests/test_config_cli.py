@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+from dataclasses import replace
 from importlib import resources
 from pathlib import Path
 
@@ -453,6 +454,8 @@ def _with_input(command, path):
         (["tomo", "simulate", "--phase-error", "nan"], None, "InputError"),
         (RECORDS, "setting_a,setting_b,counts,integration_s\nH,H,12.5,1.0\n", "InputError"),
         (RECORDS, None, "InputError"),  # the file does not exist
+        (RECORDS, VALID_RECORDS.replace(",1.0\n", ",nan\n"), "InputError"),
+        (RECORDS, VALID_RECORDS.replace(",1.0\n", ",-5.0\n"), "InputError"),
         (HOM_PAST_REVIVAL, None, "InputError"),
         (["hom", "--delays=nan:0:1"], None, "InputError"),
         (["hom", "--delays=0:inf:1"], None, "InputError"),
@@ -520,6 +523,7 @@ def _with_input(command, path):
         "tomo-mean-counts-past-poisson-limit",
         "spectro-pairs-past-int64", "negative-global-seed", "negative-spectro-seed",
         "negative-config-seed", "tomo-phase-error-nan", "tomo-fractional-count", "tomo-missing-in",
+        "tomo-integration-nan", "tomo-integration-negative",
         "hom-delay-past-revival", "hom-delay-nan", "hom-delay-inf", "hom-filter-nan",
         "jsa-filter-fwhm-squared-subnormal", "jsa-filter-fwhm-squared-zero",
         "hom-filter-fwhm-squared-zero",
@@ -618,14 +622,17 @@ def _one_record(capsys) -> dict:
     return json.loads(line)
 
 
-@pytest.mark.parametrize("case", ["out-under-a-file", "missing-in", "counts-not-utf8",
-                                  "budget-nan"])
+@pytest.mark.parametrize("case", ["out-under-a-file", "out-is-a-file", "tomo-out-under-a-file",
+                                  "missing-in", "counts-not-utf8", "budget-nan"])
 def test_file_failure_record_names_the_path(tmp_path, capsys, case):
     afile, path = tmp_path / "afile", tmp_path / "input"
     afile.write_text("a file\n")
-    out = afile / "sub" if case == "out-under-a-file" else tmp_path / "out"
-    if case == "out-under-a-file":
+    out = {"out-under-a-file": afile / "sub", "out-is-a-file": afile}.get(case, tmp_path / "out")
+    if case in ("out-under-a-file", "out-is-a-file"):
         argv, message = ["design"], f"{out}: {os.strerror(errno.ENOTDIR)}"
+    elif case == "tomo-out-under-a-file":
+        argv, message = ["tomo", "simulate", "--out", str(afile / "x.csv")], \
+            f"{afile}: {os.strerror(errno.ENOTDIR)}"
     elif case == "missing-in":
         argv, message = ["tomo", "reconstruct", "--in", str(path)], \
             f"{path}: {os.strerror(errno.ENOENT)}"
@@ -893,6 +900,20 @@ def test_jsa_csvs_match_repr_writer(tmp_path, capsys, default_config, filter_nm)
              comments, np.abs(f) ** 2)
     for name in ("jsa_amplitudes.csv", "jsa_intensity.csv"):
         assert (tmp_path / "cli" / name).read_bytes() == (reference / name).read_bytes()
+
+
+@pytest.mark.parametrize("width", [8.0, 2.0])
+def test_filter_nm_centres_each_arm_on_its_grid_centre(default_config, width):
+    from biphoton import cli
+
+    grid = bp.FrequencyGrid(center_signal_nm=1560.0, center_idler_nm=1580.0, points_per_axis=64)
+    config = replace(default_config, grid=grid, signal_filter=None, idler_filter=None)
+    filtered = replace(config, signal_filter=bp.FilterSpec(center_nm=1560.0, fwhm_nm=width),
+                       idler_filter=bp.FilterSpec(center_nm=1580.0, fwhm_nm=width))
+    flag = cli._jsa(argparse.Namespace(filter_nm=width), config)
+    written = cli._jsa(argparse.Namespace(filter_nm=None), filtered)
+    assert np.array_equal(flag.amplitudes, written.amplitudes)
+    assert flag.survival == written.survival
 
 
 def _small_config(tmp_path, default_config):

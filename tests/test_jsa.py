@@ -210,6 +210,18 @@ class TestComputeJsa:
         bp.JointAmplitude(grid=small_grid, amplitudes=jsa.amplitudes)
         assert len(calls) == 1
 
+    def test_grid_window_acts_as_a_rectangular_filter(self, default_config):
+        # the purity on ±60 nm is that of ±120 nm behind a ±60 nm rectangle on both
+        # arms; without the rectangle, ±120 nm reads about 0.02 lower
+        pump, crystal = default_config.pump, default_config.crystal
+        window = bp.compute_jsa(pump, crystal, bp.FrequencyGrid(points_per_axis=256))
+        wide = bp.compute_jsa(pump, crystal,
+                              bp.FrequencyGrid(half_span_nm=120.0, points_per_axis=512))
+        rectangle = bp.FilterSpec(center_nm=1570.0, fwhm_nm=120.0, shape="rectangular")
+        inside = bp.apply_filter(wide, rectangle, rectangle)
+        assert abs(gram_purity(window) - gram_purity(inside)) < 1e-4
+        assert gram_purity(window) - gram_purity(wide) > 0.01
+
     def test_grid_outside_range_fails_fast(self, default_config):
         grid = bp.FrequencyGrid(half_span_nm=500.0, points_per_axis=16)
         with pytest.raises(bp.errors.WavelengthRangeError):

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -149,6 +151,10 @@ class TestSimulateTomography:
             bp.TomographyRecord(setting_a="X", setting_b="H", counts=1)
         with pytest.raises(InputError):
             bp.TomographyRecord(setting_a="H", setting_b="V", counts=-1)
+        for time_s in (0.0, -5.0, np.inf, np.nan):
+            with pytest.raises(InputError, match="integration_time_s must be positive"):
+                bp.TomographyRecord(setting_a="H", setting_b="V", counts=1,
+                                    integration_time_s=time_s)
 
 
 class TestReconstructMle:
@@ -172,6 +178,20 @@ class TestReconstructMle:
             recovered = bp.reconstruct_mle(records)
             errors.append(abs(bp.fidelity_singlet(recovered) - 0.97))
         assert np.median(errors) < 0.01
+
+    def test_integration_time_weights_its_setting(self):
+        # the records `tomo simulate` writes by default, with HH counted for 10x the
+        # time and 10x the counts: the same state, while the counts alone, at the
+        # old time, pull the fidelity down by 0.025
+        seed = bp.default_config().seed
+        records = bp.simulate_tomography(werner(0.028), bp.full_settings(), 10_000, seed=seed)
+        longer = replace(records[0], counts=10 * records[0].counts)
+        equal = bp.fidelity_singlet(bp.reconstruct_mle(records))
+        mixed = bp.fidelity_singlet(bp.reconstruct_mle(
+            [replace(longer, integration_time_s=10.0), *records[1:]]))
+        ignored = bp.fidelity_singlet(bp.reconstruct_mle([longer, *records[1:]]))
+        assert abs(mixed - equal) < 1e-6
+        assert equal - ignored > 0.02
 
     def test_missing_circular_settings_rank_deficient(self):
         truth = werner(0.02)
