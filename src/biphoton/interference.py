@@ -6,11 +6,11 @@ two independently heralded photons is the state overlap Tr(ρ_a ρ_b), and
 the coincidence dip P(τ) sums the 2N − 1 diagonals of ρ_a ∘ ρ_bᵀ, each with
 its relative-delay phase.
 
-A herald filter is ``jsa.apply_filter`` on the traced arm. The heralded
-state's N² element-wise stage, ρ = G / Re Tr G, runs in two row halves at
-once, the first on the one daemon split worker; the overlap and the
-curve's sums are numpy's own loops, not BLAS, so their bits do not depend
-on the thread or CPU count.
+A herald filter is the caller's ``jsa.apply_filter`` on the traced arm.
+The heralded state's N² element-wise stage, ρ = G / Re Tr G, runs in two
+row halves at once, the first on the one daemon split worker; the overlap
+and the curve's sums are numpy's own loops, not BLAS, so their bits do
+not depend on the thread or CPU count.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from ._contracts import built_valid, check_density_matrix
 from .errors import AxisMismatchError, InputError
-from .jsa import FilterSpec, JointAmplitude, _gram, _real_dot, _sum_sq, apply_filter
+from .jsa import JointAmplitude, _gram, _real_dot, _sum_sq
 from .phasematch import _in_row_halves
 
 
@@ -57,37 +57,31 @@ class HomCurve:
             raise InputError("delays and probabilities must have equal length")
 
 
-def heralded_spectral_state(
-    jsa: JointAmplitude,
-    heralded_arm: str = "signal",
-    herald_filter: FilterSpec | None = None,
-) -> SpectralState:
+def heralded_spectral_state(jsa: JointAmplitude, heralded_arm: str = "signal") -> SpectralState:
     """Reduced state of one arm after detecting its partner.
 
-    ρ(ω, ω') = Σ_h f(ω, ω_h) f*(ω', ω_h) Δω_h with any herald filter
-    applied to the traced arm first, by ``apply_filter``; Tr(ρ²) equals the
-    Schmidt purity of the filtered joint amplitude. The returned state is
-    not revalidated: ρ is valid by construction.
+    ρ(ω, ω') = Σ_h f(ω, ω_h) f*(ω', ω_h) Δω_h; Tr(ρ²) equals the Schmidt
+    purity of the joint amplitude. A herald filter is ``apply_filter`` on
+    the traced arm first: ``heralded_spectral_state(apply_filter(jsa, None,
+    f), "signal")``, whose survivals then stay with the caller. The returned
+    state is not revalidated: ρ is valid by construction.
 
     ρ = G / Re Tr G for the Gram G = FF†, in one pass: the herald step Δω_h
     scales G and its trace alike and cancels. The signal arm divides the
-    (filtered) amplitude's cached ``gram`` into a fresh array, so a purity
-    and a herald of one amplitude share one Gram product (the Gram stays
-    cached on the amplitude, N²·16 bytes); the idler arm forms its own with
-    the same ``_gram``. The density never shares memory with the cached
+    amplitude's cached ``gram`` into a fresh array, so a purity and a
+    herald of one amplitude share one Gram product (the Gram stays cached
+    on the amplitude, N²·16 bytes); the idler arm forms its own with the
+    same ``_gram``. The density never shares memory with the cached
     Gram. The division by the trace runs in two row halves at once, each
     element as in one pass, so the bits do not depend on the split; the
     trace is summed whole.
     """
     if heralded_arm == "signal":
-        filters, omegas = (None, herald_filter), jsa.grid.signal_omegas
+        gram, omegas = jsa.gram, jsa.grid.signal_omegas
     elif heralded_arm == "idler":
-        filters, omegas = (herald_filter, None), jsa.grid.idler_omegas
+        gram, omegas = _gram(jsa.amplitudes.T), jsa.grid.idler_omegas
     else:
         raise InputError(f"heralded_arm must be 'signal' or 'idler', got {heralded_arm!r}")
-    if herald_filter is not None:
-        jsa = apply_filter(jsa, *filters)
-    gram = jsa.gram if heralded_arm == "signal" else _gram(jsa.amplitudes.T)
     # Re Tr FF† = Σ|f|² > 0 for a unit-norm amplitude
     trace = float(np.real(np.trace(gram)))
     density = np.empty(gram.shape, dtype=complex)

@@ -25,9 +25,10 @@ function.
 
 Every ``JointAmplitude`` has unit norm (its constructor checks it; the
 library divides its own by the norm just summed), so nothing checks it
-again, and every filter, a herald filter too, is ``apply_filter``. A
-filtered amplitude has every real or imaginary part below √tiny = 2⁻⁵¹¹
-in magnitude set to +0.0. A product of two remaining parts is then 0 or a
+again. Every filter is ``apply_filter``; a herald filter is one on the
+traced arm, applied before ``heralded_spectral_state``. A filtered
+amplitude has every real or imaginary part below √tiny = 2⁻⁵¹¹ in
+magnitude set to +0.0. A product of two remaining parts is then 0 or a
 normal double, so its Gram does no subnormal arithmetic, which costs a
 microcode assist per multiply-add: behind narrow Gaussian filters √T
 drives parts down to 1e-323, and the 512² Gram took 2–4× as long. Such a

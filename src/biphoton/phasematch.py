@@ -375,17 +375,15 @@ def gvm_degenerate_wavelength(
     axes: CrystalAxes,
     temperature_c: float = 20.0,
     window_nm: tuple[float, float] = GVM_SEARCH_WINDOW_NM,
-    tolerance_nm: float = 0.01,
 ) -> float:
     """Degenerate downconversion wavelength where k'_p = (k'_s + k'_i)/2.
 
     Bracketed bisection of the residual over ``window_nm`` for a pump at
-    half the downconversion wavelength; converges well below
-    ``tolerance_nm``.
+    half the downconversion wavelength, down to a 1e-6 nm bracket.
 
     Raises:
         InputError: the window is not a positive, finite, increasing
-            interval, or the tolerance is not positive and finite.
+            interval.
         DegenerateInputError: the residual vanishes identically
             (dispersionless axes satisfy the condition everywhere).
         NoSolutionError: no sign change inside the window.
@@ -393,8 +391,6 @@ def gvm_degenerate_wavelength(
     lo, hi = window_nm
     if not 0.0 < lo < hi < math.inf:
         raise InputError("window_nm must be a positive, finite, increasing interval")
-    if not 0.0 < tolerance_nm < math.inf:
-        raise InputError(f"tolerance_nm must be positive and finite, got {tolerance_nm!r}")
     probes = np.linspace(lo, hi, 5)
     residuals = [_gvm_residual(axes, lam, temperature_c) for lam in probes]
     # residuals of a few ulp of k'_p (~1e-15 fs/um) are rounding: GVM holds everywhere
@@ -414,9 +410,9 @@ def gvm_degenerate_wavelength(
             f"(residuals {f_lo:.3e} and {f_hi:.3e} fs/um)"
         )
     a, b, f_a = lo, hi, f_lo
-    # bisect far below the documented tolerance so the residual contract
-    # (|residual| < 1e-8 fs/um) holds with margin
-    while b - a > min(tolerance_nm, 1e-6):
+    # bisect to 1e-6 nm so the residual contract (|residual| < 1e-8 fs/um)
+    # holds with margin
+    while b - a > 1e-6:
         mid = 0.5 * (a + b)
         f_mid = _gvm_residual(axes, mid, temperature_c)
         if f_mid == 0.0:

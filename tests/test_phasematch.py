@@ -261,11 +261,6 @@ class TestGvmDegenerateWavelength:
         with pytest.raises(InputError, match="window_nm"):
             bp.gvm_degenerate_wavelength(ktp, 20.0, window_nm=window)
 
-    @pytest.mark.parametrize("tolerance", [0.0, -0.01, math.nan, math.inf])
-    def test_bad_tolerance_rejected(self, ktp, tolerance):
-        with pytest.raises(InputError, match="tolerance_nm"):
-            bp.gvm_degenerate_wavelength(ktp, 20.0, tolerance_nm=tolerance)
-
 
 class TestSpecs:
     def test_pump_validation(self):
