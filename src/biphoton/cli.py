@@ -81,11 +81,14 @@ def _grid_comments(config: RunConfig, digest: str) -> list[str]:
 
 
 def _data_lines(path, header: str):
-    """Each stripped line of the CSV at ``path`` but blanks, comments and the ``header`` line."""
+    """Each stripped line of the CSV at ``path`` but blanks, comments and the ``header`` line.
+
+    Callers read it under ``_naming(path)``, which puts the file in front of each error.
+    """
     try:
         text = Path(path).read_text()
     except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise InputError(str(exc)) from exc
     for line in text.splitlines():
         line = line.strip()
         if line and not line.startswith(("#", header)):
@@ -294,26 +297,25 @@ def cmd_tomo_simulate(args, config: RunConfig) -> int:
 
 
 def read_tomography_records(path: str | Path) -> list[polarization.TomographyRecord]:
+    """The records of a tomography CSV; each error names the file and quotes its row."""
     from . import polarization
 
     records = []
-    for line in _data_lines(path, "setting_a"):
-        try:
-            setting_a, setting_b, counts, integration = line.split(",")
-            counts, integration = int(counts), float(integration)
-        except ValueError as exc:
-            raise InputError(
-                f"bad tomography row {line!r}: expected setting_a,setting_b,"
-                "integer counts,integration_s"
-            ) from exc
-        records.append(
-            polarization.TomographyRecord(
-                setting_a=setting_a.strip(),
-                setting_b=setting_b.strip(),
-                counts=counts,
-                integration_time_s=integration,
-            )
-        )
+    with _naming(path):
+        for line in _data_lines(path, "setting_a"):
+            try:
+                setting_a, setting_b, counts, integration = line.split(",")
+                counts, integration = int(counts), float(integration)
+            except ValueError as exc:
+                raise InputError(
+                    f"bad tomography row {line!r}: expected setting_a,setting_b,"
+                    "integer counts,integration_s"
+                ) from exc
+            try:
+                records.append(polarization.TomographyRecord(
+                    setting_a.strip(), setting_b.strip(), counts, integration))
+            except InputError as exc:
+                raise InputError(f"bad tomography row {line!r}: {exc}") from None
     return records
 
 
@@ -374,21 +376,23 @@ def cmd_spectro(args, config: RunConfig) -> int:
 
 
 def _read_counts_csv(path: str | Path) -> CountSummary:
+    """The one data row of a counts CSV; each error names the file."""
     from .efficiency import CountSummary
 
-    rows = list(_data_lines(path, "singles_signal"))
-    if not rows:
-        raise InputError(f"no data row found in {path}")
-    if len(rows) > 1:
-        raise InputError(f"counts CSV {path} has {len(rows)} data rows; expected one")
-    try:
-        parts = [float(x) for x in rows[0].split(",")]
-    except ValueError as exc:
-        raise InputError(f"counts CSV row is not numeric: {rows[0]!r}") from exc
-    if not 3 <= len(parts) <= 4:
-        # singles_signal, singles_idler, coincidences and, if given, integration_time_s
-        raise InputError(f"counts CSV row needs 3 or 4 columns, got {rows[0]!r}")
-    return CountSummary(*parts)
+    with _naming(path):
+        rows = list(_data_lines(path, "singles_signal"))
+        if not rows:
+            raise InputError("no data row found")
+        if len(rows) > 1:
+            raise InputError(f"counts CSV has {len(rows)} data rows; expected one")
+        try:
+            parts = [float(x) for x in rows[0].split(",")]
+        except ValueError as exc:
+            raise InputError(f"counts CSV row is not numeric: {rows[0]!r}") from exc
+        if not 3 <= len(parts) <= 4:
+            # singles_signal, singles_idler, coincidences and, if given, integration_time_s
+            raise InputError(f"counts CSV row needs 3 or 4 columns, got {rows[0]!r}")
+        return CountSummary(*parts)
 
 
 def cmd_efficiency(args, config: RunConfig) -> int:

@@ -622,13 +622,40 @@ def _one_record(capsys) -> dict:
     return json.loads(line)
 
 
+#: a CSV input's text, the option that reads it, and its error after "<path>: "
+CSV_INPUT_FAILURES = {
+    "tomo-unknown-label": ("Q,H,5,1.0\n", "--in",
+                           "bad tomography row 'Q,H,5,1.0': unknown projector label 'Q'; "
+                           "valid: ('H', 'V', 'D', 'A', 'R', 'L')"),
+    "tomo-negative-counts": ("H,H,-5,1.0\n", "--in",
+                             "bad tomography row 'H,H,-5,1.0': counts must be non-negative"),
+    "tomo-nan-time": ("H,H,5,nan\n", "--in", "bad tomography row 'H,H,5,nan': "
+                      "integration_time_s must be positive and finite, got nan"),
+    "tomo-short-row": ("a,b\n", "--in", "bad tomography row 'a,b': expected "
+                       "setting_a,setting_b,integer counts,integration_s"),
+    "counts-negative-singles": ("-1.0,41000.0,24300.0\n", "--counts",
+                                "singles_signal must be non-negative and finite"),
+    "counts-not-numeric": ("5,abc,10\n", "--counts", "counts CSV row is not numeric: '5,abc,10'"),
+    "counts-two-columns": ("5,6\n", "--counts", "counts CSV row needs 3 or 4 columns, got '5,6'"),
+    "counts-no-row": ("singles_signal,singles_idler,coincidences\n", "--counts",
+                      "no data row found"),
+    "counts-two-rows": ("1,1,1\n2,2,2\n", "--counts", "counts CSV has 2 data rows; expected one"),
+}
+
+
 @pytest.mark.parametrize("case", ["out-under-a-file", "out-is-a-file", "tomo-out-under-a-file",
-                                  "missing-in", "counts-not-utf8", "budget-nan"])
+                                  "missing-in", "counts-not-utf8", "budget-nan",
+                                  *CSV_INPUT_FAILURES])
 def test_file_failure_record_names_the_path(tmp_path, capsys, case):
     afile, path = tmp_path / "afile", tmp_path / "input"
     afile.write_text("a file\n")
     out = {"out-under-a-file": afile / "sub", "out-is-a-file": afile}.get(case, tmp_path / "out")
-    if case in ("out-under-a-file", "out-is-a-file"):
+    if case in CSV_INPUT_FAILURES:
+        text, option, reason = CSV_INPUT_FAILURES[case]
+        path.write_text(text)
+        command = ["tomo", "reconstruct"] if option == "--in" else ["efficiency"]
+        argv, message = [*command, option, str(path)], f"{path}: {reason}"
+    elif case in ("out-under-a-file", "out-is-a-file"):
         argv, message = ["design"], f"{out}: {os.strerror(errno.ENOTDIR)}"
     elif case == "tomo-out-under-a-file":
         argv, message = ["tomo", "simulate", "--out", str(afile / "x.csv")], \
