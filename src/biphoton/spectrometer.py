@@ -154,14 +154,15 @@ def simulate_jsi_histogram(
     t_idler = wavelength_to_arrival(dcf_idler, jsa.grid.idler_wavelengths_nm)
     keep_signal = (t_signal >= 0.0) & (t_signal < window_ns)
     keep_idler = (t_idler >= 0.0) & (t_idler < window_ns)
-    keep = np.outer(keep_signal, keep_idler)
-    wrapped = int(cell_counts[~keep].sum())
+    kept = cell_counts[keep_signal][:, keep_idler]
+    # the multinomial counts sum to total_pairs exactly
+    wrapped = total_pairs - int(kept.sum())
 
-    # clipped before the cast: a time past the int range would not cast
-    bin_signal = np.clip(t_signal // bin_size_ns, 0, n_bins - 1).astype(int)
-    bin_idler = np.clip(t_idler // bin_size_ns, 0, n_bins - 1).astype(int)
+    # kept times lie in [0, window), so only rounding in ⌈window / bin⌉ could
+    # put one past the last bin
+    bin_signal = np.minimum(t_signal[keep_signal] // bin_size_ns, n_bins - 1).astype(int)
+    bin_idler = np.minimum(t_idler[keep_idler] // bin_size_ns, n_bins - 1).astype(int)
     counts = np.zeros((n_bins, n_bins), dtype=np.int64)
-    kept = np.where(keep, cell_counts, 0)
     np.add.at(counts, (bin_signal[:, None], bin_idler[None, :]), kept)
 
     return TofHistogram(

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -17,6 +19,25 @@ def rank_one_of(jsa):
     f = s[0] * np.outer(u[:, 0], vt[0, :])
     f /= np.sqrt(np.sum(np.abs(f) ** 2) * jsa.grid.cell_area)
     return bp.JointAmplitude(grid=jsa.grid, amplitudes=f)
+
+
+def full_grid_histogram(jsa, dcf_signal, dcf_idler, pump, bin_size_ns, total_pairs, seed):
+    """Reference binning over all N² cells: an N² wrap mask summed for the wraps, the
+    wrapped cells zeroed, every bin index clipped to [0, n_bins − 1]."""
+    window_ns = pump.pulse_period_ns
+    n_bins = int(np.ceil(window_ns / bin_size_ns))
+    probabilities = jsa.intensity / jsa.intensity.sum()
+    cell_counts = np.random.default_rng(seed).multinomial(
+        total_pairs, probabilities.ravel()).reshape(probabilities.shape)
+    t_signal = bp.wavelength_to_arrival(dcf_signal, jsa.grid.signal_wavelengths_nm)
+    t_idler = bp.wavelength_to_arrival(dcf_idler, jsa.grid.idler_wavelengths_nm)
+    keep = np.outer((t_signal >= 0.0) & (t_signal < window_ns),
+                    (t_idler >= 0.0) & (t_idler < window_ns))
+    bin_signal = np.clip(t_signal // bin_size_ns, 0, n_bins - 1).astype(int)
+    bin_idler = np.clip(t_idler // bin_size_ns, 0, n_bins - 1).astype(int)
+    counts = np.zeros((n_bins, n_bins), dtype=np.int64)
+    np.add.at(counts, (bin_signal[:, None], bin_idler[None, :]), np.where(keep, cell_counts, 0))
+    return counts, int(cell_counts[~keep].sum())
 
 
 class TestMapping:
@@ -171,6 +192,26 @@ class TestHistogram:
         reference = expected[occupied]
         r = np.corrcoef(sampled, reference)[0, 1]
         assert r > 0.95
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "signal_delay_ns, idler_delay_ns, bin_size_ns",
+        [(None, None, 0.064), (None, None, PUMP.pulse_period_ns / 8), (None, None, 20.0),
+         (1e300, None, 0.064), (None, -1e300, 0.064), (-1e300, 1e300, 20.0)],
+        ids=["default", "bin-divides-window", "bin-wider-than-window", "signal-far-late",
+             "idler-far-early", "both-far-wide-bin"],
+    )
+    def test_matches_full_grid_binning(self, paper_jsa, default_config, seed, signal_delay_ns,
+                                       idler_delay_ns, bin_size_ns):
+        dcfs = [dcf if delay is None else replace(dcf, insertion_delay_ns=delay)
+                for dcf, delay in ((default_config.signal_dcf, signal_delay_ns),
+                                   (default_config.idler_dcf, idler_delay_ns))]
+        histogram = bp.simulate_jsi_histogram(paper_jsa, *dcfs, PUMP, bin_size_ns=bin_size_ns,
+                                              total_pairs=10**6, seed=seed)
+        counts, wrapped = full_grid_histogram(paper_jsa, *dcfs, PUMP, bin_size_ns, 10**6, seed)
+        assert histogram.counts.dtype == counts.dtype
+        assert np.array_equal(histogram.counts, counts)
+        assert histogram.wrapped_pairs == wrapped
 
     def test_validation(self, paper_jsa, default_config):
         with pytest.raises(InputError):
