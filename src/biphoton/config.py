@@ -148,13 +148,25 @@ def save_config(config: RunConfig, path: str | Path) -> None:
     Path(path).write_text(yaml.safe_dump(config_to_dict(config), sort_keys=True))
 
 
+def _plain(value):
+    """A dataclass as nested dicts, its tuples as lists: what yaml.safe_dump can represent."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    return [_plain(item) for item in value] if isinstance(value, tuple) else value
+
+
 def config_digest(config: RunConfig) -> str:
     """Short provenance digest embedded in every output file.
 
-    Hashes the scientific content only; the output directory is where
-    results land, not part of what was computed.
+    Hashes the scientific content only: the config and every field of the
+    three dispersion sets it binds, thermal blocks included, so a changed
+    ``--dispersion-file`` changes the digest and a verbatim copy of the
+    shipped registry does not. The output directory is where results
+    land, not part of what was computed.
     """
     payload = config_to_dict(config)
     payload.pop("output_dir")
+    payload["dispersion"] = {role: _plain(getattr(config.crystal.axes, role))
+                             for role in KTP_AXIS_SETS}
     canonical = yaml.safe_dump(payload, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]

@@ -164,11 +164,11 @@ class TestConfig:
 
 
 PINNED_DIGESTS = {
-    "default": "baec72e855d7",
-    "filters": "09f96d81e798",
-    "grid": "761d51bc5dde",
-    "minimal": "254824252518",
-    "registry": "728ac8d7a184",
+    "default": "a31d18b8ded7",
+    "filters": "b4b2c70c733a",
+    "grid": "a62f31e6db33",
+    "minimal": "eb81b21e9a3c",
+    "registry": "93535f1cf91b",
 }
 
 
@@ -195,6 +195,23 @@ def test_config_digest_pinned_and_round_trips(tmp_path, default_config, variant)
     saved = tmp_path / "saved.yaml"
     bp.save_config(loaded, saved)
     assert bp.load_config(saved) == loaded
+
+
+@pytest.mark.parametrize("scale", [None, 1e-2], ids=["verbatim-copy", "second-order-scaled"])
+def test_config_digest_covers_the_dispersion_data(tmp_path, capsys, default_config, scale):
+    raw = yaml.safe_load(resources.files("biphoton.data").joinpath("ktp_dispersion.yaml")
+                         .read_text())
+    if scale is not None:
+        for entry in raw["sets"]:
+            entry["thermal"]["second_order"] = [scale * a for a in entry["thermal"]["second_order"]]
+    registry = tmp_path / "registry.yaml"
+    registry.write_text(yaml.safe_dump(raw))
+    assert main(["--dispersion-file", str(registry), "--out", str(tmp_path), "--json",
+                 "design"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    shipped = scale is None
+    assert (report["config_digest"] == bp.config_digest(default_config)) == shipped
+    assert (report["poling_period_um"] == pytest.approx(46.0674, abs=1e-4)) == shipped
 
 
 class TestCliContracts:
