@@ -166,7 +166,6 @@ def config_digest(config: RunConfig) -> str:
     """
     payload = config_to_dict(config)
     payload.pop("output_dir")
-    payload["dispersion"] = {role: _plain(getattr(config.crystal.axes, role))
-                             for role in KTP_AXIS_SETS}
+    payload["dispersion"] = _plain(config.crystal.axes)
     canonical = yaml.safe_dump(payload, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]

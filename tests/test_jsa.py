@@ -410,13 +410,13 @@ class TestThreadedGram:
         grid = bp.FrequencyGrid(points_per_axis=64)
         jsa = bp.compute_jsa(default_config.pump, default_config.crystal, grid)
         herald_filter = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
-        heralds = [(arm, jsa if flt is None else bp.apply_filter(jsa, *herald_filters(arm, flt)))
-                   for arm in ("signal", "idler") for flt in (None, herald_filter)]
         run = {
             "_gram": lambda: _gram(jsa.amplitudes),
             "gram_purity": lambda: gram_purity(jsa),
             "heralded_spectral_state": lambda: [
-                bp.heralded_spectral_state(amplitude, arm) for arm, amplitude in heralds
+                bp.heralded_spectral_state(
+                    jsa if flt is None else bp.apply_filter(jsa, *herald_filters(arm, flt)), arm)
+                for arm in ("signal", "idler") for flt in (None, herald_filter)
             ],
             "optimize_pump_bandwidth": lambda: bp.optimize_pump_bandwidth(
                 default_config.crystal, 785.0, (2.0, 12.0), grid
