@@ -247,9 +247,10 @@ def cmd_hom(args, config: RunConfig) -> int:
     from . import interference
 
     delays = _parse_delays(args.delays)
+    bound = None
     if args.pair_probability is not None:
         # checked before any physics, so a bad value leaves no curve behind
-        interference.multipair_visibility_bound(args.pair_probability)
+        bound = interference.multipair_visibility_bound(args.pair_probability)
     out = _out_path(config, "hom_report.json").parent
     # the amplitude and its cached Gram are dropped once the herald is formed
     state = interference.heralded_spectral_state(_jsa(args, config), "signal")
@@ -262,12 +263,10 @@ def cmd_hom(args, config: RunConfig) -> int:
                  _grid_comments(config, digest), (f"{d!r},{p!r}\n" for d, p in points))
     report = {"config_digest": digest, "visibility_spectral": visibility}
     text = [f"hom visibility {visibility:.4f}"]
-    if args.pair_probability is not None:
-        prediction = interference.predict_visibility(visibility, args.pair_probability)
-        report["multipair_bound"] = prediction.multipair_bound
-        report["visibility_total"] = prediction.total
-        text += [f"  multipair bound {prediction.multipair_bound:.4f}",
-                 f"  total           {prediction.total:.4f}"]
+    if bound is not None:
+        total = visibility * bound
+        report.update(multipair_bound=bound, visibility_total=total)
+        text += [f"  multipair bound {bound:.4f}", f"  total           {total:.4f}"]
     return _report(args, out / "hom_report.json", report, text)
 
 

@@ -123,19 +123,12 @@ def default_config(dispersion_file: str | Path | None = None) -> RunConfig:
     return _config_from_dict(read_yaml(text), None, dispersion_file)
 
 
-def _fields(spec) -> dict:
-    return {f.name: getattr(spec, f.name) for f in fields(spec)}
-
-
 def config_to_dict(config: RunConfig) -> dict:
     """Serializable mapping mirroring the YAML schema; the inverse of the parse."""
-    d = {
-        name: _fields(value) if is_dataclass(value) else value
-        for name, value in _fields(config).items()
-    }
+    d = _plain(config)
     d["schema_version"] = SCHEMA_VERSION
     axes = d["crystal"].pop("axes")
-    d["crystal"].update({f"{role}_axis": getattr(axes, role).name for role in KTP_AXIS_SETS})
+    d["crystal"].update({f"{role}_axis": axes[role]["name"] for role in KTP_AXIS_SETS})
     d["spectrometer"] = {key: d.pop(key) for key in (*_DCF_PRESETS, "bin_size_ns")}
     filters = {arm: d.pop(f"{arm}_filter") for arm in ("signal", "idler")}
     if any(filters.values()):

@@ -185,15 +185,13 @@ def group_velocity(sset: SellmeierSet, wavelength_nm, temperature_c: float = 20.
     return 1.0 / inverse_group_velocity(sset, wavelength_nm, temperature_c)
 
 
-def constant_index_set(
-    name: str, index: float, valid_range_nm: tuple[float, float] = (100.0, 10000.0)
-) -> SellmeierSet:
-    """Synthetic dispersionless set with n = index (k' = n/c exactly)."""
+def constant_index_set(name: str, index: float) -> SellmeierSet:
+    """Synthetic dispersionless set with n = index (k' = n/c exactly) over 100–10000 nm."""
     return SellmeierSet(
         name=name,
         formula="constant",
         coefficients=(index,),
-        valid_range_nm=valid_range_nm,
+        valid_range_nm=(100.0, 10000.0),
     )
 
 

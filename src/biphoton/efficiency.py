@@ -12,38 +12,30 @@ from .errors import DegenerateInputError, InputError
 class CountSummary:
     """Measured singles and coincidence rates (counts per second).
 
-    ``accidental_rate`` is subtracted from the coincidences only when set;
-    raw figures are the default.
+    ``klyshko`` takes the coincidences as given: a caller that removes
+    accidentals subtracts them before building the summary.
     """
 
     singles_signal: float
     singles_idler: float
     coincidences: float
     integration_time_s: float = 1.0
-    accidental_rate: float = 0.0
 
     def __post_init__(self):
-        for name in ("singles_signal", "singles_idler", "coincidences", "accidental_rate"):
+        for name in ("singles_signal", "singles_idler", "coincidences"):
             if not 0.0 <= getattr(self, name) < math.inf:  # NaN-safe
                 raise InputError(f"{name} must be non-negative and finite")
         if not 0.0 < self.integration_time_s < math.inf:  # NaN-safe
             raise InputError("integration_time_s must be positive and finite")
-        if self.corrected_coincidences > min(self.singles_signal, self.singles_idler):
-            raise InputError(
-                "coincidences exceed the smaller singles rate after the accidental floor"
-            )
-
-    @property
-    def corrected_coincidences(self) -> float:
-        return self.coincidences - self.accidental_rate
+        if self.coincidences > min(self.singles_signal, self.singles_idler):
+            raise InputError("coincidences exceed the smaller singles rate")
 
 
 def klyshko(counts: CountSummary) -> tuple[float, float]:
     """(η_signal, η_idler) = coincidences over the other arm's singles; none at zero singles."""
     if counts.singles_signal == 0 or counts.singles_idler == 0:
         raise DegenerateInputError("Klyshko efficiency undefined for zero singles")
-    coincidences = counts.corrected_coincidences
-    return coincidences / counts.singles_idler, coincidences / counts.singles_signal
+    return counts.coincidences / counts.singles_idler, counts.coincidences / counts.singles_signal
 
 
 @dataclass(frozen=True)

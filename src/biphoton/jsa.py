@@ -620,19 +620,19 @@ def marginal_spectrum(jsa: JointAmplitude, arm: str) -> MarginalSpectrum:
     )
 
 
-def support_span(marginal: MarginalSpectrum, fraction: float = 0.05) -> float:
-    """Contiguous span (nm) around the peak above fraction·peak.
+def support_span(marginal: MarginalSpectrum) -> float:
+    """Contiguous span (nm) around the peak at or above 5% of the peak.
 
-    The 5% default recovers the appreciable extent of the central lobe
+    The 5% level recovers the appreciable extent of the central lobe
     including its pump-smoothed shoulders.
     """
     y = marginal.intensity / marginal.intensity.max()
     peak = int(np.argmax(y))
     lo = peak
-    while lo > 0 and y[lo - 1] >= fraction:
+    while lo > 0 and y[lo - 1] >= 0.05:
         lo -= 1
     hi = peak
-    while hi < len(y) - 1 and y[hi + 1] >= fraction:
+    while hi < len(y) - 1 and y[hi + 1] >= 0.05:
         hi += 1
     return float(marginal.wavelengths_nm[hi] - marginal.wavelengths_nm[lo])
 
@@ -643,7 +643,6 @@ def optimize_pump_bandwidth(
     search_window_nm: tuple[float, float],
     grid: FrequencyGrid,
     repetition_rate_mhz: float = 81.0,
-    tolerance_nm: float = 0.02,
 ) -> tuple[float, float]:
     """Maximize unfiltered Schmidt purity over the pump intensity FWHM.
 
@@ -654,7 +653,7 @@ def optimize_pump_bandwidth(
     Brent, Algorithms for Minimization without Derivatives, 1973) then
     starts at the best coarse width, inside the bracket of its two coarse
     neighbours, and stops by scipy ``fminbound``'s absolute rule with
-    ``xatol = tolerance_nm``. On the paper's crystal over a 2–12 nm window
+    a fixed ``xatol`` of 0.02 nm. On the paper's crystal over a 2–12 nm window
     a search evaluates 11 or 12 widths, the coarse five included. The
     result is the best width evaluated, so its purity is never below any
     coarse-scan purity.
@@ -668,8 +667,6 @@ def optimize_pump_bandwidth(
     lo, hi = search_window_nm
     if not 0.0 < lo < hi < math.inf:
         raise InputError("search window must be a positive, finite, increasing interval")
-    if not 0.0 < tolerance_nm < math.inf:
-        raise InputError(f"tolerance_nm must be positive and finite, got {tolerance_nm!r}")
     phi = _crystal_factor(crystal, grid)
     f, gram = np.empty_like(phi), np.empty_like(phi)
 
@@ -701,7 +698,7 @@ def optimize_pump_bandwidth(
     s = e = 0.0
     while True:
         m = 0.5 * (a + b)
-        tol1 = tolerance_nm / 3.0 + _SQRT_EPS * abs(x)
+        tol1 = 0.02 / 3.0 + _SQRT_EPS * abs(x)
         if abs(x - m) <= 2.0 * tol1 - 0.5 * (b - a):
             return x, fx
         golden = True

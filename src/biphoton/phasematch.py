@@ -114,11 +114,16 @@ class CrystalSpec:
 
     @property
     def expanded_poling_period_um(self) -> float:
-        thermal = self.axes.pump.thermal
-        if thermal is None:
-            return self.poling_period_um
-        dt = self.temperature_c - self.axes.pump.reference_temperature_c
-        return self.poling_period_um * (1.0 + thermal.poling_expansion_per_c * dt)
+        return self.poling_period_um * _poling_expansion(self.axes, self.temperature_c)
+
+
+def _poling_expansion(axes: CrystalAxes, temperature_c: float) -> float:
+    """Λ(T) / Λ(T_ref) by the pump set's thermal expansion; 1.0 without thermal data."""
+    thermal = axes.pump.thermal
+    if thermal is None:
+        return 1.0
+    dt = temperature_c - axes.pump.reference_temperature_c
+    return 1.0 + thermal.poling_expansion_per_c * dt
 
 
 def spread_sums(values: np.ndarray) -> np.ndarray:
@@ -329,12 +334,7 @@ def solve_poling_period(
             "unpoled mismatch vanishes at the requested triple; "
             "no finite poling period is required"
         )
-    period_at_t = 2.0 * np.pi / abs(dk0)
-    thermal = axes.pump.thermal
-    if thermal is None:
-        return period_at_t
-    dt = temperature_c - axes.pump.reference_temperature_c
-    return period_at_t / (1.0 + thermal.poling_expansion_per_c * dt)
+    return 2.0 * np.pi / abs(dk0) / _poling_expansion(axes, temperature_c)
 
 
 def gvm_angle(

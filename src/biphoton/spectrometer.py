@@ -177,13 +177,13 @@ def simulate_jsi_histogram(
     )
 
 
-def _merge_small(counts: np.ndarray, min_expected: float) -> np.ndarray:
+def _merge_small(counts: np.ndarray) -> np.ndarray:
     """Drop empty rows/cols, then coarsen 2x until expected counts are sane."""
     c = counts[counts.sum(axis=1) > 0][:, counts.sum(axis=0) > 0].astype(float)
     while min(c.shape) > 2:
         total = c.sum()
         expected = np.outer(c.sum(axis=1), c.sum(axis=0)) / total
-        if (expected < min_expected).mean() <= 0.2 and expected.min() >= 1.0:
+        if (expected < 5.0).mean() <= 0.2 and expected.min() >= 1.0:
             break
         rows = c.shape[0] - (c.shape[0] % 2)
         c = c[:rows].reshape(rows // 2, 2, -1).sum(axis=1)
@@ -193,15 +193,15 @@ def _merge_small(counts: np.ndarray, min_expected: float) -> np.ndarray:
     return c
 
 
-def chi2_independence(counts: np.ndarray, min_expected: float = 5.0):
+def chi2_independence(counts: np.ndarray):
     """Pearson χ² test of row/column independence on a 2D histogram.
 
-    Sparse tails are coarsened before testing so the asymptotic χ²
-    distribution applies. As ``scipy.stats.chi2_contingency`` by default,
-    a table with one degree of freedom gets Yates' continuity correction
-    and one with none gives (0, 0, 1). Returns (statistic, dof, p_value).
+    Sparse tails are coarsened for the asymptotic χ² law: until at most 20%
+    of expected counts are below 5, none below 1. As ``scipy.stats.chi2_contingency``
+    by default, a table with one degree of freedom gets Yates' continuity
+    correction and one with none gives (0, 0, 1). Returns (statistic, dof, p_value).
     """
-    merged = _merge_small(np.asarray(counts), min_expected)
+    merged = _merge_small(np.asarray(counts))
     if merged.size == 0:
         raise InputError("χ² independence needs a histogram with counts")
     expected = np.outer(merged.sum(axis=1), merged.sum(axis=0)) / merged.sum()

@@ -24,17 +24,8 @@ class TestKlyshko:
         with pytest.raises(DegenerateInputError, match="zero singles"):
             bp.klyshko(counts)
 
-    def test_accidental_subtraction_optional(self):
-        raw = bp.CountSummary(singles_signal=1000, singles_idler=1000, coincidences=640)
-        corrected = bp.CountSummary(
-            singles_signal=1000, singles_idler=1000, coincidences=640, accidental_rate=40
-        )
-        assert bp.klyshko(raw)[0] == pytest.approx(0.64)
-        assert bp.klyshko(corrected)[0] == pytest.approx(0.60)
-
     @pytest.mark.parametrize(
-        "field", ["singles_signal", "singles_idler", "coincidences", "accidental_rate",
-                  "integration_time_s"],
+        "field", ["singles_signal", "singles_idler", "coincidences", "integration_time_s"],
     )
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rates_rejected(self, field, value):

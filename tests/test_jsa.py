@@ -1040,7 +1040,7 @@ class TestMarginals:
 
     def test_central_lobe_support(self, paper_jsa):
         marginal = bp.marginal_spectrum(paper_jsa, "signal")
-        assert bp.support_span(marginal, fraction=0.05) == pytest.approx(35.0, abs=5.0)
+        assert bp.support_span(marginal) == pytest.approx(35.0, abs=5.0)
 
     def test_rectangular_jsa_fwhm(self, small_grid):
         lam = small_grid.signal_wavelengths_nm
@@ -1162,53 +1162,20 @@ class TestOptimizePumpBandwidth:
         reference = minimize_scalar(lambda w: -purity_at(w), method="bounded",
                                     bounds=(coarse[k - 1], coarse[k + 1]),
                                     options={"xatol": tol})
-        best, purity = bp.optimize_pump_bandwidth(
-            default_config.crystal, 785.0, window, grid, tolerance_nm=tol
-        )
+        best, purity = bp.optimize_pump_bandwidth(default_config.crystal, 785.0, window, grid)
         assert abs(best - reference.x) <= 2 * tol
         assert purity >= max(coarse_purities)
         assert abs(purity - purity_at(best)) < 1e-12
 
-    @pytest.mark.parametrize("window, tolerance", [
-        ((2.0, 12.0), 0.0),
-        ((2.0, 12.0), -0.01),
-        ((2.0, 12.0), np.nan),
-        ((2.0, 12.0), np.inf),
-        ((2.0, np.inf), 0.02),
-        ((np.nan, 12.0), 0.02),
-        ((0.0, 12.0), 0.02),
-        ((12.0, 2.0), 0.02),
-    ])
-    def test_bad_window_or_tolerance_rejected_first(self, default_config, monkeypatch,
-                                                    window, tolerance):
+    @pytest.mark.parametrize("window", [(2.0, np.inf), (np.nan, 12.0), (0.0, 12.0), (12.0, 2.0)])
+    def test_bad_window_rejected_first(self, default_config, monkeypatch, window):
         def crystal_factor(*args, **kwargs):
             raise AssertionError("crystal factor computed before the input check")
 
         monkeypatch.setattr(jsa_mod, "_crystal_factor", crystal_factor)
-        with pytest.raises(InputError, match="search window|tolerance_nm"):
+        with pytest.raises(InputError, match="search window"):
             bp.optimize_pump_bandwidth(default_config.crystal, 785.0, window,
-                                       bp.FrequencyGrid(points_per_axis=32),
-                                       tolerance_nm=tolerance)
-
-    def test_non_positive_tolerance_returns(self):
-        # a tolerance of zero or below can never meet the stopping rule, so
-        # the search runs unpatched in a child that a timeout can end
-        code = ("import biphoton as bp\n"
-                "from biphoton.errors import InputError\n"
-                "cfg = bp.default_config()\n"
-                "grid = bp.FrequencyGrid(points_per_axis=32)\n"
-                "for tol in (0.0, -0.01):\n"
-                "    try:\n"
-                "        bp.optimize_pump_bandwidth(cfg.crystal, 785.0, (2.0, 12.0), grid,\n"
-                "                                   tolerance_nm=tol)\n"
-                "    except InputError:\n"
-                "        print('rejected')\n")
-        src = str(Path(bp.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=60, check=True)
-        assert proc.stdout.split() == ["rejected", "rejected"]
+                                       bp.FrequencyGrid(points_per_axis=32))
 
 
 class TestInvariantsProperty:

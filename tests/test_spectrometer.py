@@ -268,7 +268,7 @@ def test_chi2_matches_scipy_contingency(table):
     from biphoton.spectrometer import _merge_small
 
     statistic, dof, p_value = bp.chi2_independence(table)
-    ref_statistic, ref_p, ref_dof, _ = chi2_contingency(_merge_small(table, 5.0))
+    ref_statistic, ref_p, ref_dof, _ = chi2_contingency(_merge_small(table))
     assert dof == ref_dof
     assert statistic == pytest.approx(ref_statistic, rel=1e-10, abs=1e-300)
     assert p_value == pytest.approx(ref_p, rel=1e-10)
