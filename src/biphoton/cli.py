@@ -53,7 +53,6 @@ from .phasematch import _in_two, gvm_angle, gvm_degenerate_wavelength, solve_pol
 
 if TYPE_CHECKING:
     from . import polarization
-    from .efficiency import CountSummary
 
 
 def _write_lines(path: Path, header: str, comments: list[str], lines) -> None:
@@ -374,9 +373,9 @@ def cmd_spectro(args, config: RunConfig) -> int:
     return 0
 
 
-def _read_counts_csv(path: str | Path) -> CountSummary:
-    """The one data row of a counts CSV; each error names the file."""
-    from .efficiency import CountSummary
+def _klyshko_csv(path: str | Path) -> tuple[float, float]:
+    """Klyshko (η_signal, η_idler) of the one data row of a counts CSV; each error names it."""
+    from .efficiency import CountSummary, klyshko
 
     with _naming(path):
         rows = list(_data_lines(path, "singles_signal"))
@@ -391,17 +390,15 @@ def _read_counts_csv(path: str | Path) -> CountSummary:
         if not 3 <= len(parts) <= 4:
             # singles_signal, singles_idler, coincidences and, if given, integration_time_s
             raise InputError(f"counts CSV row needs 3 or 4 columns, got {rows[0]!r}")
-        return CountSummary(*parts)
+        return klyshko(CountSummary(*parts))
 
 
 def cmd_efficiency(args, config: RunConfig) -> int:
-    from .efficiency import LossBudget, klyshko, predict_heralding
+    from .efficiency import LossBudget, predict_heralding
 
     report: dict = {"config_digest": config_digest(config)}
     if args.counts is not None:
-        eta_signal, eta_idler = klyshko(_read_counts_csv(args.counts))
-        report["klyshko_signal"] = eta_signal
-        report["klyshko_idler"] = eta_idler
+        report["klyshko_signal"], report["klyshko_idler"] = _klyshko_csv(args.counts)
     if args.budget is not None:
         path = Path(args.budget)
         raw = _read_yaml_file(path)

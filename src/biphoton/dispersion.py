@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .errors import ConfigError, InputError, WavelengthRangeError
+from .errors import BiphotonError, ConfigError, InputError, WavelengthRangeError
 from .units import C_UM_PER_FS
 
 _FORMULAS = ("sellmeier_poles_quadratic", "constant")
@@ -323,10 +323,10 @@ def _document(raw) -> dict:
 
 @contextmanager
 def _naming(path: Path | None):
-    """Re-raise each InputError raised inside with ``path: `` in front; as is for no path."""
+    """Re-raise each BiphotonError raised inside with ``path: `` in front; as is for no path."""
     try:
         yield
-    except InputError as exc:
+    except BiphotonError as exc:
         if path is None:
             raise
         raise type(exc)(f"{path}: {exc}") from None

@@ -23,6 +23,9 @@ from .phasematch import PumpSpec
 
 #: Default coincidence-logic time bin, ns.
 DEFAULT_BIN_NS = 0.128
+#: most bins per histogram axis: an n × n int64 array with n ≥ 2³⁰ has 2⁶³ bytes or
+#: more, beyond the largest array numpy can index
+_MAX_BINS = 2**30 - 1
 
 
 @dataclass(frozen=True)
@@ -140,7 +143,13 @@ def simulate_jsi_histogram(
     if not total_pairs <= 2**63 - 1:  # NaN-safe; the multinomial sampler counts in int64
         raise InputError("total_pairs must be at most 2**63 - 1 (multinomial sampler limit)")
     window_ns = pump.pulse_period_ns
-    n_bins = int(np.ceil(window_ns / bin_size_ns))
+    per_axis = window_ns / bin_size_ns
+    if not per_axis <= _MAX_BINS:  # an infinite ratio included
+        raise InputError(f"bin_size_ns {bin_size_ns!r} splits the {window_ns:g} ns window "
+                         f"into more than {_MAX_BINS} bins per axis")
+    n_bins = math.ceil(per_axis)
+    # the n² counts first: one too large for memory fails before the edges are filled
+    counts = np.zeros((n_bins, n_bins), dtype=np.int64)
     edges = np.arange(n_bins + 1) * bin_size_ns
 
     probabilities = jsa.intensity
@@ -162,7 +171,6 @@ def simulate_jsi_histogram(
     # put one past the last bin
     bin_signal = np.minimum(t_signal[keep_signal] // bin_size_ns, n_bins - 1).astype(int)
     bin_idler = np.minimum(t_idler[keep_idler] // bin_size_ns, n_bins - 1).astype(int)
-    counts = np.zeros((n_bins, n_bins), dtype=np.int64)
     np.add.at(counts, (bin_signal[:, None], bin_idler[None, :]), kept)
 
     return TofHistogram(

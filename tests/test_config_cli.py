@@ -532,6 +532,10 @@ def _with_input(command, path):
            "InputError")
           for t in ("1e300", "-1e300", "1e200", "1e160")
           for command in (["design"], ["jsa", "compute"])),
+        # ⌈window / bin⌉ past 2³⁰ − 1, or not finite: rejected before the histogram is made
+        *(([*CONFIG, "spectro", "simulate", "--pairs", "1000"],
+           MINIMAL + f"spectrometer: {{bin_size_ns: {size!r}}}\n", "InputError")
+          for size in (1e-300, 1e-320, 1e3 / 81.0 / 2**30)),
     ],
     ids=[
         "budget-unknown-key", "budget-not-yaml", "budget-bool", "budget-not-a-number",
@@ -563,6 +567,8 @@ def _with_input(command, path):
         "tomo-reconstruct-out-under-a-file-before-the-mle",
         *(f"{command}-temperature-{t}" for t in ("1e300", "-1e300", "1e200", "1e160")
           for command in ("design", "jsa")),
+        "spectro-bin-size-1e-300", "spectro-bin-size-1e-320",
+        "spectro-bin-size-window-over-2**30",
     ],
 )
 def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error):
@@ -662,9 +668,10 @@ CSV_INPUT_FAILURES = {
 
 @pytest.mark.parametrize("case", ["out-under-a-file", "out-is-a-file", "tomo-out-under-a-file",
                                   "missing-in", "counts-not-utf8", "budget-nan",
-                                  *CSV_INPUT_FAILURES])
+                                  "counts-zero-singles", *CSV_INPUT_FAILURES])
 def test_file_failure_record_names_the_path(tmp_path, capsys, case):
     afile, path = tmp_path / "afile", tmp_path / "input"
+    error = "InputError"
     afile.write_text("a file\n")
     out = {"out-under-a-file": afile / "sub", "out-is-a-file": afile}.get(case, tmp_path / "out")
     if case in CSV_INPUT_FAILURES:
@@ -685,12 +692,17 @@ def test_file_failure_record_names_the_path(tmp_path, capsys, case):
         argv, message = ["efficiency", "--counts", str(path)], \
             f"{path}: 'utf-8' codec can't decode byte 0xe9 in position 24: " \
             "invalid continuation byte"
+    elif case == "counts-zero-singles":  # raised by klyshko, after the file is read
+        path.write_text("0,0,0\n")
+        argv, message = ["efficiency", "--counts", str(path)], \
+            f"{path}: Klyshko efficiency undefined for zero singles"
+        error = "DegenerateInputError"
     else:
         path.write_text("detector_efficiency: .nan\n")
         argv, message = ["efficiency", "--budget", str(path)], \
             f"{path}: detector_efficiency must be in [0, 1], got nan"
     assert main(["--out", str(out), *argv]) == 1
-    assert _one_record(capsys) == {"error": "InputError", "message": message}
+    assert _one_record(capsys) == {"error": error, "message": message}
 
 
 @pytest.mark.parametrize(

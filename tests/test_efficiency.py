@@ -54,6 +54,23 @@ class TestKlyshko:
         )
         assert forward == (swapped[1], swapped[0])
 
+    # zero, any non-negative finite rate, or any float at all (NaN, ±inf, negative)
+    RATES = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e300), st.floats())
+
+    @given(singles_signal=RATES, singles_idler=RATES, coincidences=RATES)
+    def test_every_accepted_summary_gives_efficiencies_in_unit_interval(
+            self, singles_signal, singles_idler, coincidences):
+        try:
+            counts = bp.CountSummary(singles_signal=singles_signal, singles_idler=singles_idler,
+                                     coincidences=coincidences)
+        except InputError:
+            return
+        if min(singles_signal, singles_idler) == 0.0:
+            with pytest.raises(DegenerateInputError, match="zero singles"):
+                bp.klyshko(counts)
+        else:
+            assert all(0.0 <= eta <= 1.0 for eta in bp.klyshko(counts))
+
 
 class TestLossBudget:
     def test_all_unity(self):

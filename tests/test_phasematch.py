@@ -54,6 +54,32 @@ class TestSolvePolingPeriod:
         omega = nm_to_angular_frequency(1570.0)
         assert abs(bp.phase_mismatch(crystal, omega, omega)) < 1e-10
 
+    @pytest.mark.parametrize("temperature", [10.0, 20.0, 25.0, 40.0])
+    def test_round_trip_null_at_each_temperature(self, ktp, temperature):
+        # the solve divides by the thermal expansion factor that CrystalSpec multiplies
+        # back in; the shipped sets' reference temperature is 25 °C
+        period = bp.solve_poling_period(785.0, 1570.0, 1570.0, temperature, ktp)
+        crystal = bp.CrystalSpec(axes=ktp, length_mm=2.0, poling_period_um=period,
+                                 temperature_c=temperature)
+        omega = nm_to_angular_frequency(1570.0)
+        assert abs(bp.phase_mismatch(crystal, omega, omega)) < 1e-12
+
+    def test_round_trip_without_thermal_data_ignores_temperature(self):
+        axes = bp.CrystalAxes(pump=bp.constant_index_set("p", 1.9),
+                              signal=bp.constant_index_set("s", 1.7),
+                              idler=bp.constant_index_set("i", 1.7))
+        omega = nm_to_angular_frequency(1570.0)
+        periods = []
+        for temperature in (10.0, 20.0, 25.0, 40.0):
+            periods.append(bp.solve_poling_period(785.0, 1570.0, 1570.0, temperature, axes))
+            crystal = bp.CrystalSpec(axes=axes, length_mm=2.0, poling_period_um=periods[-1],
+                                     temperature_c=temperature)
+            assert crystal.expanded_poling_period_um == periods[-1]
+            assert abs(bp.phase_mismatch(crystal, omega, omega)) < 1e-12
+        # 2π / Λ = 2π (1.9 / 0.785 − 2 · 1.7 / 1.57) µm⁻¹
+        assert periods[0] == pytest.approx(3.925, rel=1e-12)
+        assert len(set(periods)) == 1
+
     def test_nondegenerate_triple_vs_bisection_oracle(self, ktp):
         period = bp.solve_poling_period(785.0, 1560.0, EXACT_CONJUGATE_IDLER, 20.0, ktp)
         degenerate = bp.solve_poling_period(785.0, 1570.0, 1570.0, 20.0, ktp)

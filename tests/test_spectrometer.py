@@ -231,6 +231,19 @@ class TestHistogram:
                 total_pairs=0,
             )
 
+    @pytest.mark.parametrize("bin_size_ns", [1e-300, 1e-320, PUMP.pulse_period_ns / 2**30],
+                             ids=["1e-300", "1e-320", "window-over-2**30"])
+    def test_too_many_bins_rejected_before_allocating(self, paper_jsa, default_config,
+                                                      monkeypatch, bin_size_ns):
+        def allocate(*args, **kwargs):
+            raise AssertionError("histogram allocated before the bin-count check")
+
+        monkeypatch.setattr(np, "zeros", allocate)
+        monkeypatch.setattr(np, "arange", allocate)
+        with pytest.raises(InputError, match="bin_size_ns .* more than 1073741823 bins"):
+            bp.simulate_jsi_histogram(paper_jsa, default_config.signal_dcf,
+                                      default_config.idler_dcf, PUMP, bin_size_ns=bin_size_ns)
+
 
 class TestDiagnostics:
     def test_chi2_rejects_strong_correlation(self):
