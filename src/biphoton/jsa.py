@@ -18,10 +18,9 @@ scalings and final division and flush, and the Gram's real and imaginary
 copies and assembly. Each element goes through the same operations in the
 same order as in one pass, so the bits do not depend on the split. The
 reductions stay single passes over the whole array, because their
-summation order fixes their bits: the Σ|f|² dots, the filter's column sums
-and the sign check's min and max. Workers allocate nothing (every buffer
-is made on the calling thread) and call numpy only, never a biphoton
-function.
+summation order fixes their bits: the Σ|f|² dots and the filter's column
+sums. Workers allocate nothing (every buffer is made on the calling thread)
+and call numpy only, never a biphoton function.
 
 Every ``JointAmplitude`` has unit norm (its constructor checks it; the
 library divides its own by the norm just summed), so nothing checks it
@@ -77,6 +76,9 @@ NORMALIZATION_TOL = 1e-9
 _FLUSH_BELOW = np.sqrt(np.finfo(np.float64).tiny)
 _SQRT_EPS = math.sqrt(np.finfo(float).eps)
 _GOLDEN_FRACTION = (3.0 - math.sqrt(5.0)) / 2.0
+#: most grid points per axis: an N × N complex amplitude with N ≥ 2³⁰ has 2⁶⁴ bytes or more,
+#: beyond the largest array numpy can index
+_MAX_POINTS = 2**29
 
 
 @dataclass(frozen=True)
@@ -90,7 +92,7 @@ class FrequencyGrid:
     degenerate grid the shift is zero and the two axes are the same array; on
     a non-degenerate one the idler axis spans the signal's ω range, not
     center_idler ± half_span in nm. points_per_axis must be a power of two,
-    at least 16.
+    from 16 to 2²⁹.
     """
 
     center_signal_nm: float = 1570.0
@@ -100,8 +102,8 @@ class FrequencyGrid:
 
     def __post_init__(self):
         n = self.points_per_axis
-        if n < 16 or (n & (n - 1)) != 0:
-            raise InputError("points_per_axis must be a power of two, at least 16")
+        if not 16 <= n <= _MAX_POINTS or (n & (n - 1)) != 0:
+            raise InputError(f"points_per_axis must be a power of two from 16 to {_MAX_POINTS}")
         if not 0.0 < self.half_span_nm < math.inf:  # NaN-safe
             raise InputError("half_span_nm must be positive and finite")
         for c in (self.center_signal_nm, self.center_idler_nm):
@@ -230,6 +232,8 @@ class FilterSpec:
             raise InputError("filter center_nm must be finite")
         if not 0.0 < self.fwhm_nm < math.inf:  # NaN-safe
             raise InputError("filter fwhm_nm must be positive and finite")
+        if self.shape == "gaussian" and not self.fwhm_nm * self.fwhm_nm < math.inf:
+            raise InputError(f"filter fwhm_nm {self.fwhm_nm!r} has no finite square")
         if not 0.0 < self.peak_transmission <= 1.0:
             raise InputError("filter peak_transmission must be in (0, 1]")
         if self.shape not in ("gaussian", "rectangular"):
@@ -288,7 +292,11 @@ def pump_envelope(omega_s, omega_i, pump: PumpSpec):
 
 def _envelope(omega_sum, pump: PumpSpec):
     detuning = omega_sum - nm_to_angular_frequency(pump.center_wavelength_nm)
-    return np.exp(-(detuning**2) / pump_sigma(pump) ** 2)
+    # a width whose square underflows (a pump without a pulse duration to bound its
+    # bandwidth) makes the exponent −inf, or NaN at zero detuning, without a warning:
+    # the amplitude then vanishes or is not finite, which ``_joint`` rejects
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.exp(-(detuning**2) / pump_sigma(pump) ** 2)
 
 
 def pump_sigma(pump: PumpSpec) -> float:

@@ -14,8 +14,8 @@ derivatives.
 On a grid, the N² element-by-element work (k_p − k_s − k_i and the grating
 term here, x = ΔK·L/2, cos, sin and sinc in ``jsa.phasematching_function``)
 runs in two row halves at once with ``_in_row_halves``, the first half on
-one daemon worker thread that lives as long as the process (``_in_two``);
-the sign check's min and max stay single passes over the whole array. Each
+one daemon worker thread that lives as long as the process (``_in_two``).
+The grating order is read from the call's middle element alone. Each
 element goes through the same operations in the same order as in one pass,
 so the bits do not depend on the split, nor on whether the worker is busy
 and both halves run in turn on the calling thread. A forked child starts
@@ -69,13 +69,21 @@ class PumpSpec:
                 raise InputError(f"pump {name} must be positive and finite")
         if self.intensity_fwhm_bandwidth_nm >= self.center_wavelength_nm:
             raise InputError("pump bandwidth must be smaller than the center wavelength")
+        # the width 2πc·Δλ/λ² in rad/fs, which the transform limit divides by
+        try:
+            fwhm_omega = fwhm_nm_to_fwhm_omega(self.intensity_fwhm_bandwidth_nm,
+                                               self.center_wavelength_nm)
+        except OverflowError:
+            raise InputError(f"pump center_wavelength_nm {self.center_wavelength_nm!r} "
+                             "has no finite square") from None
+        if fwhm_omega == 0.0:
+            raise InputError(f"pump intensity_fwhm_bandwidth_nm "
+                             f"{self.intensity_fwhm_bandwidth_nm!r} is 0 rad/fs wide")
         duration = self.pulse_duration_fs
         if duration is not None:
             if not 0.0 < duration < math.inf:
                 raise InputError("pump pulse_duration_fs must be positive and finite when given")
-            limit = 4.0 * math.log(2.0) / fwhm_nm_to_fwhm_omega(
-                self.intensity_fwhm_bandwidth_nm, self.center_wavelength_nm
-            )
+            limit = 4.0 * math.log(2.0) / fwhm_omega
             if duration < limit:
                 raise InputError(
                     f"pump pulse_duration_fs {duration!r} is below the transform limit "
@@ -105,6 +113,9 @@ class CrystalSpec:
         for name in ("length_mm", "poling_period_um"):
             if not 0.0 < getattr(self, name) < math.inf:  # NaN-safe
                 raise InputError(f"crystal {name} must be positive and finite")
+        if not 2.0 * math.pi / self.poling_period_um < math.inf:
+            raise InputError(f"crystal poling_period_um {self.poling_period_um!r} has no finite "
+                             "grating wavenumber 2π/Λ")
         if not math.isfinite(self.temperature_c):
             raise InputError("crystal temperature_c must be finite")
 
@@ -275,23 +286,15 @@ def phase_mismatch(crystal: CrystalSpec, omega_s, omega_i, sums=None):
     propagate. In the Λ → ∞ limit the result reduces to the unpoled
     mismatch. The grating term is added in two row halves at once.
 
-    Raises:
-        InputError: the unpoled mismatch is positive at some points and
-            negative at others, so no single grating order compensates it
-            and a per-point order would jump ΔK by 4π/Λ.
+    One grating order serves the whole call: the one that compensates the
+    unpoled mismatch at the call's middle element (a grid's centre cell, a
+    scalar call's own point), the order of a positive mismatch where that is
+    zero. A mismatch that changes sign within the call keeps that order.
     """
     dk0 = unpoled_mismatch(crystal.axes, omega_s, omega_i, crystal.temperature_c, sums)
-    lo, hi = np.min(dk0), np.max(dk0)
-    if lo < 0.0 < hi:
-        raise InputError(
-            f"unpoled mismatch changes sign within one call ({lo:.3e} to {hi:.3e} "
-            "rad/um); the compensating grating order is ambiguous"
-        )
-    # one order for the whole call: exact zeros take the order of the other
-    # points, and an all-zero mismatch the order of a positive one; dk0 − g
-    # and dk0 + (−g) round alike
+    # dk0 − g and dk0 + (−g) round alike
     grating = 2.0 * np.pi / crystal.expanded_poling_period_um
-    if not lo < 0.0:
+    if not dk0[tuple(n // 2 for n in np.shape(dk0))] < 0.0:
         grating = -grating
     dk = np.atleast_1d(dk0)  # unpoled_mismatch returns a fresh array: shifted in place
     _in_row_halves(lambda rows: np.add(dk[rows], grating, out=dk[rows]), len(dk))

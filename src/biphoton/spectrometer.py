@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError
+from .errors import InputError
 from .jsa import JointAmplitude
 from .phasematch import PumpSpec
 
@@ -223,45 +223,21 @@ def chi2_independence(counts: np.ndarray):
     return statistic, dof, _upper_gamma_q(dof / 2.0, statistic / 2.0)
 
 
-#: relative accuracy of the incomplete-gamma series and continued fraction
-_GAMMA_EPS = 1e-16
-#: most terms of either expansion; about √a terms are needed
-_GAMMA_MAX_TERMS = 100_000
-_GAMMA_TINY = 1e-300
-
-
 def _upper_gamma_q(a: float, x: float) -> float:
     """Regularized upper incomplete gamma Q(a, x), the χ² survival at 2x with 2a dof.
 
-    By the series of P = 1 − Q for x < a + 1 and by Lentz's continued
-    fraction for Q otherwise (Numerical Recipes, 3rd ed., §6.2).
+    a = dof/2 is whole or half-whole, so Q is a finite sum of positive terms,
+    each taken from its logarithm:
+    Q(k, x) = e⁻ˣ Σ_{j<k} xʲ/j! and Q(k + ½, x) = erfc(√x) + e⁻ˣ Σ_{j<k} x^{j+½}/Γ(j + 3/2).
     """
     if x <= 0.0:
         return 1.0
-    prefactor = math.exp(a * math.log(x) - x - math.lgamma(a))
-    if x < a + 1.0:
-        term = total = 1.0 / a
-        for k in range(1, _GAMMA_MAX_TERMS):
-            term *= x / (a + k)
-            total += term
-            if term < total * _GAMMA_EPS:
-                return max(0.0, 1.0 - total * prefactor)
-    else:
-        b = x + 1.0 - a
-        c, d = 1.0 / _GAMMA_TINY, 1.0 / b
-        fraction = d
-        for k in range(1, _GAMMA_MAX_TERMS):
-            an = -k * (k - a)
-            b += 2.0
-            d = an * d + b
-            d = 1.0 / (d if abs(d) > _GAMMA_TINY else _GAMMA_TINY)
-            c = b + an / c
-            c = c if abs(c) > _GAMMA_TINY else _GAMMA_TINY
-            fraction *= d * c
-            if abs(d * c - 1.0) < _GAMMA_EPS:
-                return prefactor * fraction
-    raise ConvergenceError(f"incomplete gamma Q({a}, {x}) did not converge in "
-                           f"{_GAMMA_MAX_TERMS} terms")
+    k = int(a)
+    half = a - k
+    log_x = math.log(x)
+    head = math.erfc(math.sqrt(x)) if half else 0.0
+    return head + math.fsum(math.exp((j + half) * log_x - x - math.lgamma(j + half + 1.0))
+                            for j in range(k))
 
 
 def time_bin_correlation(histogram: TofHistogram) -> float:

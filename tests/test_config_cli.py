@@ -1,12 +1,15 @@
 import argparse
+import copy
 import errno
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import threading
 import time
+import warnings
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -439,6 +442,7 @@ REGISTRY_REJECTIONS = {
 }
 VALID_RECORDS = "setting_a,setting_b,counts,integration_s\n" + "".join(
     f"{a},{b},100,1.0\n" for a, b in bp.full_settings())
+GRID_64 = "grid: {points_per_axis: 64}\n"
 NAN_PUMP_BANDWIDTH = (
     "pump:\n  center_wavelength_nm: 785.0\n  intensity_fwhm_bandwidth_nm: .nan\n"
     "crystal:\n  length_mm: 2.0\n  poling_period_um: 46.15\n"
@@ -536,6 +540,23 @@ def _with_input(command, path):
         *(([*CONFIG, "spectro", "simulate", "--pairs", "1000"],
            MINIMAL + f"spectrometer: {{bin_size_ns: {size!r}}}\n", "InputError")
           for size in (1e-300, 1e-320, 1e3 / 81.0 / 2**30)),
+        # a value whose square, width or grating leaves float64, where its field enters
+        ([*CONFIG, "design"],
+         MINIMAL.replace("785.0, intensity_fwhm_bandwidth_nm: 5.35}",
+                         "1e300, intensity_fwhm_bandwidth_nm: 5.35, pulse_duration_fs: 170.0}"),
+         "InputError"),
+        ([*CONFIG, "design"], MINIMAL.replace("5.35}", "5e-324, pulse_duration_fs: 170.0}"),
+         "InputError"),
+        ([*CONFIG, "jsa", "compute"],
+         MINIMAL + GRID_64 + "filters: {signal: {center_nm: 1570.0, fwhm_nm: 1e300}}\n",
+         "InputError"),
+        ([*CONFIG, "jsa", "compute"], MINIMAL + f"grid: {{points_per_axis: {2**63}}}\n",
+         "InputError"),
+        ([*CONFIG, "jsa", "compute"], MINIMAL.replace("46.15}", "5e-324}") + GRID_64,
+         "InputError"),
+        # no pulse duration bounds this bandwidth: the envelope's width squared underflows
+        ([*CONFIG, "jsa", "compute"], MINIMAL.replace("5.35}", "1e-160}") + GRID_64,
+         "DegenerateInputError"),
     ],
     ids=[
         "budget-unknown-key", "budget-not-yaml", "budget-bool", "budget-not-a-number",
@@ -569,6 +590,9 @@ def _with_input(command, path):
           for command in ("design", "jsa")),
         "spectro-bin-size-1e-300", "spectro-bin-size-1e-320",
         "spectro-bin-size-window-over-2**30",
+        "design-pump-center-1e300", "design-pump-bandwidth-5e-324",
+        "jsa-filter-fwhm-1e300", "jsa-points-2**63", "jsa-poling-5e-324",
+        "jsa-pump-bandwidth-1e-160-without-duration",
     ],
 )
 def test_bad_input_exits_one_with_json_record(tmp_path, command, content, error):
@@ -1131,6 +1155,69 @@ def test_malformed_input_files_exit_cleanly(tmp_path_factory, command, content):
         assert exc.code == 2
     else:
         assert code in (0, 1)
+
+
+#: hostile values for each numeric config field: each is rejected or runs small, and
+#: none is a size the kernel could grant lazily (the runs are in process, unlimited)
+FUZZ_VALUES = (0, -0.0, -1, 5e-324, 1e-300, 1e-12, 1e12, 1e300, math.inf, -math.inf, math.nan,
+               2**63)
+SPECTRO_1000 = ["spectro", "simulate", "--pairs", "1000"]
+#: the commands that read each top-level section; every command validates the whole config
+FUZZ_COMMANDS = {
+    "pump": (["design"], ["jsa", "compute"], SPECTRO_1000),
+    "crystal": (["design"], ["jsa", "compute"]),
+    "grid": (["jsa", "compute"], SPECTRO_1000),
+    "filters": (["jsa", "compute"], ["hom"]),
+    "spectrometer": (SPECTRO_1000,),
+    "seed": (SPECTRO_1000, ["tomo", "simulate"]),
+}
+
+
+def _numeric_fields(section, path=()):
+    """The key path of every int or float leaf of a config mapping, booleans excluded."""
+    for key, value in section.items():
+        if isinstance(value, dict):
+            yield from _numeric_fields(value, (*path, key))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield (*path, key)
+
+
+def test_hostile_config_values_exit_cleanly(tmp_path, capsys, default_config):
+    # every numeric field of the spec dataclasses that dispersion._spec reads, as
+    # config_to_dict spells them, set in turn to each hostile value: exit 0 with an
+    # empty stderr, or exit 1 with exactly one JSON record
+    arm = bp.FilterSpec(center_nm=1570.0, fwhm_nm=8.0)
+    base = config_to_dict(replace(default_config, signal_filter=arm, idler_filter=arm,
+                                  grid=replace(default_config.grid, points_per_axis=64)))
+    del base["schema_version"]  # the document's, not a spec field
+    fields = list(_numeric_fields(base))
+    assert {path[0] for path in fields} == set(FUZZ_COMMANDS)
+    path, out = tmp_path / "config.yaml", str(tmp_path / "out")
+    failures = []
+    for field in fields:
+        for value in FUZZ_VALUES:
+            config = copy.deepcopy(base)
+            section = config
+            for key in field[:-1]:
+                section = section[key]
+            section[field[-1]] = value
+            path.write_text(yaml.safe_dump(config))
+            for command in FUZZ_COMMANDS[field[0]]:
+                case = f"{'.'.join(field)}: {value!r} under {' '.join(command)}"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = main(["--config", str(path), "--out", out, *command])
+                    except Exception as exc:  # a traceback
+                        failures.append(f"{case}: {type(exc).__name__}: {exc}")
+                        capsys.readouterr()
+                        continue
+                stderr = [*(f"{w.category.__name__}: {w.message}" for w in caught),
+                          *capsys.readouterr().err.splitlines()]
+                if not (code == 0 and not stderr
+                        or code == 1 and len(stderr) == 1 and stderr[0].startswith('{"error": ')):
+                    failures.append(f"{case}: exit {code}, stderr {stderr}")
+    assert not failures, "\n".join(failures)
 
 
 def _design_text(r):

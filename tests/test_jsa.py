@@ -1,6 +1,5 @@
 import math
 import os
-import re
 import subprocess
 import sys
 import threading
@@ -563,7 +562,7 @@ def sequential_jsa(pump, crystal, grid):
         - bp.wavenumber(axes.idler, nm(grid.idler_omegas[None, :]), t)
     )
     grating = 2.0 * np.pi / crystal.expanded_poling_period_um
-    x = dk0 + grating if np.min(dk0) < 0.0 else dk0 - grating
+    x = dk0 + grating if dk0[len(dk0) // 2, len(dk0) // 2] < 0.0 else dk0 - grating
     x *= crystal.length_um / 2.0
     phi = np.empty(x.shape, dtype=complex)
     np.cos(x, out=phi.real)
@@ -694,9 +693,10 @@ class TestRowHalves:
                 bp.phasematching_function(None, None, default_config.crystal)
 
     @pytest.mark.parametrize("half", ["worker", "caller"])
-    def test_sign_change_inside_one_half_is_rejected(self, default_config, monkeypatch, half):
+    def test_sign_change_inside_one_half_matches_one_pass(self, default_config, monkeypatch,
+                                                          half):
         # dk0[j, k] = −k_s[j]: negative on every row but two of one half, so
-        # that half alone holds both signs
+        # that half alone holds both signs; the centre cell's order serves all
         n = 64
         k_s = np.full((n, 1), 2.0e-3)
         rows = slice(10, 12) if half == "worker" else slice(n - 12, n - 10)
@@ -706,16 +706,16 @@ class TestRowHalves:
             shape = np.shape(wavelength_nm)
             return k_s.copy() if shape == (n, 1) else np.zeros(shape)
 
+        # the one-pass reference reads the same wavenumbers
         monkeypatch.setattr(bp.phasematch, "wavenumber", wavenumber)
-        dk0 = -k_s
-        message = (
-            f"unpoled mismatch changes sign within one call ({np.min(dk0):.3e} to "
-            f"{np.max(dk0):.3e} rad/um); the compensating grating order is ambiguous"
-        )
-        assert "-2.000e-03 to 3.000e-03" in message
-        cfg = default_config
-        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            bp.compute_jsa(cfg.pump, cfg.crystal, bp.FrequencyGrid(points_per_axis=n))
+        monkeypatch.setattr(bp, "wavenumber", wavenumber)
+        cfg, grid = default_config, bp.FrequencyGrid(points_per_axis=n)
+        dk = bp.phase_mismatch(cfg.crystal, grid.signal_omegas[:, None],
+                               grid.idler_omegas[None, :], sums=grid.sum_omegas)
+        grating = 2.0 * np.pi / cfg.crystal.expanded_poling_period_um
+        assert np.array_equal(dk, np.broadcast_to(-k_s + grating, (n, n)))
+        jsa = bp.compute_jsa(cfg.pump, cfg.crystal, grid)
+        assert np.array_equal(jsa.amplitudes, sequential_jsa(cfg.pump, cfg.crystal, grid))
 
     def test_traced_functions_run_on_the_main_thread(self, default_config, paper_jsa, monkeypatch):
         # the benchmark's layer tracer keeps one span stack per process, so no

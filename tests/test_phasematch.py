@@ -163,9 +163,9 @@ class TestPhaseMismatch:
         )
         assert m20 == m21
 
-    def test_mismatch_changing_sign_is_rejected(self):
-        # dk0 runs from about -2.6e-3 to +2.5e-3 rad/um over these signals; a
-        # per-point grating order would jump dK by 4*pi/period near 1570 nm
+    def test_mismatch_changing_sign_takes_the_middle_order(self):
+        # dk0 runs from about -2.6e-3 to +2.5e-3 rad/um over these signals; the
+        # whole call takes the order that compensates its middle element
         axes = bp.CrystalAxes(
             pump=bp.constant_index_set("p", 1.8),
             signal=bp.constant_index_set("s", 1.9),
@@ -174,10 +174,14 @@ class TestPhaseMismatch:
         crystal = bp.CrystalSpec(axes=axes, length_mm=2.0, poling_period_um=46.0)
         signals = nm_to_angular_frequency(np.array([1560.0, 1569.9, 1570.1, 1580.0]))
         idler = nm_to_angular_frequency(1570.0)
-        with pytest.raises(InputError, match=r"changes sign.*-2\.565e-03 to 2\.533e-03"):
-            bp.phase_mismatch(crystal, signals, idler)
-        # one-signed subsets and single points keep the compensating order
         grating = 2 * np.pi / 46.0
+        for straddling, sign in ((signals, 1.0), (signals[::-1], -1.0), (signals[1:], 1.0)):
+            dk0 = unpoled_mismatch(axes, straddling, idler, 20.0)
+            assert np.min(dk0) < 0.0 < np.max(dk0)
+            assert np.sign(dk0[len(dk0) // 2]) == sign
+            assert np.array_equal(bp.phase_mismatch(crystal, straddling, idler),
+                                  dk0 - sign * grating)
+        # one-signed subsets and single points keep the compensating order
         for subset, sign in ((signals[:2], -1.0), (signals[2:], 1.0)):
             dk0 = unpoled_mismatch(axes, subset, idler, 20.0)
             assert np.all(np.sign(dk0) == sign)
@@ -190,12 +194,13 @@ class TestPhaseMismatch:
     def test_zeros_and_negatives_take_one_order(self, ktp, monkeypatch):
         crystal = paper_crystal(ktp)
         grating = 2 * np.pi / crystal.expanded_poling_period_um
-        for dk0 in ([0.0, -1e-3, 0.0], [0.0, 1e-3], [0.0, 0.0]):
+        for dk0 in ([0.0, -1e-3, 0.0], [0.0, 1e-3], [0.0, 0.0], [-1e-3, 0.0, -1e-3]):
             monkeypatch.setattr(
                 phasematch, "unpoled_mismatch", lambda *args, dk0=dk0: np.array(dk0)
             )
-            sign = -1.0 if min(dk0) < 0.0 else 1.0
-            # every point, zeros included, gets the order of the nonzero ones
+            sign = -1.0 if dk0[len(dk0) // 2] < 0.0 else 1.0
+            # every point gets the order of the middle one, and a zero there
+            # the order of a positive mismatch
             expected = np.array(dk0) - sign * grating
             assert np.array_equal(bp.phase_mismatch(crystal, 0.0, 0.0), expected)
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -290,13 +291,26 @@ def test_chi2_matches_scipy_contingency(table):
 @pytest.mark.parametrize("a", [0.5, 1.0, 3.5, 40.0, 1200.0])
 @pytest.mark.parametrize("ratio", [0.01, 0.5, 0.99, 1.0, 1.5, 3.0])
 def test_upper_gamma_matches_scipy_chi2_survival(a, ratio):
-    # both branches: the series below x = a + 1 and the continued fraction above it
+    # whole and half-whole a, from the bulk of the distribution to its far tail
     from scipy.stats import chi2
 
     from biphoton.spectrometer import _upper_gamma_q
 
     x = a * ratio
     assert _upper_gamma_q(a, x) == pytest.approx(chi2.sf(2.0 * x, 2.0 * a), rel=1e-10)
+
+
+def test_spectro_histogram_tail_is_zero_without_a_warning(paper_jsa, default_config):
+    # `spectro simulate`'s default histogram: 2209 dof, and a statistic so far
+    # out that every term of the finite tail sum underflows to 0.0
+    cfg = default_config
+    histogram = bp.simulate_jsi_histogram(paper_jsa, cfg.signal_dcf, cfg.idler_dcf, cfg.pump,
+                                          bin_size_ns=cfg.bin_size_ns, seed=cfg.seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        statistic, dof, p_value = bp.chi2_independence(histogram.counts)
+    assert dof == 2209 and statistic > 4 * dof
+    assert p_value == 0.0
 
 
 def test_chi2_rejects_an_empty_histogram():
